@@ -156,7 +156,10 @@ class PrimeField(Domain):
         return str(a % self.p)
 
     def parse(self, text):
-        return int(text, 10) % self.p
+        try:
+            return int(text, 10) % self.p
+        except ValueError:
+            raise CycdivError(f"cannot parse {text!r} as an element of F_{self.p}") from None
 
 
 class RationalField(Domain):
@@ -232,7 +235,10 @@ class RationalField(Domain):
         return str(a)
 
     def parse(self, text):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise CycdivError(f"cannot parse {text!r} as a rational number") from None
 
 
 QQ = RationalField()

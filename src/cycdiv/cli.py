@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import anagram
 from .algebra import CyclicAlgebra, constants_to_json, invert, is_division, relation_mul
-from .basefields import QQ
+from .basefields import QQ, is_prime
 from .errors import CycdivError, ZeroDivisorError
 from .kummer import KummerContext, is_norm, norm_formula, norm_oracle, norm_valuation
 from .quaternion import BiquaternionAlgebra, QuadraticExtension, anisotropy_sample_test, \
@@ -37,10 +37,13 @@ def _default_precision():
 
 def _build_context(args):
     prec = args.prec if args.prec is not None else _default_precision()
+    for flag, value in (("--p", args.p), ("--q", args.q)):
+        if not is_prime(value):
+            raise CycdivError(f"{flag} {value} is not prime")
     if getattr(args, "rationals", False):
         if args.q != 2:
             raise CycdivError("the rational base field only supports q = 2 (xi = -1)")
-        t = Fraction(args.t if args.t is not None else "-1")
+        t = QQ.parse(args.t if args.t is not None else "-1")
         return KummerContext(QQ, 2, t, Fraction(-1))
     if getattr(args, "hahn", None):
         return hahn_tower_context(args.p, args.q, precision=prec)
@@ -49,8 +52,7 @@ def _build_context(args):
 
 def _build_algebra(args):
     ctx = _build_context(args)
-    alpha = ctx.F.parse(args.alpha) if not isinstance(ctx.F, type(QQ)) else Fraction(args.alpha)
-    return CyclicAlgebra(ctx, alpha)
+    return CyclicAlgebra(ctx, ctx.F.parse(args.alpha))
 
 
 def _parse_coords(ctx_or_algebra, text, n):
@@ -58,8 +60,6 @@ def _parse_coords(ctx_or_algebra, text, n):
     parts = [p.strip() for p in text.split(";")]
     if len(parts) != n:
         raise CycdivError(f"expected {n} ';'-separated coordinates, got {len(parts)}")
-    if isinstance(F, type(QQ)):
-        return [Fraction(p) for p in parts]
     return [F.parse(p) for p in parts]
 
 

@@ -174,3 +174,17 @@ def test_hahn_mode(capsys):
                        "--prec", "6")
     assert code == 0
     assert json.loads(out)["division"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["is-norm", "--x", "*t"],
+    ["is-norm", "--x", "1/0"],
+    ["is-norm", "--q", "4", "--x", "t"],
+    ["is-norm", "--p", "8", "--x", "t"],
+    ["algebra", "build", "--rationals", "--q", "2", "--alpha", "1/0"],
+    ["algebra", "mul", "--alpha", "2", "--a", "1;;0;0;0;0;0;0;0", "--b", "1;0;0;0;0;0;0;0;0"],
+])
+def test_malformed_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ")

@@ -265,3 +265,49 @@ def test_nonzero_exact_inverse_roundtrip(a):
         return
     inv = a.invert(8)
     assert (a * inv).agrees_to_precision(R.one)
+
+
+# -- normalised exponents -------------------------------------------------------
+
+def test_integral_exponents_print_the_same_however_built():
+    T = hahn(F7, "t", 7, 20)
+    prod = T.parse("t^(1/7)") * T.parse("t^(13/7)")
+    assert T.to_str(prod) == T.to_str(T.parse("t^2")) == "t^2"
+    assert T.to_str(T.parse("t^(1/7)").shift(Fraction(6, 7))) == "t"
+    inv = T.parse("t^(1/7) + t^(3/7) + O(t^(16/7))").invert()
+    assert inv.precision == 2 and isinstance(inv.precision, int)
+    assert T.to_str(inv).endswith("O(t^2)")
+    for s in (prod, inv, T.parse("1 + t^(1/7)") * T.parse("1 + t^(6/7) + O(t^3)")):
+        assert all(isinstance(e, int) or e.denominator != 1 for e in s.coeffs)
+
+
+# -- malformed text -------------------------------------------------------------
+
+TOWER = laurent(laurent(F7, "x", 6), "t", 6)
+RQ = laurent(QQ, "X", 6)
+
+
+@pytest.mark.parametrize("domain,text", [
+    *((R, text) for text in ["*t", "x", "1/0", "((1)", "abc", "1e5", "", "  ", "1 +",
+                             "t^(1/0)", ")("]),
+    (TOWER, "*t"), (TOWER, ""), (TOWER, "(1 + )*t"),
+    (RQ, "1/0"), (RQ, "X^(1/2)"), (RQ, "abc"),
+])
+def test_parse_rejects_malformed_text(domain, text):
+    with pytest.raises(CycdivError):
+        domain.parse(text)
+
+
+def test_parse_keeps_the_smallest_o_term():
+    assert R.parse("O(t^2) + O(t^3)").precision == 2
+    assert R.parse("1 + O(t^5) + t + O(t^3)") == R.series({0: 1, 1: 1}, 3)
+
+
+@given(st.text(alphabet="tx019+-*^()/O e", max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_parse_fails_only_with_cycdiv_error(text):
+    for domain in (R, H, TOWER, RQ):
+        try:
+            domain.parse(text)
+        except CycdivError:
+            pass

@@ -1,0 +1,317 @@
+"""The fast series kernels against the loops they replaced.
+
+``ref_mul``, ``ref_invert`` and ``ref_hensel`` are the schoolbook product,
+the full-precision Newton inverse and the Hensel loop that served every
+domain before the packed product and the precision-doubling iterations
+existed.  The kernels must give structurally identical results: the same
+coefficients, the same precision and, in towers, the same inner O-terms.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cycdiv import INFINITY, PrimeField, QQ, Series, hahn, hensel_qth_root, laurent
+from cycdiv.errors import CycdivError, PrecisionError
+from cycdiv.series import _kronecker_mul
+from cycdiv.verify import albert_setup, hahn_tower_context
+
+# -- references ---------------------------------------------------------------
+
+
+def ref_mul(a, b):
+    """Schoolbook product with the precision rule min(pa + v(b), pb + v(a))."""
+    a._check_domain(b)
+    pa = INFINITY if a.precision is None else a.precision
+    pb = INFINITY if b.precision is None else b.precision
+    if pa == pb == INFINITY:
+        prec = INFINITY
+    else:
+        prec = min(pa + b.valuation_lower_bound(), pb + a.valuation_lower_bound())
+    cd = a.domain.coeff
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = e1 + e2
+            if e >= prec:
+                continue
+            p = cd.mul(c1, c2)
+            out[e] = cd.add(out[e], p) if e in out else p
+    out = {e: c for e, c in out.items() if not cd.is_known_zero(c)}
+    return Series(a.domain, out, None if prec == INFINITY else prec, _validate=False)
+
+
+def ref_pow(s, n):
+    acc = s.domain.one
+    base = s
+    while n:
+        if n & 1:
+            acc = ref_mul(acc, base)
+        base = ref_mul(base, base) if n > 1 else base
+        n >>= 1
+    return acc
+
+
+def ref_invert(s, target_precision=None):
+    """Newton x <- x(2 - s*x), every step at the full target precision."""
+    v = s.valuation()
+    if v == INFINITY:
+        raise ZeroDivisionError("inverse of the zero series")
+    domain = s.domain
+    lead_inv = domain.coeff.invert(s.coeffs[v])
+    if s.precision is None and len(s.coeffs) == 1:
+        return Series(domain, {-v: lead_inv}, None, _validate=False)
+    achievable = INFINITY if s.precision is None else s.precision - 2 * v
+    if target_precision is None:
+        target = min(domain.default_precision, achievable)
+    else:
+        target = target_precision
+        if target > achievable:
+            raise PrecisionError("insufficient input precision")
+    x = Series(domain, {-v: lead_inv}, None, _validate=False)
+    two = domain.from_int(2)
+    for _ in range(200):
+        if (ref_mul(s, x) - domain.one).truncate(target + v).is_known_zero():
+            return x.truncate(target)
+        x = ref_mul(x, two - ref_mul(s, x)).truncate(target)
+    raise CycdivError("series inversion did not converge")
+
+
+def ref_hensel(s, q, target_precision=None):
+    """Newton r <- r - (r^q - s)/(q r^(q-1)), a full inverse per step."""
+    domain = s.domain
+    cd = domain.coeff
+    if q == domain.characteristic or s.valuation() != 0:
+        raise CycdivError("Hensel q-th root needs q invertible and a unit")
+    res = s.residue()
+    if not cd.is_qth_power(res, q):
+        raise CycdivError("residue is not a q-th power")
+    target = domain.default_precision if target_precision is None else target_precision
+    if s.precision is not None:
+        target = min(target, s.precision)
+    r = domain.constant(cd.qth_root(res, q))
+    for _ in range(200):
+        err = (ref_pow(r, q) - s).truncate(target)
+        if err.is_known_zero():
+            return r.truncate(target)
+        denom = ref_pow(r, q - 1).scale(cd.from_int(q))
+        r = (r - ref_mul(err, ref_invert(denom, target))).truncate(target)
+    raise CycdivError("Hensel lifting did not converge")
+
+
+def identical(a, b):
+    """Same precision, support and coefficients, recursively through towers
+    (``==`` compares series coefficients only where both are known)."""
+    if a.precision != b.precision or set(a.coeffs) != set(b.coeffs):
+        return False
+    for e, c in a.coeffs.items():
+        d = b.coeffs[e]
+        if isinstance(c, Series):
+            if not identical(c, d):
+                return False
+        elif not a.domain.coeff.eq(c, d):
+            return False
+    return True
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the class of the library error it raised."""
+    try:
+        return fn(*args)
+    except (CycdivError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def same_outcome(got, want):
+    if isinstance(want, type) or isinstance(got, type):
+        return got is want
+    return identical(got, want)
+
+
+# -- inputs -------------------------------------------------------------------
+
+F7, F11 = PrimeField(7), PrimeField(11)
+LAURENT = {7: laurent(F7, "t", 30), 11: laurent(F11, "t", 30)}
+QTH = {7: (2, 3), 11: (2, 5)}  # root degrees q, prime to p, taken over F_7 and F_11
+
+
+@st.composite
+def laurent_series(draw, unit=False):
+    """Dense or sparse-wide supports, exact or truncated, over F_7 or F_11,
+    with valuations down to -10 (0 for units)."""
+    p = draw(st.sampled_from([7, 11]))
+    R = LAURENT[p]
+    lo = 0 if unit else draw(st.integers(-10, 10))
+    if draw(st.booleans()):  # dense: every exponent in a run, a few zeros
+        n = draw(st.integers(1, 45))
+        coeffs = {lo + i: draw(st.integers(0, p - 1)) for i in range(n)}
+    else:  # sparse-wide: a few terms spread over thousands of exponents
+        exps = draw(st.lists(st.integers(lo, lo + 3000), min_size=1, max_size=8))
+        coeffs = {e: draw(st.integers(1, p - 1)) for e in exps}
+    coeffs[lo] = draw(st.integers(1, p - 1))
+    precision = None
+    if draw(st.booleans()):
+        precision = max(coeffs) + draw(st.integers(-5, 25))
+        if unit:
+            precision = max(precision, 1)
+    return R.series(coeffs, precision)
+
+
+TARGETS = st.one_of(st.none(), st.integers(-3, 40))
+
+
+# -- products -----------------------------------------------------------------
+
+
+@given(laurent_series(), laurent_series())
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_schoolbook(a, b):
+    if a.domain != b.domain:
+        b = a.domain.series(b.coeffs, b.precision)
+    assert identical(a * b, ref_mul(a, b))
+
+
+def test_dense_operands_are_packed_and_sparse_ones_are_not():
+    R = LAURENT[7]
+    dense = R.series({e: 1 + e % 6 for e in range(30)}, 30)
+    assert _kronecker_mul(dense.coeffs, dense.coeffs, 7, 30) is not None
+    assert identical(dense * dense, ref_mul(dense, dense))
+    wide = R.series({1750 * i: 3 for i in range(8)})
+    assert _kronecker_mul(wide.coeffs, wide.coeffs, 7, INFINITY) is None
+    assert identical(wide * wide, ref_mul(wide, wide))
+
+
+def test_packed_product_reduces_unreduced_coefficients():
+    R = LAURENT[11]
+    a = R.series({e: 11 * e - 3 for e in range(1, 25)})  # ints outside [0, 11)
+    b = R.series({e: 10 for e in range(-4, 20)}, 20)
+    assert identical(a * b, ref_mul(a, b))
+    assert all(0 <= c < 11 for c in (a * b).coeffs.values())
+
+
+# -- inversion ----------------------------------------------------------------
+
+
+@given(laurent_series(), TARGETS)
+@settings(max_examples=150, deadline=None)
+def test_invert_matches_full_newton(s, target):
+    assert same_outcome(outcome(s.invert, target), outcome(ref_invert, s, target))
+
+
+@given(st.dictionaries(st.integers(-3, 12),
+                       st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                       min_size=1, max_size=5),
+       st.one_of(st.none(), st.integers(0, 14)), st.one_of(st.none(), st.integers(-2, 10)))
+@settings(max_examples=60, deadline=None)
+def test_invert_matches_full_newton_over_q(coeffs, precision, target):
+    RQ = laurent(QQ, "X", 10)
+    s = RQ.series(coeffs, precision)
+    if s.is_known_zero():
+        return
+    assert same_outcome(outcome(s.invert, target), outcome(ref_invert, s, target))
+
+
+def test_invert_precision_budget_still_fires():
+    R = LAURENT[7]
+    s = R.series({1: 1, 2: 1}, precision=6)  # v = 1: achievable 6 - 2 = 4
+    for fn in (s.invert, lambda t: ref_invert(s, t)):
+        with pytest.raises(PrecisionError):
+            fn(5)
+    assert identical(s.invert(4), ref_invert(s, 4))
+
+
+class WrongInverseField(PrimeField):
+    """F_p whose inverse is off by one: Newton cannot converge from it."""
+
+    def invert(self, a):
+        return (super().invert(a) + 1) % self.p
+
+
+class WrongRootField(PrimeField):
+    """F_p whose q-th root is off by one: not a root of the residue."""
+
+    def qth_root(self, x, q):
+        return (super().qth_root(x, q) + 1) % self.p
+
+
+def test_invert_convergence_error_still_fires():
+    R = laurent(WrongInverseField(7), "t", 8)
+    s = R.parse("3 + t + 5*t^2")
+    with pytest.raises(CycdivError, match="did not converge"):
+        s.invert()
+    with pytest.raises(CycdivError, match="did not converge"):
+        ref_invert(s)
+
+
+def test_hensel_convergence_error_still_fires():
+    # the full Newton loop corrects a wrong residue root to another cube root
+    # of 6 mod 7; the inverse-root iteration keeps it and its check fires
+    R = laurent(WrongRootField(7), "t", 8)
+    with pytest.raises(CycdivError, match="did not converge"):
+        hensel_qth_root(R.parse("6 + t + 2*t^3"), 3)
+
+
+# -- Hensel roots -------------------------------------------------------------
+
+
+@given(laurent_series(unit=True), st.data())
+@settings(max_examples=120, deadline=None)
+def test_hensel_matches_full_newton(s, data):
+    p = s.domain.coeff.p
+    q = data.draw(st.sampled_from(QTH[p]))
+    residue = pow(data.draw(st.integers(1, p - 1)), q, p)  # a q-th power
+    s = s.domain.series({**s.coeffs, 0: residue}, s.precision)
+    target = data.draw(TARGETS)
+    assert same_outcome(outcome(hensel_qth_root, s, q, target),
+                        outcome(ref_hensel, s, q, target))
+
+
+def test_hensel_at_precision_400():
+    R = laurent(F7, "t", 400)
+    s = R.series({e: (3 * e * e + 1) % 7 for e in range(400)}, 400)
+    s = s + R.from_int(6 - s.coeffs[0])
+    r = hensel_qth_root(s, 3, 400)
+    assert r.precision == 400 and r.coeffs[0] == F7.qth_root(6, 3)
+    assert (r ** 3).agrees_to_precision(s)
+
+
+# -- Hahn exponents -------------------------------------------------------------
+
+H7 = hahn(F7, "t", 7, 6)
+
+
+@given(st.dictionaries(st.integers(1, 40).map(lambda k: Fraction(k, 7)),
+                       st.integers(1, 6), max_size=5),
+       st.integers(1, 6), st.one_of(st.none(), st.integers(1, 6)))
+@settings(max_examples=30, deadline=None)
+def test_hahn_kernels_match_references(tail, lead, target):
+    s = H7.series({**tail, 0: lead})
+    assert identical(s * s, ref_mul(s, s))
+    assert same_outcome(outcome(s.invert, target), outcome(ref_invert, s, target))
+    s = H7.series({**tail, 0: 6})  # 6 = 3^3 in F_7
+    assert same_outcome(outcome(hensel_qth_root, s, 3, target),
+                        outcome(ref_hensel, s, 3, target))
+
+
+# -- towers keep the full-precision loops --------------------------------------
+
+
+def _tower_cases():
+    T = hahn_tower_context(7, 3, precision=4).F
+    k = T.coeff
+    yield T, T.parse("(1 + x^(1/7))*t^(1/7) + (3 + x)"), T.parse("(1 + x)*t^(1/7) + (2 + x)")
+    yield T, T.parse("(2)*t^(2/7) + (1 + 3*x^(2/7) + O(x^3))"), T.constant(k.parse("4 + x"))
+    _, F, _, _, _ = albert_setup(precision=4)
+    yield F, F.parse("(1 + X)*Y + (2 + 3*X^2)"), F.parse("(1 + X)*Y + (4 + X)")
+    yield F, F.parse("(X)*Y^2 + (1 + X + O(X^3))"), F.parse("(1 + O(X^2))*Y + (9)")
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_tower_results_unchanged(case):
+    F, a, b = list(_tower_cases())[case]
+    assert identical(a * b, ref_mul(a, b))
+    for target in (None, 2, 4):
+        assert same_outcome(outcome(a.invert, target), outcome(ref_invert, a, target))
+        assert same_outcome(outcome(hensel_qth_root, b, 2, target),
+                            outcome(ref_hensel, b, 2, target))
