@@ -10,6 +10,7 @@ serialized to JSON.
 import json
 from dataclasses import dataclass
 
+from .basefields import PrimeField, RationalField
 from .errors import CycdivError, DomainMismatchError
 from .kummer import KummerContext, is_norm
 from .linalg import kernel_vector, solve_linear
@@ -188,15 +189,30 @@ class StructureConstants:
         self._sparse = None
 
     def sparse(self, F):
+        """(i, j) -> [(k, lam, sign)] over the nonzero entries, where sign is
+        1 or -1 when lam is exactly F.one or -F.one and 0 otherwise."""
         if self._sparse is None:
+            minus_one = F.neg(F.one)
             table = {}
             for k, mat in enumerate(self.matrices):
                 for i, row in enumerate(mat):
                     for j, lam in enumerate(row):
                         if not F.is_known_zero(lam):
-                            table.setdefault((i, j), []).append((k, lam))
+                            sign = (1 if _is_exactly(F, lam, F.one)
+                                    else -1 if _is_exactly(F, lam, minus_one) else 0)
+                            table.setdefault((i, j), []).append((k, lam, sign))
             self._sparse = table
         return self._sparse
+
+
+def _is_exactly(F, a, b):
+    """Whether a and b are the same element of F with nothing truncated: at
+    each level of a series tower both are EXACT with the same support."""
+    if isinstance(F, SeriesDomain):
+        return (a.precision is None and b.precision is None
+                and a.coeffs.keys() == b.coeffs.keys()
+                and all(_is_exactly(F.coeff, c, b.coeffs[e]) for e, c in a.coeffs.items()))
+    return isinstance(F, (PrimeField, RationalField)) and F.eq(a, b)
 
 
 def structure_constants(algebra):
@@ -234,8 +250,13 @@ def constants_mul(a, b, constants, F):
             if not entries:
                 continue
             p = F.mul(ai, bj)
-            for k, lam in entries:
-                out[k] = F.add(out[k], F.mul(p, lam))
+            for k, lam, sign in entries:
+                if sign > 0:
+                    out[k] = F.add(out[k], p)
+                elif sign < 0:
+                    out[k] = F.sub(out[k], p)
+                else:
+                    out[k] = F.add(out[k], F.mul(p, lam))
     return out
 
 

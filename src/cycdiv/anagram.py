@@ -6,6 +6,7 @@ the linear form tilde_sigma(d) = sum_i i*d_i (mod q); the level counts
 N_lam drive the closed norm formula of the Kummer norm module.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,38 +58,29 @@ class AnagramClass:
         return base * self.class_size if with_class_size_factor else base
 
 
-def _level_counts(q, rep):
-    """Exact level counts by dynamic programming over sub-multisets.
+@functools.cache
+def _level_counts(q, rest):
+    """Level counts of the anagrams of the sorted multiset ``rest``, placed
+    on the last ``len(rest)`` of the q positions.
 
-    g(counts)[lam] is the number of ways to place the remaining multiset
-    on the last positions with weighted sum lam; equivalent to walking all
-    distinct permutations but with memoization on the remaining multiset.
+    Entry lam counts the distinct arrangements whose weighted sum
+    sum_i i*d_i over those positions is lam mod q.  The recursion places
+    each distinct value at the first free position q - len(rest).  Memo
+    keys are (q, remaining sorted multiset), so every class of one q reads
+    the counts of the sub-multisets the others already computed.
     """
-    values = sorted(set(rep))
-    full = tuple(rep.count(v) for v in values)
-    memo = {}
-
-    def g(counts):
-        cached = memo.get(counts)
-        if cached is not None:
-            return cached
-        total = sum(counts)
-        if total == 0:
-            result = (1,) + (0,) * (q - 1)
-        else:
-            pos = q - total
-            acc = [0] * q
-            for i, c in enumerate(counts):
-                if c:
-                    sub = g(counts[:i] + (c - 1,) + counts[i + 1:])
-                    shift = (pos * values[i]) % q
-                    for lam in range(q):
-                        acc[(lam + shift) % q] += sub[lam]
-            result = tuple(acc)
-        memo[counts] = result
-        return result
-
-    return g(full)
+    if not rest:
+        return (1,) + (0,) * (q - 1)
+    pos = q - len(rest)
+    acc = [0] * q
+    for i, v in enumerate(rest):
+        if i and rest[i - 1] == v:
+            continue
+        sub = _level_counts(q, rest[:i] + rest[i + 1:])
+        shift = (pos * v) % q
+        for lam in range(q):
+            acc[(lam + shift) % q] += sub[lam]
+    return tuple(acc)
 
 
 def class_of(q, d):
@@ -105,16 +97,34 @@ def class_of(q, d):
 
 
 def all_classes(q):
-    """Every anagram class, by ascending canonical representative."""
+    """Every anagram class, by ascending canonical representative.
+
+    The classes of each q are built on first use; every call returns a
+    new list of them.
+    """
     if q not in SUPPORTED_Q:
         raise CycdivError(f"q must be one of {SUPPORTED_Q} (exhaustive enumeration)")
-    return [class_of(q, rep)
-            for rep in itertools.combinations_with_replacement(range(q), q)]
+    return list(_classes(q))
+
+
+@functools.cache
+def _classes(q):
+    return tuple(class_of(q, rep)
+                 for rep in itertools.combinations_with_replacement(range(q), q))
 
 
 def c0_classes(q):
     """Classes with coordinate sum = 0 mod q: the survivors of the norm sum."""
     return [c for c in all_classes(q) if c.sum_is_zero_mod_q]
+
+
+@functools.cache
+def norm_terms(q, with_class_size_factor=False):
+    """The terms of the closed norm formula: one (f, canonical rep, power of
+    t) per class of C_0, in the order of :func:`c0_classes`."""
+    return tuple((cls.coefficient_f(with_class_size_factor), cls.canonical_rep,
+                  cls.coordinate_sum // q)
+                 for cls in c0_classes(q))
 
 
 def coefficient_f(cls, with_class_size_factor=False):

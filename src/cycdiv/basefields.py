@@ -78,9 +78,6 @@ class Domain:
     def div(self, a, b):
         return self.mul(a, self.invert(b))
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class PrimeField(Domain):
     """F_p with elements the canonical int representatives in [0, p)."""
@@ -114,6 +111,9 @@ class PrimeField(Domain):
     def neg(self, a):
         return (-a) % self.p
 
+    def sub(self, a, b):
+        return (a - b) % self.p
+
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -124,6 +124,11 @@ class PrimeField(Domain):
 
     def eq(self, a, b):
         return (a - b) % self.p == 0
+
+    def is_zero(self, a):
+        return a % self.p == 0
+
+    is_known_zero = is_zero
 
     def pow(self, a, n):
         if n < 0:
@@ -192,6 +197,9 @@ class RationalField(Domain):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 
@@ -202,6 +210,11 @@ class RationalField(Domain):
 
     def eq(self, a, b):
         return a == b
+
+    def is_zero(self, a):
+        return not a
+
+    is_known_zero = is_zero
 
     def pow(self, a, n):
         return a ** n

@@ -45,7 +45,11 @@ def _build_context(args):
             raise CycdivError("the rational base field only supports q = 2 (xi = -1)")
         t = QQ.parse(args.t if args.t is not None else "-1")
         return KummerContext(QQ, 2, t, Fraction(-1))
-    if getattr(args, "hahn", None):
+    hahn = getattr(args, "hahn", None)
+    if hahn is not None:
+        if hahn != args.p:  # --p is prime by now
+            raise CycdivError(f"--hahn {hahn} must equal --p {args.p}: the tower "
+                              f"F_p((x^G))((t^G)) has G = Z[1/p]")
         return hahn_tower_context(args.p, args.q, precision=prec)
     return laurent_context(args.p, args.q, precision=prec)
 
@@ -216,7 +220,8 @@ def _add_context_args(sub, with_alpha=False):
     sub.add_argument("--prec", type=int, default=None,
                      help=f"working precision (default {DEFAULT_PRECISION}, env CDA_PRECISION)")
     sub.add_argument("--hahn", type=int, default=None, metavar="P",
-                     help="use the Hahn tower F_p((x^G))((t^G)) with G = Z[1/P]")
+                     help="use the Hahn tower F_p((x^G))((t^G)) with G = Z[1/P], "
+                          "P equal to --p")
     sub.add_argument("--rationals", action="store_true",
                      help="base field Q (q = 2 only); use with --t")
     sub.add_argument("--t", default=None, help="t for the rational base (default -1)")

@@ -184,14 +184,12 @@ def norm_formula(a, with_class_size_factor=False):
     ctx = a.context
     F, q = ctx.F, ctx.q
     total = F.zero
-    for cls in anagram.c0_classes(q):
-        f = cls.coefficient_f(with_class_size_factor)
+    for f, rep, s in anagram.norm_terms(q, with_class_size_factor):
         term = F.from_int(f)
         if F.is_known_zero(term):
             continue
-        for idx in cls.canonical_rep:
+        for idx in rep:
             term = F.mul(term, a.coords[idx])
-        s = cls.coordinate_sum // q
         if s:
             term = F.mul(term, F.pow(ctx.t, s))
         total = F.add(total, term)

@@ -12,13 +12,17 @@ depend on how it was computed.
 
 Which kernel serves which domain:
 
-* Products.  Over a prime field with value group Z, operands dense enough
-  that their term count product beats ``_KRONECKER_DENSITY`` times their
-  exponent spans are multiplied by Kronecker substitution: each support is
-  packed into one Python int, the ints are multiplied once, and the
-  coefficients below the product's precision bound are unpacked mod p.
+* Products.  When one operand has a single term, over any coefficient
+  domain and value group, the product shifts the other operand's exponents
+  and scales its coefficients: one coefficient product per term, no
+  accumulation.  Over a prime field with value group Z, operands dense
+  enough that their term count product beats ``_KRONECKER_DENSITY`` times
+  their exponent spans are multiplied by Kronecker substitution: each
+  support is packed into one Python int, the ints are multiplied once, and
+  the coefficients below the product's precision bound are unpacked mod p.
   Every other product (sparse operands, Z[1/p] exponents, Q or series
-  coefficients) uses the schoolbook loop.
+  coefficients) uses the schoolbook loop.  All three give the same
+  coefficients and precision.
 * Inversion and Hensel q-th roots.  Over a coefficient field (F_p or Q)
   both are Newton iterations with precision doubling on truncated
   approximants: ``y <- y + y(1 - s*y)`` for the inverse, and the
@@ -243,28 +247,12 @@ class Series:
     # -- arithmetic ----------------------------------------------------
 
     def _check_domain(self, other):
-        if not isinstance(other, Series) or other.domain != self.domain:
+        if not isinstance(other, Series) or (other.domain is not self.domain
+                                             and other.domain != self.domain):
             raise DomainMismatchError("series from different domains")
 
     def __add__(self, other):
-        self._check_domain(other)
-        pa = INFINITY if self.precision is None else self.precision
-        pb = INFINITY if other.precision is None else other.precision
-        prec = min(pa, pb)
-        cd = self.domain.coeff
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            if e in out:
-                s = cd.add(out[e], c)
-                if cd.is_known_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        if prec != INFINITY:
-            out = {e: c for e, c in out.items() if e < prec}
-        return Series(self.domain, out, None if prec == INFINITY else prec, _validate=False)
+        return self._add(other, False)
 
     def __neg__(self):
         cd = self.domain.coeff
@@ -272,7 +260,29 @@ class Series:
                       self.precision, _validate=False)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._add(other, True)
+
+    def _add(self, other, subtract):
+        """self + other, or self - other without building -other."""
+        self._check_domain(other)
+        pa = INFINITY if self.precision is None else self.precision
+        pb = INFINITY if other.precision is None else other.precision
+        prec = min(pa, pb)
+        cd = self.domain.coeff
+        op = cd.sub if subtract else cd.add
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            if e in out:
+                s = op(out[e], c)
+                if cd.is_known_zero(s):
+                    del out[e]
+                else:
+                    out[e] = s
+            else:
+                out[e] = cd.neg(c) if subtract else c
+        if prec != INFINITY:
+            out = {e: c for e, c in out.items() if e < prec}
+        return Series(self.domain, out, None if prec == INFINITY else prec, _validate=False)
 
     def __mul__(self, other):
         self._check_domain(other)
@@ -285,9 +295,25 @@ class Series:
         cd = self.domain.coeff
         ca, cb = self.coeffs, other.coeffs
         out = None
+        if len(ca) == 1 or len(cb) == 1:
+            # a single-term operand: shift and scale the other one
+            cmul, ckz = cd.mul, cd.is_known_zero
+            out = {}
+            if len(ca) == 1:
+                (e1, c1), = ca.items()
+                for e2, c2 in cb.items():
+                    e = e1 + e2
+                    if e < prec and not ckz(p := cmul(c1, c2)):
+                        out[e] = p
+            else:
+                (e2, c2), = cb.items()
+                for e1, c1 in ca.items():
+                    e = e1 + e2
+                    if e < prec and not ckz(p := cmul(c1, c2)):
+                        out[e] = p
         # a cheap necessary condition for the density test of _kronecker_mul:
         # the exponent spans are at least len(ca) + len(cb)
-        if len(ca) * len(cb) > _KRONECKER_DENSITY * (len(ca) + len(cb)) \
+        elif len(ca) * len(cb) > _KRONECKER_DENSITY * (len(ca) + len(cb)) \
                 and type(cd) is PrimeField and self.domain.group.p is None:
             out = _kronecker_mul(ca, cb, cd.p, prec)
         if out is None:
@@ -449,8 +475,8 @@ class SeriesDomain(Domain):
         self.one = Series(self, {0: coeff.one}, None, _validate=False)
 
     def __eq__(self, other):
-        return (isinstance(other, SeriesDomain) and other.coeff == self.coeff
-                and other.var == self.var and other.group == self.group)
+        return other is self or (isinstance(other, SeriesDomain) and other.coeff == self.coeff
+                                 and other.var == self.var and other.group == self.group)
 
     def __hash__(self):
         return hash(("SeriesDomain", self.coeff, self.var, self.group))
@@ -486,6 +512,9 @@ class SeriesDomain(Domain):
 
     def neg(self, a):
         return -a
+
+    def sub(self, a, b):
+        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -678,25 +707,30 @@ def _split_top(text, sep):
 
 
 def _split_terms(text):
-    """Split on top-level + and - into (sign, chunk) pairs."""
+    """Split on top-level + and - into (sign, chunk) pairs.
+
+    A term may carry one leading sign; an operator right after another one
+    (``1 + + 2``, ``1 - -t``, ``--3``) raises :class:`CycdivError`.
+    """
     text = text.strip()
     out, depth, cur, sign = [], 0, [], 1
-    for i, ch in enumerate(text):
+    signed = False  # the term being read already has its sign
+    for ch in text:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if depth == 0 and ch in "+-" and cur and "".join(cur).strip():
-            prev = "".join(cur).rstrip()
-            if prev and prev[-1] not in "*^/(":
-                out.append((sign, prev.strip()))
-                cur, sign = [], (1 if ch == "+" else -1)
+        if depth == 0 and ch in "+-":
+            prev = "".join(cur).strip()
+            if not prev:
+                if signed:
+                    raise CycdivError(f"operator follows another operator in {text!r}")
+                signed, sign = True, (1 if ch == "+" else -1)
                 continue
-        if depth == 0 and ch == "-" and not "".join(cur).strip():
-            sign = -sign
-            continue
-        if depth == 0 and ch == "+" and not "".join(cur).strip():
-            continue
+            if prev[-1] not in "*^/(":
+                out.append((sign, prev))
+                cur, sign, signed = [], (1 if ch == "+" else -1), True
+                continue
         cur.append(ch)
     last = "".join(cur).strip()
     if last:

@@ -166,8 +166,7 @@ def check_norm_oracle_equivalence(config):
 
 def norm_term_table(q):
     """canonical rep -> (coefficient f, power of t) of the closed norm formula."""
-    return {cls.canonical_rep: (cls.coefficient_f(), cls.coordinate_sum // q)
-            for cls in anagram.c0_classes(q)}
+    return {rep: (f, s) for f, rep, s in anagram.norm_terms(q)}
 
 
 def check_closed_forms(config):

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from cycdiv import (CyclicAlgebra, constants_from_json, constants_mul,
-                    constants_to_json, galois_sigma, invert, is_division,
+from cycdiv import (BiquaternionAlgebra, CyclicAlgebra, Series, StructureConstants,
+                    constants_from_json,
+                    constants_mul, constants_to_json, galois_sigma, invert, is_division,
                     left_kernel_witness, relation_mul, structure_constants,
                     zero_divisor_witness)
 from cycdiv.errors import CycdivError, DomainMismatchError, ZeroDivisorError
-from cycdiv.verify import hahn_tower_context, hamilton_algebra, laurent_context
+from cycdiv.verify import albert_setup, hahn_tower_context, hamilton_algebra, laurent_context
+from test_series_kernels import identical
 
 CTX = laurent_context(7, 3, precision=20)
 R = CTX.F
@@ -108,6 +110,78 @@ def test_structure_constants_match_relations():
         expected = (a * b).coords
         got = constants_mul(a.coords, b.coords, consts, R)
         assert all(R.eq(x, y) for x, y in zip(expected, got))
+
+
+def plain_constants_mul(a, b, constants, F):
+    """a M_k b^T with every nonzero entry multiplied in, +-1 ones included."""
+    out = [F.zero] * constants.n
+    for k, mat in enumerate(constants.matrices):
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                lam = mat[i][j]
+                if not (F.is_known_zero(ai) or F.is_known_zero(bj) or F.is_known_zero(lam)):
+                    out[k] = F.add(out[k], F.mul(F.mul(ai, bj), lam))
+    return out
+
+
+def _constants_cases():
+    _, QXY, D1, D2, _ = albert_setup(precision=8)
+    tower = hahn_tower_context(7, 3, precision=5)
+    yield D2ALG.F, structure_constants(D2ALG), D2ALG.random_element, 9
+    H = hamilton_algebra()
+    yield H.F, structure_constants(H), H.random_element, 4
+    T = CyclicAlgebra(tower, tower.F.constant(tower.F.coeff.variable))
+    yield T.F, structure_constants(T), T.random_element, 9
+    B = BiquaternionAlgebra(D1, D2)
+    yield QXY, B.constants, B.random_element, 16
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_constants_mul_matches_plain_loop(case):
+    F, consts, sample, n = list(_constants_cases())[case]
+    loaded = constants_from_json(constants_to_json(consts, F), F)
+    signs = [[sign for _, _, sign in entries] for entries in consts.sparse(F).values()]
+    assert signs == [[sign for _, _, sign in entries] for entries in loaded.sparse(F).values()]
+    # the entries printed as 1 or -1 (an O-term would show) take the add/sub path
+    units = {F.to_str(F.one), F.to_str(F.neg(F.one))}
+    tagged = sum(sign != 0 for row in signs for sign in row)
+    assert tagged == sum(F.to_str(lam) in units for mat in consts.matrices
+                         for row in mat for lam in row) > 0
+    assert n != 16 or tagged == 108
+    rng = random.Random(25 + case)
+    opts = [{}, {"n_terms": 2, "exp_lo": -2, "exp_hi": 3}, {"precision": 4}]
+    for trial in range(12):
+        kw = opts[trial % 3] if isinstance(F.zero, Series) else {}
+        a, b = sample(rng, **kw).coords, sample(rng, **kw).coords
+        want = plain_constants_mul(a, b, consts, F)
+        for table in (consts, loaded):
+            got = constants_mul(a, b, table, F)
+            if isinstance(F.zero, Series):
+                assert all(identical(x, y) for x, y in zip(got, want))
+            else:
+                assert got == want
+
+
+@pytest.mark.parametrize("tower", [False, True])
+def test_truncated_unit_entries_are_multiplied(tower):
+    # 1 and -1 known only up to an O-term, at the outer or the inner level,
+    # are no +-1 entries: multiplying by them lowers the product's precision
+    if tower:
+        F = albert_setup(precision=8)[1]
+        entries = ["(1 + O(X^3))", "(-1)*Y^0 + O(Y^4)", "(1)"]
+        a, b = F.parse("(2 + X)*Y^(-1) + (X^2)*Y"), F.parse("(1/2 + X^5)*Y^2")
+    else:
+        F = R
+        entries = ["1 + O(t^5)", "6 + O(t^3)", "1"]
+        a, b = F.parse("t^(-1) + 2*t^3"), F.parse("3*t^2 + t^4")
+    lams = [F.parse(text) for text in entries]
+    consts = StructureConstants(3, ["e0", "e1", "e2"],
+                                [[[lam, F.zero, F.zero]] + [[F.zero] * 3] * 2 for lam in lams])
+    assert [sign for _, _, sign in consts.sparse(F)[(0, 0)]] == [0, 0, 1]
+    got = constants_mul([a, F.zero, F.zero], [b, F.zero, F.zero], consts, F)
+    want = plain_constants_mul([a, F.zero, F.zero], [b, F.zero, F.zero], consts, F)
+    assert all(identical(x, y) for x, y in zip(got, want))
+    assert "O(" in F.to_str(got[0]) and "O(" not in F.to_str(got[2])
 
 
 def test_constants_json_roundtrip():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cycdiv import (all_classes, c0_classes, class_of, coefficient_f,
                     tilde_sigma, verify_level_count_laws)
-from cycdiv.anagram import SUPPORTED_Q, cyclic_shift, multiplicative_reindex
+from cycdiv.anagram import SUPPORTED_Q, cyclic_shift, multiplicative_reindex, norm_terms
 from cycdiv.errors import CycdivError
 
 
@@ -51,10 +51,64 @@ def test_class_of_q2():
     assert class_of(2, (0, 0)).coefficient_f() == 1
 
 
+def per_class_level_counts(q, rep):
+    """The level counts by a dynamic program over the sub-multisets of one
+    class, with a memo of its own: the reference for the shared memo."""
+    values = sorted(set(rep))
+    full = tuple(rep.count(v) for v in values)
+    memo = {}
+
+    def g(counts):
+        cached = memo.get(counts)
+        if cached is not None:
+            return cached
+        total = sum(counts)
+        if total == 0:
+            result = (1,) + (0,) * (q - 1)
+        else:
+            pos = q - total
+            acc = [0] * q
+            for i, c in enumerate(counts):
+                if c:
+                    sub = g(counts[:i] + (c - 1,) + counts[i + 1:])
+                    shift = (pos * values[i]) % q
+                    for lam in range(q):
+                        acc[(lam + shift) % q] += sub[lam]
+            result = tuple(acc)
+        memo[counts] = result
+        return result
+
+    return g(full)
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_level_counts_match_brute_force(q):
     for cls in all_classes(q):
         assert cls.level_counts == brute_level_counts(q, cls.canonical_rep)
+
+
+def test_level_counts_match_per_class_dp_at_q7():
+    classes = all_classes(7)
+    assert len(classes) == 1716
+    for cls in classes:
+        assert cls.level_counts == per_class_level_counts(7, cls.canonical_rep)
+
+
+def test_all_classes_returns_a_fresh_list():
+    first = all_classes(3)
+    first.clear()
+    second = all_classes(3)
+    assert len(second) == 10 and second is not all_classes(3)
+    second[0] = None
+    assert all_classes(3)[0] == class_of(3, (0, 0, 0))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+@pytest.mark.parametrize("weighted", [False, True])
+def test_norm_terms_follow_c0_classes(q, weighted):
+    assert norm_terms(q, weighted) == tuple(
+        (c.coefficient_f(weighted), c.canonical_rep, c.coordinate_sum // q)
+        for c in c0_classes(q))
 
 
 def test_class_counts():

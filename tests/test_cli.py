@@ -183,6 +183,10 @@ def test_hahn_mode(capsys):
     ["is-norm", "--p", "8", "--x", "t"],
     ["algebra", "build", "--rationals", "--q", "2", "--alpha", "1/0"],
     ["algebra", "mul", "--alpha", "2", "--a", "1;;0;0;0;0;0;0;0", "--b", "1;0;0;0;0;0;0;0;0"],
+    ["algebra", "certify", "--hahn", "4", "--alpha", "x", "--prec", "6"],
+    ["algebra", "certify", "--hahn", "5", "--alpha", "x", "--prec", "6"],
+    ["algebra", "certify", "--hahn", "0", "--alpha", "x", "--prec", "6"],
+    ["is-norm", "--x", "1 + + t"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

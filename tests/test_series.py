@@ -217,7 +217,7 @@ def test_square_test_over_q():
 
 @pytest.mark.parametrize("text", [
     "0", "1", "6*t^3", "t^-2 + 3*t + 5*t^10", "1 + 5*t + O(t^6)",
-    "3 - t", "t",
+    "3 - t", "t", "-3 + t", "- t^2 - 1", "+2*t",
 ])
 def test_parse_roundtrip(text):
     s = R.parse(text)
@@ -292,6 +292,9 @@ RQ = laurent(QQ, "X", 6)
                              "t^(1/0)", ")("]),
     (TOWER, "*t"), (TOWER, ""), (TOWER, "(1 + )*t"),
     (RQ, "1/0"), (RQ, "X^(1/2)"), (RQ, "abc"),
+    # an operator right after another one
+    *((R, text) for text in ["1 + + 2", "1 - -t", "1 -+ t", "--3", "+ -t"]),
+    (TOWER, "(1 + + x)*t"), (TOWER, "(1)*t - - (x)"), (RQ, "1 - -1/2*X"),
 ])
 def test_parse_rejects_malformed_text(domain, text):
     with pytest.raises(CycdivError):
@@ -311,3 +314,30 @@ def test_parse_fails_only_with_cycdiv_error(text):
             domain.parse(text)
         except CycdivError:
             pass
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+SERIES_TEXTS = {
+    "R": st.dictionaries(exps, coeff7, max_size=4).map(R.series),
+    "RQ": st.dictionaries(exps, rationals, max_size=4).map(RQ.series),
+    "TOWER": st.dictionaries(exps, st.dictionaries(exps, coeff7, max_size=3).map(
+        TOWER.coeff.series), max_size=3).map(TOWER.series),
+}
+DOMAINS = {"R": R, "RQ": RQ, "TOWER": TOWER}
+
+
+@given(st.sampled_from(sorted(SERIES_TEXTS)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_printed_series_parse_back_and_doubled_operators_fail(name, data):
+    domain = DOMAINS[name]
+    s = data.draw(SERIES_TEXTS[name])
+    prec = data.draw(st.one_of(st.none(), st.integers(-4, 9)))
+    if prec is not None:
+        s = s.truncate(prec)
+    text = domain.to_str(s)
+    again = domain.parse(text)
+    assert again.precision == s.precision and again.agrees_to_precision(s)
+    assert domain.to_str(again) == text
+    first, second = data.draw(st.sampled_from("+-")), data.draw(st.sampled_from("+-"))
+    with pytest.raises(CycdivError):
+        domain.parse(f"{text} {first} {second} {text}")

@@ -172,6 +172,53 @@ def test_mul_matches_schoolbook(a, b):
     assert identical(a * b, ref_mul(a, b))
 
 
+H7_WIDE = hahn(F7, "t", 7, 30)
+RQ_WIDE = laurent(QQ, "X", 30)
+_, QXY, _, _, _ = albert_setup(precision=8)
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@st.composite
+def field_series(draw, domain, max_terms=8):
+    """Exact or truncated series over F_7 or Q; Hahn domains add exponents
+    with denominators 7 and 49."""
+    exps = st.integers(-12, 40)
+    if domain.group.p is not None:
+        exps = st.one_of(exps, st.builds(Fraction, st.integers(-84, 280), st.sampled_from([7, 49])))
+    coeffs = st.integers(1, 6) if domain.coeff is F7 else RATIONALS
+    return domain.series(draw(st.dictionaries(exps, coeffs, min_size=1, max_size=max_terms)),
+                         draw(st.one_of(st.none(), st.integers(-12, 45))))
+
+
+@st.composite
+def tower_series(draw):
+    """Series in Y over Q((X)), outer and inner precisions exact or finite."""
+    coeffs = draw(st.dictionaries(st.integers(-4, 8), field_series(QXY.coeff, 3),
+                                  min_size=1, max_size=4))
+    return QXY.series(coeffs, draw(st.one_of(st.none(), st.integers(-4, 10))))
+
+
+@given(st.data())
+@settings(max_examples=250, deadline=None)
+def test_single_term_operands_match_schoolbook(data):
+    kind = data.draw(st.sampled_from(["laurent", "hahn", "q", "tower"]))
+    if kind == "laurent":
+        a, b = data.draw(laurent_series()), data.draw(laurent_series())
+        b = a.domain.series(b.coeffs, b.precision)
+    elif kind == "tower":
+        a, b = data.draw(tower_series()), data.draw(tower_series())
+    else:
+        domain = H7_WIDE if kind == "hahn" else RQ_WIDE
+        a, b = data.draw(field_series(domain)), data.draw(field_series(domain))
+    # one term of b, exact or at b's precision
+    e = data.draw(st.sampled_from(sorted(b.coeffs))) if b.coeffs else 0
+    m = b.domain.series({e: b.coeffs.get(e, b.domain.coeff.one)},
+                        data.draw(st.sampled_from([None, b.precision])))
+    for x, y in ((m, a), (a, m), (m, m), (a, b)):
+        assert identical(x * y, ref_mul(x, y))
+        assert identical(x - y, x + (-y))
+
+
 def test_dense_operands_are_packed_and_sparse_ones_are_not():
     R = LAURENT[7]
     dense = R.series({e: 1 + e % 6 for e in range(30)}, 30)
