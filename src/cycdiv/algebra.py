@@ -1,39 +1,46 @@
-"""Cyclic algebras D = (K/F, sigma_0, alpha) and their certification.
+"""Cyclic algebras D = (K/F, sigma_0, alpha), structure constants, tensor
+products, and the certification and inversion of algebra elements.
 
-The basis is (u^i X^j) for 0 <= i, j < q, ordered with i fastest, so the
-coordinate index of u^i X^j is i + q*j.  Multiplication is driven by the
+The basis of D is (u^i X^j) for 0 <= i, j < q, ordered with i fastest, so
+the coordinate index of u^i X^j is i + q*j.  Multiplication is driven by the
 rewriting rules X^q = alpha and X*b = sigma_0(b)*X; the equivalent
 structure-constant bilinear product is extracted from them and can be
-serialized to JSON.
+serialized to JSON.  An algebra given by structure constants alone
+(:class:`ConstantsAlgebra`: the quaternion algebras and their tensor
+products) multiplies through :func:`constants_mul`.  ``left_mul_matrix``,
+``invert`` and ``structure_constants`` work in any of them through ``*``.
 """
 
 import json
 from dataclasses import dataclass
 
 from .basefields import PrimeField, RationalField
+from .element import Element, FiniteAlgebra, monomial_label
 from .errors import CycdivError, DomainMismatchError
 from .kummer import KummerContext, is_norm
-from .linalg import kernel_vector, solve_linear
+from .linalg import solve_linear
 from .series import SeriesDomain
 
 
-class CyclicAlgebra:
-    """(K/F, sigma_0, alpha) of dimension q^2 over F."""
+class CyclicAlgebra(FiniteAlgebra):
+    """(K/F, sigma_0, alpha) of dimension q^2 over F; the product is
+    :func:`relation_mul`."""
 
     def __init__(self, kummer, alpha):
         if not isinstance(kummer, KummerContext):
             raise TypeError("kummer must be a KummerContext")
         if kummer.F.is_known_zero(alpha):
             raise CycdivError("alpha must be nonzero")
+        q = kummer.q
+        super().__init__(kummer.F, [monomial_label(("u", i), ("X", j))
+                                    for j in range(q) for i in range(q)])
         self.kummer = kummer
-        self.q = kummer.q
-        self.n = kummer.q ** 2
-        self.F = kummer.F
+        self.q = q
         self.alpha = alpha
 
     def __eq__(self, other):
-        return (isinstance(other, CyclicAlgebra) and other.kummer == self.kummer
-                and self.F.eq(other.alpha, self.alpha))
+        return other is self or (isinstance(other, CyclicAlgebra) and other.kummer == self.kummer
+                                 and self.F.eq(other.alpha, self.alpha))
 
     def __repr__(self):
         return f"CyclicAlgebra(q={self.q}, F={self.F!r})"
@@ -41,106 +48,20 @@ class CyclicAlgebra:
     def basis_index(self, i, j):
         return i + self.q * j
 
-    def basis_labels(self):
-        labels = []
-        for j in range(self.q):
-            for i in range(self.q):
-                lab = "1"
-                if i:
-                    lab = "u" if i == 1 else f"u^{i}"
-                if j:
-                    xl = "X" if j == 1 else f"X^{j}"
-                    lab = xl if lab == "1" else f"{lab}*{xl}"
-                labels.append(lab)
-        # reorder to index = i + q*j
-        out = [None] * self.n
-        for j in range(self.q):
-            for i in range(self.q):
-                out[self.basis_index(i, j)] = labels[j * self.q + i]
-        return out
-
-    def element(self, coords):
-        return AlgebraElement(self, tuple(coords))
-
-    def from_base(self, f):
-        coords = [self.F.zero] * self.n
-        coords[0] = f
-        return self.element(coords)
+    def mul(self, a, b):
+        return relation_mul(a, b)
 
     def from_kummer(self, a):
-        """Embed K = F(u) as the X^0 slice."""
-        coords = [self.F.zero] * self.n
-        for i, b in enumerate(a.coords):
-            coords[self.basis_index(i, 0)] = b
-        return self.element(coords)
-
-    @property
-    def one(self):
-        return self.from_base(self.F.one)
+        """Embed K = F(u) as the X^0 slice, where u^i has index i."""
+        return self.element(list(a.coords) + [self.F.zero] * (self.n - self.q))
 
     @property
     def u(self):
-        coords = [self.F.zero] * self.n
-        coords[self.basis_index(1, 0)] = self.F.one
-        return self.element(coords)
+        return self.basis(self.basis_index(1, 0))
 
     @property
     def X(self):
-        coords = [self.F.zero] * self.n
-        coords[self.basis_index(0, 1)] = self.F.one
-        return self.element(coords)
-
-    def random_element(self, rng, **opts):
-        return self.element([self.F.random_element(rng, **opts) for _ in range(self.n)])
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    algebra: CyclicAlgebra
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.n:
-            raise CycdivError(f"expected {self.algebra.n} coordinates")
-
-    def _check(self, other):
-        if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
-            raise DomainMismatchError("elements of different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        F = self.algebra.F
-        return AlgebraElement(self.algebra,
-                              tuple(F.add(a, b) for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        F = self.algebra.F
-        return AlgebraElement(self.algebra, tuple(F.neg(a) for a in self.coords))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return relation_mul(self, other)
-
-    def scale(self, f):
-        F = self.algebra.F
-        return AlgebraElement(self.algebra, tuple(F.mul(f, c) for c in self.coords))
-
-    def is_known_zero(self):
-        F = self.algebra.F
-        return all(F.is_known_zero(c) for c in self.coords)
-
-    def __repr__(self):
-        F = self.algebra.F
-        labels = self.algebra.basis_labels()
-        parts = []
-        for c, lab in zip(self.coords, labels):
-            if F.is_known_zero(c):
-                continue
-            cs = F.to_str(c) if not isinstance(F, SeriesDomain) else f"({F.to_str(c)})"
-            parts.append(cs if lab == "1" else (lab if cs == "1" else f"{cs}*{lab}"))
-        return " + ".join(parts) if parts else "0"
+        return self.basis(self.basis_index(0, 1))
 
 
 def relation_mul(d, e):
@@ -173,7 +94,7 @@ def relation_mul(d, e):
                         p = F.mul(p, A.alpha)
                     idx = A.basis_index(ii, jj)
                     out[idx] = F.add(out[idx], p)
-    return AlgebraElement(A, tuple(out))
+    return A.element(out)
 
 
 @dataclass
@@ -216,21 +137,16 @@ def _is_exactly(F, a, b):
 
 
 def structure_constants(algebra):
-    """Extract the M_k from relation products of all basis pairs."""
+    """Extract the M_k from the products of all basis pairs."""
     n, F = algebra.n, algebra.F
     matrices = [[[F.zero] * n for _ in range(n)] for _ in range(n)]
-    basis = []
-    for idx in range(n):
-        coords = [F.zero] * n
-        coords[idx] = F.one
-        basis.append(algebra.element(coords))
+    basis = [algebra.basis(idx) for idx in range(n)]
     for i in range(n):
         for j in range(n):
-            prod = relation_mul(basis[i], basis[j])
+            prod = basis[i] * basis[j]
             for k, lam in enumerate(prod.coords):
                 matrices[k][i][j] = lam
-    return StructureConstants(n, algebra.basis_labels(), matrices,
-                              field_descriptor=repr(F))
+    return StructureConstants(n, list(algebra.labels), matrices, field_descriptor=repr(F))
 
 
 def constants_mul(a, b, constants, F):
@@ -260,6 +176,44 @@ def constants_mul(a, b, constants, F):
     return out
 
 
+class ConstantsAlgebra(FiniteAlgebra):
+    """An algebra given by its structure constants; the product is
+    :func:`constants_mul`.  ``element_type`` is the class of its elements."""
+
+    def __init__(self, F, constants, element_type=Element):
+        super().__init__(F, constants.labels)
+        self.constants = constants
+        self.element_type = element_type
+
+    def mul(self, a, b):
+        a._check(b)
+        return self.element(constants_mul(a.coords, b.coords, self.constants, self.F))
+
+
+def tensor(A, B, element_type=Element):
+    """A (x)_F B for structure-constant algebras A and B.
+
+    The basis is a(x)b over the basis labels a of A and b of B, the index of
+    e_s (x) f_t being s*B.n + t, and (e_s (x) f_t)(e_s' (x) f_t') =
+    (e_s e_s') (x) (f_t f_t'): each structure constant is the product of one
+    of A and one of B.
+    """
+    if A.F != B.F:
+        raise DomainMismatchError("tensor factors must share the base field")
+    F, m = A.F, B.n
+    n = A.n * m
+    matrices = [[[F.zero] * n for _ in range(n)] for _ in range(n)]
+    table_b = B.constants.sparse(F)
+    for (s, s2), entries_a in A.constants.sparse(F).items():
+        for (t, t2), entries_b in table_b.items():
+            for k1, c1, _ in entries_a:
+                for k2, c2, _ in entries_b:
+                    matrices[k1 * m + k2][s * m + t][s2 * m + t2] = F.mul(c1, c2)
+    labels = [f"{a}(x){b}" for a in A.labels for b in B.labels]
+    return ConstantsAlgebra(F, StructureConstants(n, labels, matrices, field_descriptor=repr(F)),
+                            element_type)
+
+
 def constants_to_json(constants, F):
     return json.dumps({
         "n": constants.n,
@@ -286,13 +240,8 @@ def is_division(algebra, target_precision=None):
 def left_mul_matrix(d):
     """Matrix of x -> d*x in the fixed basis (columns are d * e_j)."""
     A = d.algebra
-    n, F = A.n, A.F
-    cols = []
-    for j in range(n):
-        coords = [F.zero] * n
-        coords[j] = F.one
-        cols.append(relation_mul(d, A.element(coords)).coords)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    cols = [(d * A.basis(j)).coords for j in range(A.n)]
+    return [[col[i] for col in cols] for i in range(A.n)]
 
 
 def invert(d, target_precision=None):
@@ -301,10 +250,7 @@ def invert(d, target_precision=None):
     A = d.algebra
     if d.is_known_zero():
         raise ZeroDivisionError("inverse of the zero algebra element")
-    F = A.F
-    M = left_mul_matrix(d)
-    rhs = A.one.coords
-    x = solve_linear(F, M, list(rhs), precision=target_precision)
+    x = solve_linear(A.F, left_mul_matrix(d), list(A.one.coords), precision=target_precision)
     return A.element(x)
 
 
@@ -326,11 +272,3 @@ def zero_divisor_witness(algebra, beta):
         raise CycdivError("witness product is nonzero: internal error")
     return left, right
 
-
-def left_kernel_witness(d):
-    """A nonzero d' with d*d' = 0, from the kernel of left multiplication."""
-    A = d.algebra
-    kern = kernel_vector(A.F, left_mul_matrix(d))
-    if kern is None:
-        raise CycdivError("left multiplication by d is injective")
-    return A.element(kern)

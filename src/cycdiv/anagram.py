@@ -127,15 +127,6 @@ def norm_terms(q, with_class_size_factor=False):
                  for cls in c0_classes(q))
 
 
-def coefficient_f(cls, with_class_size_factor=False):
-    """The norm coefficient attached to an anagram class.
-
-    Defaults to N_0 - N_1; the class-size-factor variant is kept behind a
-    flag so the conjugate-product oracle can arbitrate between the two.
-    """
-    return cls.coefficient_f(with_class_size_factor)
-
-
 def verify_level_count_laws(q):
     """Exhaustively check the level-count symmetries for every class.
 

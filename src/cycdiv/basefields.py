@@ -27,13 +27,6 @@ def is_prime(n):
     return True
 
 
-def dirichlet_primes(q, bound):
-    """Ascending primes p <= bound with q | p-1 (the family P_q)."""
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
-    return [p for p in range(2, bound + 1) if is_prime(p) and (p - 1) % q == 0]
-
-
 def integer_nth_root(n, k):
     """Floor of the k-th root of a nonnegative integer."""
     if n < 0:
@@ -74,9 +67,6 @@ class Domain:
             base = self.mul(base, base)
             n >>= 1
         return acc
-
-    def div(self, a, b):
-        return self.mul(a, self.invert(b))
 
 
 class PrimeField(Domain):

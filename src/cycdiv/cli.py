@@ -13,12 +13,11 @@ import sys
 from fractions import Fraction
 
 from . import anagram
-from .algebra import CyclicAlgebra, constants_to_json, invert, is_division, relation_mul
+from .algebra import CyclicAlgebra, constants_to_json, invert, is_division, relation_mul, tensor
 from .basefields import QQ, is_prime
 from .errors import CycdivError, ZeroDivisorError
 from .kummer import KummerContext, is_norm, norm_formula, norm_oracle, norm_valuation
-from .quaternion import BiquaternionAlgebra, QuadraticExtension, anisotropy_sample_test, \
-    nonsquare_witness
+from .quaternion import QuadraticExtension, anisotropy_sample_test, nonsquare_witness
 from .verify import SuiteConfig, albert_setup, export_constants, hahn_tower_context, \
     laurent_context, run_suite
 
@@ -40,12 +39,14 @@ def _build_context(args):
     for flag, value in (("--p", args.p), ("--q", args.q)):
         if not is_prime(value):
             raise CycdivError(f"{flag} {value} is not prime")
+    hahn = getattr(args, "hahn", None)
     if getattr(args, "rationals", False):
+        if hahn is not None:
+            raise CycdivError("--hahn and --rationals choose different base fields")
         if args.q != 2:
             raise CycdivError("the rational base field only supports q = 2 (xi = -1)")
         t = QQ.parse(args.t if args.t is not None else "-1")
         return KummerContext(QQ, 2, t, Fraction(-1))
-    hahn = getattr(args, "hahn", None)
     if hahn is not None:
         if hahn != args.p:  # --p is prime by now
             raise CycdivError(f"--hahn {hahn} must equal --p {args.p}: the tower "
@@ -59,12 +60,12 @@ def _build_algebra(args):
     return CyclicAlgebra(ctx, ctx.F.parse(args.alpha))
 
 
-def _parse_coords(ctx_or_algebra, text, n):
-    F = ctx_or_algebra.F
+def _parse_element(A, text):
+    """An element of the algebra A (or of K) from ';'-separated coordinates."""
     parts = [p.strip() for p in text.split(";")]
-    if len(parts) != n:
-        raise CycdivError(f"expected {n} ';'-separated coordinates, got {len(parts)}")
-    return [F.parse(p) for p in parts]
+    if len(parts) != A.n:
+        raise CycdivError(f"expected {A.n} ';'-separated coordinates, got {len(parts)}")
+    return A.element(A.F.parse(p) for p in parts)
 
 
 def cmd_anagram_table(args):
@@ -89,7 +90,7 @@ def cmd_anagram_table(args):
 
 def cmd_norm(args):
     ctx = _build_context(args)
-    a = ctx.element(_parse_coords(ctx, args.element, args.q))
+    a = _parse_element(ctx, args.element)
     oracle = norm_oracle(a)
     formula = norm_formula(a)
     print(f"oracle  = {ctx.F.to_str(oracle)}")
@@ -115,7 +116,7 @@ def cmd_is_norm(args):
 def cmd_algebra_build(args):
     D = _build_algebra(args)
     print(json.dumps({"n": D.n, "q": D.q, "field": repr(D.F),
-                      "basis": D.basis_labels(),
+                      "basis": D.labels,
                       "alpha": D.F.to_str(D.alpha) if not isinstance(D.F, type(QQ))
                       else str(D.alpha)}, sort_keys=True))
     return 0
@@ -133,15 +134,15 @@ def cmd_algebra_certify(args):
 
 def cmd_algebra_mul(args):
     D = _build_algebra(args)
-    a = D.element(_parse_coords(D, args.a, D.n))
-    b = D.element(_parse_coords(D, args.b, D.n))
+    a = _parse_element(D, args.a)
+    b = _parse_element(D, args.b)
     print(repr(relation_mul(a, b)))
     return 0
 
 
 def cmd_algebra_invert(args):
     D = _build_algebra(args)
-    d = D.element(_parse_coords(D, args.d, D.n))
+    d = _parse_element(D, args.d)
     try:
         print(repr(invert(d)))
     except ZeroDivisorError as exc:
@@ -180,9 +181,8 @@ def cmd_albert(args):
 def cmd_biquat_constants(args):
     prec = args.prec if args.prec is not None else _default_precision()
     _, F, D1, D2, _ = albert_setup(precision=prec)
-    B = BiquaternionAlgebra(D1, D2)
     with open(args.out, "w") as fh:
-        fh.write(constants_to_json(B.constants, F))
+        fh.write(constants_to_json(tensor(D1, D2).constants, F))
     print(f"wrote structure constants (n = 16) to {args.out}")
     return 0
 

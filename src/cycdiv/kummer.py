@@ -12,12 +12,14 @@ from fractions import Fraction
 
 from . import anagram
 from .basefields import is_prime
-from .errors import CycdivError, DomainMismatchError
+from .element import Element, FiniteAlgebra, monomial_label
+from .errors import CycdivError
 from .series import INFINITY, SeriesDomain, hensel_qth_root
 
 
-class KummerContext:
-    """K = F(u), u^q = t, with a chosen primitive q-th root of unity xi."""
+class KummerContext(FiniteAlgebra):
+    """K = F(u), u^q = t, with a chosen primitive q-th root of unity xi;
+    the basis is 1, u, ..., u^{q-1} and the product is :func:`kummer_mul`."""
 
     def __init__(self, F, q, t, xi):
         if not is_prime(q):
@@ -38,7 +40,7 @@ class KummerContext:
                     f"v(t) = {vt} lies in {q}*Gamma: the cosets collapse and K/F is not degree {q}")
         elif hasattr(F, "is_qth_power") and F.is_qth_power(t, q):
             raise CycdivError(f"t is a {q}-th power in F: K would not be a field")
-        self.F = F
+        super().__init__(F, [monomial_label(("u", i)) for i in range(q)])
         self.q = q
         self.t = t
         self.xi = xi
@@ -48,9 +50,9 @@ class KummerContext:
             self._xi_pows.append(F.mul(self._xi_pows[-1], xi))
 
     def __eq__(self, other):
-        return (isinstance(other, KummerContext) and other.F == self.F
-                and other.q == self.q and self.F.eq(other.t, self.t)
-                and self.F.eq(other.xi, self.xi))
+        return other is self or (isinstance(other, KummerContext) and other.F == self.F
+                                 and other.q == self.q and self.F.eq(other.t, self.t)
+                                 and self.F.eq(other.xi, self.xi))
 
     def __repr__(self):
         return f"Kummer({self.F!r}, q={self.q})"
@@ -58,77 +60,16 @@ class KummerContext:
     def xi_pow(self, k):
         return self._xi_pows[k % self.q]
 
-    def element(self, coords):
-        return KummerElement(self, tuple(coords))
-
-    def from_base(self, b):
-        """Embed b in F as b + 0*u + ... ."""
-        return self.element([b] + [self.F.zero] * (self.q - 1))
+    def mul(self, a, b):
+        return kummer_mul(a, b)
 
     @property
     def u(self):
-        return self.element([self.F.zero, self.F.one] + [self.F.zero] * (self.q - 2))
-
-    @property
-    def one(self):
-        return self.from_base(self.F.one)
+        return self.basis(1)
 
     def norm_of_u(self):
         """N(u) = xi^{q(q-1)/2} * t (equals t for odd q, -t for q = 2)."""
         return self.F.mul(self.F.pow(self.xi, self.q * (self.q - 1) // 2), self.t)
-
-    def random_element(self, rng, **opts):
-        F = self.F
-        return self.element([F.random_element(rng, **opts) for _ in range(self.q)])
-
-
-@dataclass(frozen=True)
-class KummerElement:
-    context: KummerContext
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != self.context.q:
-            raise CycdivError(f"expected {self.context.q} coordinates")
-
-    def _check(self, other):
-        if not isinstance(other, KummerElement) or other.context != self.context:
-            raise DomainMismatchError("elements of different Kummer extensions")
-
-    def __add__(self, other):
-        self._check(other)
-        F = self.context.F
-        return KummerElement(self.context,
-                             tuple(F.add(a, b) for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        F = self.context.F
-        return KummerElement(self.context, tuple(F.neg(a) for a in self.coords))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return kummer_mul(self, other)
-
-    def scale(self, b):
-        F = self.context.F
-        return KummerElement(self.context, tuple(F.mul(b, a) for a in self.coords))
-
-    def is_known_zero(self):
-        F = self.context.F
-        return all(F.is_known_zero(c) for c in self.coords)
-
-    def __repr__(self):
-        F = self.context.F
-        parts = []
-        for i, c in enumerate(self.coords):
-            if F.is_known_zero(c):
-                continue
-            cs = F.to_str(c) if not isinstance(F, SeriesDomain) else f"({F.to_str(c)})"
-            parts.append(cs if i == 0 else f"{cs}*u" + ("" if i == 1 else f"^{i}"))
-        return " + ".join(parts) if parts else "0"
-
 
 def kummer_mul(a, b):
     """Product in K, reducing u^q to t."""
@@ -148,7 +89,7 @@ def kummer_mul(a, b):
                 k -= q
                 p = F.mul(p, t)
             out[k] = F.add(out[k], p)
-    return KummerElement(ctx, tuple(out))
+    return ctx.element(out)
 
 
 def galois_sigma(a, k):
@@ -157,8 +98,7 @@ def galois_sigma(a, k):
     if not 0 <= k < ctx.q:
         raise CycdivError(f"Galois power {k} out of range 0..{ctx.q - 1}")
     F = ctx.F
-    return KummerElement(ctx, tuple(F.mul(ctx.xi_pow(i * k), b)
-                                    for i, b in enumerate(a.coords)))
+    return ctx.element(F.mul(ctx.xi_pow(i * k), b) for i, b in enumerate(a.coords))
 
 
 def norm_oracle(a):
@@ -219,7 +159,7 @@ def norm_valuation(a):
 class NormDecision:
     is_norm: bool
     certificate: dict
-    preimage: KummerElement | None = None
+    preimage: Element | None = None
 
 
 def is_norm(ctx, x, target_precision=None):
@@ -263,38 +203,3 @@ def is_norm(ctx, x, target_precision=None):
     return NormDecision(True, {"kind": "residue", "residue": rf.to_str(r)},
                         ctx.element(coords))
 
-
-def residue_of_norms(ctx, samples):
-    """Residues of norms of the samples, checked against Fv^{x q}.
-
-    Returns a report with the observed residues, a containment verdict,
-    and (for a prime residue field) explicit preimages witnessing
-    surjectivity onto Fv^{x q}.
-    """
-    F, q = ctx.F, ctx.q
-    if not isinstance(F, SeriesDomain):
-        raise CycdivError("residue-of-norms needs a valued (series) base field")
-    rf = F.coeff
-    residues = []
-    violations = []
-    for a in samples:
-        n = norm_oracle(a)
-        r = n.residue()
-        residues.append(r)
-        if not rf.is_known_zero(r) and not rf.is_qth_power(r, q):
-            violations.append((a, r))
-    report = {"samples": len(samples), "violations": len(violations),
-              "contained": not violations}
-    if hasattr(rf, "p"):  # prime residue field: witness surjectivity
-        targets = sorted({pow(x, q, rf.p) for x in range(1, rf.p)})
-        preimages = {}
-        for y in targets:
-            root = rf.qth_root(y, q)
-            a = ctx.from_base(F.constant(root))
-            n = norm_oracle(a)
-            assert rf.eq(n.residue(), y)
-            preimages[y] = a
-        report["qth_power_residues"] = targets
-        report["surjectivity_preimages"] = preimages
-        report["observed"] = sorted({r for r in residues})
-    return report

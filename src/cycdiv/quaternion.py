@@ -9,216 +9,62 @@ argument.
 
 from dataclasses import dataclass
 
-from .algebra import StructureConstants, constants_mul
+from .algebra import ConstantsAlgebra, StructureConstants
 from .basefields import Domain
+from .element import Element
 from .errors import CycdivError, DomainMismatchError
 from .series import SeriesDomain, is_square_in_tower
 
 
-class QuaternionAlgebra:
+class QuaternionAlgebra(ConstantsAlgebra):
     """(u, v / F): i^2 = u, j^2 = v, ij = -ji.  Characteristic != 2."""
-
-    LABELS = ("1", "i", "j", "ij")
 
     def __init__(self, F, u, v):
         if F.characteristic == 2:
             raise CycdivError("quaternion algebras need characteristic != 2")
         if F.is_known_zero(u) or F.is_known_zero(v):
             raise CycdivError("quaternion parameters must be nonzero")
-        self.F = F
-        self.u = u
-        self.v = v
         one, neg = F.one, F.neg
         uv = F.mul(u, v)
         # table[a][b] = (coefficient, basis index) for e_a * e_b
-        self.table = [
+        table = [
             [(one, 0), (one, 1), (one, 2), (one, 3)],
             [(one, 1), (u, 0), (one, 3), (u, 2)],
             [(one, 2), (neg(one), 3), (v, 0), (neg(v), 1)],
             [(one, 3), (neg(u), 2), (v, 1), (neg(uv), 0)],
         ]
+        matrices = [[[F.zero] * 4 for _ in range(4)] for _ in range(4)]
+        for a, row in enumerate(table):
+            for b, (coeff, k) in enumerate(row):
+                matrices[k][a][b] = coeff
+        super().__init__(F, StructureConstants(4, ["1", "i", "j", "ij"], matrices,
+                                               field_descriptor=repr(F)))
+        self.u = u
+        self.v = v
 
     def __eq__(self, other):
-        return (isinstance(other, QuaternionAlgebra) and other.F == self.F
-                and self.F.eq(other.u, self.u) and self.F.eq(other.v, self.v))
+        return other is self or (isinstance(other, QuaternionAlgebra) and other.F == self.F
+                                 and self.F.eq(other.u, self.u) and self.F.eq(other.v, self.v))
 
     def __repr__(self):
         return f"Quaternion(({self.F.to_str(self.u)}, {self.F.to_str(self.v)}) / {self.F!r})"
 
-    def element(self, coords):
-        return Quaternion(self, tuple(coords))
-
-    @property
-    def one(self):
-        F = self.F
-        return self.element((F.one, F.zero, F.zero, F.zero))
-
     @property
     def i(self):
-        F = self.F
-        return self.element((F.zero, F.one, F.zero, F.zero))
+        return self.basis(1)
 
     @property
     def j(self):
-        F = self.F
-        return self.element((F.zero, F.zero, F.one, F.zero))
-
-    def random_element(self, rng, **opts):
-        return self.element([self.F.random_element(rng, **opts) for _ in range(4)])
+        return self.basis(2)
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    algebra: QuaternionAlgebra
-    coords: tuple
+class BiquaternionElement(Element):
+    """An element of a tensor product D1 (x) D2 of quaternion algebras, built
+    by ``tensor(D1, D2, BiquaternionElement)``.  Its product is Element's,
+    defined again on this class so that a profile can tell biquaternion
+    products from the others."""
 
-    def _check(self, other):
-        if not isinstance(other, Quaternion) or other.algebra != self.algebra:
-            raise DomainMismatchError("quaternions from different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        F = self.algebra.F
-        return Quaternion(self.algebra,
-                          tuple(F.add(a, b) for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        F = self.algebra.F
-        return Quaternion(self.algebra, tuple(F.neg(a) for a in self.coords))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return quat_mul(self, other)
-
-    def is_known_zero(self):
-        F = self.algebra.F
-        return all(F.is_known_zero(c) for c in self.coords)
-
-    def conjugate(self):
-        F = self.algebra.F
-        a, b, c, d = self.coords
-        return Quaternion(self.algebra, (a, F.neg(b), F.neg(c), F.neg(d)))
-
-    def __repr__(self):
-        F = self.algebra.F
-        parts = [f"({F.to_str(c)})*{lab}" for c, lab in zip(self.coords, self.algebra.LABELS)
-                 if not F.is_known_zero(c)]
-        return " + ".join(parts) if parts else "0"
-
-
-def quat_mul(x, y):
-    x._check(y)
-    A = x.algebra
-    F = A.F
-    out = [F.zero] * 4
-    for a, xa in enumerate(x.coords):
-        if F.is_known_zero(xa):
-            continue
-        for b, yb in enumerate(y.coords):
-            if F.is_known_zero(yb):
-                continue
-            coeff, idx = A.table[a][b]
-            out[idx] = F.add(out[idx], F.mul(F.mul(xa, yb), coeff))
-    return Quaternion(A, tuple(out))
-
-
-def reduced_norm(x):
-    """a^2 - u b^2 - v c^2 + uv d^2 = x * conj(x); multiplicative."""
-    A, F = x.algebra, x.algebra.F
-    a, b, c, d = x.coords
-    n = F.mul(a, a)
-    n = F.sub(n, F.mul(A.u, F.mul(b, b)))
-    n = F.sub(n, F.mul(A.v, F.mul(c, c)))
-    n = F.add(n, F.mul(F.mul(A.u, A.v), F.mul(d, d)))
-    return n
-
-
-def quat_invert(x):
-    """conj(x) / reduced_norm(x); fails on reduced-norm zero."""
-    F = x.algebra.F
-    n = reduced_norm(x)
-    if F.is_known_zero(n):
-        raise ZeroDivisionError("quaternion with zero reduced norm")
-    ninv = F.invert(n)
-    conj = x.conjugate()
-    return Quaternion(x.algebra, tuple(F.mul(ninv, c) for c in conj.coords))
-
-
-class BiquaternionAlgebra:
-    """D1 (x)_F D2, dimension 16, with materialized structure constants."""
-
-    def __init__(self, D1, D2):
-        if D1.F != D2.F:
-            raise DomainMismatchError("tensor factors must share the base field")
-        self.D1 = D1
-        self.D2 = D2
-        self.F = D1.F
-        self.n = 16
-        self.labels = [f"{a}(x){b}" for a in QuaternionAlgebra.LABELS
-                       for b in QuaternionAlgebra.LABELS]
-        F = self.F
-        matrices = [[[F.zero] * 16 for _ in range(16)] for _ in range(16)]
-        for s in range(4):
-            for t in range(4):
-                i = 4 * s + t
-                for s2 in range(4):
-                    for t2 in range(4):
-                        j = 4 * s2 + t2
-                        c1, s3 = D1.table[s][s2]
-                        c2, t3 = D2.table[t][t2]
-                        k = 4 * s3 + t3
-                        matrices[k][i][j] = F.mul(c1, c2)
-        self.constants = StructureConstants(16, self.labels, matrices,
-                                            field_descriptor=repr(F))
-
-    def element(self, coords):
-        return BiquaternionElement(self, tuple(coords))
-
-    @property
-    def one(self):
-        coords = [self.F.zero] * 16
-        coords[0] = self.F.one
-        return self.element(coords)
-
-    def simple_tensor(self, x, y):
-        """x (x) y for quaternions x in D1, y in D2."""
-        F = self.F
-        coords = [F.zero] * 16
-        for s, a in enumerate(x.coords):
-            for t, b in enumerate(y.coords):
-                coords[4 * s + t] = F.add(coords[4 * s + t], F.mul(a, b))
-        return self.element(coords)
-
-    def random_element(self, rng, **opts):
-        return self.element([self.F.random_element(rng, **opts) for _ in range(16)])
-
-
-@dataclass(frozen=True)
-class BiquaternionElement:
-    algebra: BiquaternionAlgebra
-    coords: tuple
-
-    def _check(self, other):
-        if not isinstance(other, BiquaternionElement) or other.algebra is not self.algebra:
-            raise DomainMismatchError("elements of different biquaternion algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        F = self.algebra.F
-        return BiquaternionElement(self.algebra,
-                                   tuple(F.add(a, b) for a, b in zip(self.coords, other.coords)))
-
-    def __mul__(self, other):
-        self._check(other)
-        A = self.algebra
-        out = constants_mul(self.coords, other.coords, A.constants, A.F)
-        return BiquaternionElement(A, tuple(out))
-
-    def is_known_zero(self):
-        F = self.algebra.F
-        return all(F.is_known_zero(c) for c in self.coords)
+    __mul__ = Element.__mul__
 
 
 @dataclass(frozen=True)

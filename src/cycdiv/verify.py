@@ -14,12 +14,12 @@ from fractions import Fraction
 
 from . import anagram
 from .algebra import (CyclicAlgebra, constants_from_json, constants_mul, constants_to_json,
-                      invert, is_division, relation_mul,
-                      structure_constants, zero_divisor_witness)
+                      invert, is_division, relation_mul, structure_constants, tensor,
+                      zero_divisor_witness)
 from .basefields import QQ, PrimeField, is_prime, primitive_qth_root
 from .errors import CycdivError, ZeroDivisorError
 from .kummer import KummerContext, is_norm, norm_formula, norm_oracle, norm_valuation
-from .quaternion import (BiquaternionAlgebra, QuadraticExtension, QuaternionAlgebra, albert_form,
+from .quaternion import (BiquaternionElement, QuadraticExtension, QuaternionAlgebra, albert_form,
                          anisotropy_sample_test, nonsquare_witness, sos_leading_data)
 from .series import hahn, laurent
 
@@ -432,7 +432,7 @@ def check_biquaternion(config):
     witnesses = []
     failures = 0
     _, F, D1, D2, _ = albert_setup(precision=config.precision)
-    B = BiquaternionAlgebra(D1, D2)
+    B = tensor(D1, D2, BiquaternionElement)
     opts = dict(n_terms=1, exp_lo=-1, exp_hi=2)
     pair_trials = 2 * config.trials
     trials = 0

@@ -5,11 +5,17 @@ once per session and shared; a second full run backs the determinism
 criterion.  Each test prints one PASS/FAIL line.
 """
 
+import hashlib
+
 import pytest
 
 from cycdiv import SuiteConfig, qth_power_set, run_suite
 from cycdiv.anagram import SUPPORTED_Q, verify_level_count_laws
 from cycdiv.verify import norm_term_table
+
+# sha256 of the seed-0 default campaign's JSON lines, which is also what
+# `cycdiv verify` writes to standard output
+SEED0_DIGEST = "ed957529d5264070e8fca3cd0e81eb063e653768aef8e91131f911f6e4c61e4d"
 
 
 @pytest.fixture(scope="session")
@@ -123,3 +129,10 @@ def test_criterion_10_determinism(suite):
     lines2 = [r.to_json() for r in reports2]
     ok = lines1 == lines2 and len(lines1) == 10
     _report(10, ok, "two seed-0 campaigns serialize to identical JSON reports")
+
+
+def test_seed0_campaign_digest(suite):
+    _, reports1, _ = suite
+    text = "\n".join(r.to_json() for r in reports1) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    _report(11, digest == SEED0_DIGEST, f"seed-0 campaign sha256 {digest}")

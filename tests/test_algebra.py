@@ -1,14 +1,14 @@
 import json
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from cycdiv import (BiquaternionAlgebra, CyclicAlgebra, Series, StructureConstants,
-                    constants_from_json,
-                    constants_mul, constants_to_json, galois_sigma, invert, is_division,
-                    left_kernel_witness, relation_mul, structure_constants,
-                    zero_divisor_witness)
+from cycdiv import (QQ, BiquaternionElement, CyclicAlgebra, KummerContext, Series,
+                    StructureConstants, constants_from_json, constants_mul, constants_to_json,
+                    galois_sigma, invert, is_division, relation_mul, structure_constants,
+                    tensor, zero_divisor_witness)
 from cycdiv.errors import CycdivError, DomainMismatchError, ZeroDivisorError
 from cycdiv.verify import albert_setup, hahn_tower_context, hamilton_algebra, laurent_context
 from test_series_kernels import identical
@@ -34,7 +34,7 @@ def test_defining_relations():
 
 def test_basis_labels_and_index():
     D = D2ALG
-    labels = D.basis_labels()
+    labels = D.labels
     assert labels[0] == "1"
     assert labels[D.basis_index(1, 0)] == "u"
     assert labels[D.basis_index(0, 1)] == "X"
@@ -95,9 +95,6 @@ def test_invert_zero_divisor_gives_kernel():
     kern = D6.element(exc_info.value.kernel)
     assert not kern.is_known_zero()
     assert (left * kern).is_known_zero()
-    # and directly
-    witness = left_kernel_witness(left)
-    assert (left * witness).is_known_zero()
 
 
 def test_structure_constants_match_relations():
@@ -132,7 +129,7 @@ def _constants_cases():
     yield H.F, structure_constants(H), H.random_element, 4
     T = CyclicAlgebra(tower, tower.F.constant(tower.F.coeff.variable))
     yield T.F, structure_constants(T), T.random_element, 9
-    B = BiquaternionAlgebra(D1, D2)
+    B = tensor(D1, D2)
     yield QXY, B.constants, B.random_element, 16
 
 
@@ -190,7 +187,7 @@ def test_constants_json_roundtrip():
     text = constants_to_json(consts, R)
     data = json.loads(text)
     assert data["n"] == 9
-    assert data["basis"] == D.basis_labels()
+    assert data["basis"] == D.labels
     assert len(data["matrices"]) == 9
     loaded = constants_from_json(text, R)
     for k in range(9):
@@ -242,3 +239,27 @@ def test_algebra_element_guards():
         relation_mul(D2ALG.one, other.one)
     with pytest.raises(CycdivError):
         CyclicAlgebra(CTX, R.zero)
+    # the same guards on K, a cyclic, a quaternion and a biquaternion algebra
+    _, _, D1, D2, _ = albert_setup(precision=8)
+    B = tensor(D1, D2, BiquaternionElement)
+    kinds = [CTX, D2ALG, D1, B]
+    for A, foreign in zip(kinds, kinds[1:] + kinds[:1]):
+        for n in (1, A.n - 1, A.n + 1):
+            with pytest.raises(CycdivError):
+                A.element([A.F.one] * n)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(DomainMismatchError):
+                op(A.one, foreign.one)
+        assert repr(A.element([A.F.zero] * A.n)) == "0"
+
+
+def test_element_repr():
+    assert repr(CTX.element([R.one, R.from_int(2), R.zero])) == "(1) + (2)*u"
+    assert repr(KummerContext(QQ, 2, Fraction(-1), Fraction(-1)).u) == "u"
+    assert repr(D2ALG.X * D2ALG.u) == "(2)*u*X"
+    u, one = CTX.u, CTX.one
+    assert repr(u - one) == "(6) + (1)*u" and repr(one - u) == "(1) + (6)*u"
+    assert repr(-u + u.scale(R.from_int(3))) == "(2)*u"
+    _, _, D1, D2, _ = albert_setup(precision=8)
+    assert repr(D1.one + D1.i * D1.j) == "((1)) + ((1))*ij"
+    assert repr(tensor(D1, D2, BiquaternionElement).basis(5)) == "((1))*i(x)i"

@@ -5,8 +5,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycdiv import (all_classes, c0_classes, class_of, coefficient_f,
-                    tilde_sigma, verify_level_count_laws)
+from cycdiv import (all_classes, c0_classes, class_of, tilde_sigma,
+                    verify_level_count_laws)
 from cycdiv.anagram import SUPPORTED_Q, cyclic_shift, multiplicative_reindex, norm_terms
 from cycdiv.errors import CycdivError
 
@@ -42,7 +42,6 @@ def test_class_of_constant():
     assert cls.class_size == 1
     assert cls.level_counts == (1, 0, 0)
     assert cls.coefficient_f() == 1
-    assert coefficient_f(cls) == 1
 
 
 def test_class_of_q2():

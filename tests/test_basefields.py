@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cycdiv import (PrimeField, QQ, dirichlet_primes, is_prime, is_qth_power,
+from cycdiv import (PrimeField, QQ, is_prime, is_qth_power,
                     primitive_qth_root, qth_power_set)
 from cycdiv.errors import CycdivError
 
@@ -11,12 +11,6 @@ from cycdiv.errors import CycdivError
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-
-
-def test_dirichlet_primes():
-    # primes p = 1 (mod q), i.e. F_p contains primitive q-th roots of unity
-    assert dirichlet_primes(3, 50) == [7, 13, 19, 31, 37, 43]
-    assert dirichlet_primes(5, 50) == [11, 31, 41]
 
 
 def test_primitive_qth_root_basics():

@@ -182,6 +182,7 @@ def test_hahn_mode(capsys):
     ["is-norm", "--q", "4", "--x", "t"],
     ["is-norm", "--p", "8", "--x", "t"],
     ["algebra", "build", "--rationals", "--q", "2", "--alpha", "1/0"],
+    ["algebra", "build", "--rationals", "--q", "2", "--hahn", "7", "--alpha", "-1"],
     ["algebra", "mul", "--alpha", "2", "--a", "1;;0;0;0;0;0;0;0", "--b", "1;0;0;0;0;0;0;0;0"],
     ["algebra", "certify", "--hahn", "4", "--alpha", "x", "--prec", "6"],
     ["algebra", "certify", "--hahn", "5", "--alpha", "x", "--prec", "6"],

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cycdiv import (KummerContext, PrimeField, QQ, galois_sigma, is_norm, laurent,
-                    norm_formula, norm_oracle, norm_valuation, residue_of_norms)
+                    norm_formula, norm_oracle, norm_valuation)
 from cycdiv.errors import CycdivError
 from cycdiv.verify import hahn_tower_context, laurent_context
 
@@ -134,18 +134,6 @@ def test_is_norm_q2_sign():
     dec = is_norm(ctx, F.monomial(1, 6))  # -t = N(u)
     assert dec.is_norm
     assert norm_oracle(dec.preimage).agrees_to_precision(F.monomial(1, 6))
-
-
-def test_residue_of_norms_report():
-    rng = random.Random(14)
-    samples = [CTX.random_element(rng, n_terms=2, exp_lo=0, exp_hi=4, unit=True)
-               for _ in range(50)]
-    report = residue_of_norms(CTX, samples)
-    assert report["contained"]
-    assert report["qth_power_residues"] == [1, 6]
-    assert set(report["observed"]) <= {0, 1, 6}
-    for y, pre in report["surjectivity_preimages"].items():
-        assert norm_oracle(pre).residue() == y
 
 
 def test_hahn_tower_context_norms():

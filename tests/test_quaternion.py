@@ -3,15 +3,108 @@ from fractions import Fraction
 
 import pytest
 
-from cycdiv import (AlbertForm, BiquaternionAlgebra, QQ, QuadraticExtension,
-                    QuaternionAlgebra, albert_form, anisotropy_sample_test,
-                    is_square_in_tower, laurent, nonsquare_witness, quat_invert,
-                    quat_mul, sos_leading_data)
+from cycdiv import (AlbertForm, BiquaternionElement, QQ, QuadraticExtension,
+                    QuaternionAlgebra, StructureConstants, albert_form,
+                    anisotropy_sample_test, constants_to_json, invert, is_square_in_tower,
+                    laurent, nonsquare_witness, sos_leading_data, tensor)
 from cycdiv.errors import CycdivError, DomainMismatchError, PrecisionError
-from cycdiv.quaternion import reduced_norm
 from cycdiv.verify import albert_setup
+from test_series_kernels import identical
 
 R, F, D1, D2, PHI = albert_setup(precision=10)
+
+
+# -- references: the quaternion product and the biquaternion structure
+# constants as they were computed before both went through structure
+# constants and tensor()
+
+def reference_table(D):
+    """table[a][b] = (coefficient, basis index) of e_a * e_b in (u, v / F)."""
+    F, u, v = D.F, D.u, D.v
+    one, neg = F.one, F.neg
+    uv = F.mul(u, v)
+    return [
+        [(one, 0), (one, 1), (one, 2), (one, 3)],
+        [(one, 1), (u, 0), (one, 3), (u, 2)],
+        [(one, 2), (neg(one), 3), (v, 0), (neg(v), 1)],
+        [(one, 3), (neg(u), 2), (v, 1), (neg(uv), 0)],
+    ]
+
+
+def reference_quat_mul(D, x, y):
+    """The quaternion product, one table entry per pair of coordinates."""
+    F, table = D.F, reference_table(D)
+    out = [F.zero] * 4
+    for a, xa in enumerate(x):
+        if F.is_known_zero(xa):
+            continue
+        for b, yb in enumerate(y):
+            if F.is_known_zero(yb):
+                continue
+            coeff, idx = table[a][b]
+            out[idx] = F.add(out[idx], F.mul(F.mul(xa, yb), coeff))
+    return out
+
+
+def reference_biquaternion_matrices(A, B):
+    """The 16x16 loop over the two tables that built D1 (x) D2."""
+    F, table1, table2 = A.F, reference_table(A), reference_table(B)
+    matrices = [[[F.zero] * 16 for _ in range(16)] for _ in range(16)]
+    for s in range(4):
+        for t in range(4):
+            for s2 in range(4):
+                for t2 in range(4):
+                    c1, s3 = table1[s][s2]
+                    c2, t3 = table2[t][t2]
+                    matrices[4 * s3 + t3][4 * s + t][4 * s2 + t2] = F.mul(c1, c2)
+    return matrices
+
+
+def reduced_norm(x):
+    """a^2 - u b^2 - v c^2 + uv d^2 for x = a + b i + c j + d ij."""
+    D, (a, b, c, d) = x.algebra, x.coords
+    F = D.F
+    n = F.sub(F.mul(a, a), F.mul(D.u, F.mul(b, b)))
+    n = F.sub(n, F.mul(D.v, F.mul(c, c)))
+    return F.add(n, F.mul(F.mul(D.u, D.v), F.mul(d, d)))
+
+
+def conjugate(x):
+    F = x.algebra.F
+    a, b, c, d = x.coords
+    return x.algebra.element((a, F.neg(b), F.neg(c), F.neg(d)))
+
+
+@pytest.mark.parametrize("prec", [10, 4])
+def test_tensor_matches_the_reference_loop(prec):
+    _, Fp, A, B, _ = albert_setup(precision=prec)
+    T = tensor(A, B)
+    want = reference_biquaternion_matrices(A, B)
+    assert T.n == 16 and T.labels[:5] == ["1(x)1", "1(x)i", "1(x)j", "1(x)ij", "i(x)1"]
+    assert all(identical(x, y) for got_mat, want_mat in zip(T.constants.matrices, want)
+               for got_row, want_row in zip(got_mat, want_mat)
+               for x, y in zip(got_row, want_row))
+    ref = StructureConstants(16, T.labels, want, field_descriptor=repr(Fp))
+    assert constants_to_json(T.constants, Fp) == constants_to_json(ref, Fp)
+
+
+@pytest.mark.parametrize("single_level", [False, True])
+def test_quaternion_product_matches_the_reference(single_level):
+    algebras = ([QuaternionAlgebra(R, R.variable, R.from_int(-1)),
+                 QuaternionAlgebra(R, R.parse("2 + X"), R.parse("-X^3"))]
+                if single_level else [D1, D2])
+    rng = random.Random(39 + single_level)
+    opts = [{}, {"n_terms": 2, "exp_lo": -2, "exp_hi": 3}, {"precision": 4, "nonzero": True}]
+    truncated = 0
+    for D in algebras:
+        for trial in range(12):
+            x = D.random_element(rng, **opts[trial % 3])
+            y = D.random_element(rng, **opts[(trial + 1) % 3])
+            got = (x * y).coords
+            want = reference_quat_mul(D, x.coords, y.coords)
+            assert all(identical(a, b) for a, b in zip(got, want))
+            truncated += any(c.precision is not None for c in got)
+    assert truncated >= 8
 
 
 def test_quaternion_relations():
@@ -49,7 +142,7 @@ def test_quat_invert():
         x = D.random_element(rng, n_terms=2, exp_lo=-2, exp_hi=3, nonzero=True)
         if R.is_known_zero(reduced_norm(x)):
             continue
-        xi = quat_invert(x)
+        xi = invert(x)
         diff = x * xi - D.one
         assert all(R.is_known_zero(c) for c in diff.coords)
 
@@ -57,17 +150,17 @@ def test_quat_invert():
 def test_quat_norm_is_x_conj_x():
     rng = random.Random(33)
     x = D1.random_element(rng, n_terms=1, exp_lo=0, exp_hi=2)
-    prod = quat_mul(x, x.conjugate())
+    prod = x * conjugate(x)
     assert F.eq(prod.coords[0], reduced_norm(x))
     assert all(F.is_known_zero(c) for c in prod.coords[1:])
 
 
 def test_biquaternion_tensor_structure():
-    B = BiquaternionAlgebra(D1, D2)
+    B = tensor(D1, D2, BiquaternionElement)
     assert B.n == 16
     # (i (x) 1)(1 (x) i') = i (x) i' = (1 (x) i')(i (x) 1): tensor factors commute
-    a = B.simple_tensor(D1.i, D2.one)
-    b = B.simple_tensor(D1.one, D2.i)
+    a, b = B.basis(4), B.basis(1)
+    assert B.labels[4] == "i(x)1" and B.labels[1] == "1(x)i"
     ab, ba = a * b, b * a
     assert all(F.eq(x, y) for x, y in zip(ab.coords, ba.coords))
     # one is the identity
@@ -77,7 +170,7 @@ def test_biquaternion_tensor_structure():
 
 
 def test_biquaternion_associativity():
-    B = BiquaternionAlgebra(D1, D2)
+    B = tensor(D1, D2, BiquaternionElement)
     rng = random.Random(35)
     for _ in range(5):
         a = B.random_element(rng, n_terms=1, exp_lo=-1, exp_hi=2)
