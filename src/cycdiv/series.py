@@ -12,7 +12,10 @@ depend on how it was computed.
 
 Which kernel serves which domain:
 
-* Products.  When one operand has a single term, over any coefficient
+* Products.  An operand with no known coefficients (an exact zero or a
+  bare O-term) gives an empty product at once, at the usual precision
+  ``min(pa + v(b), pb + v(a))``; a sum with one only truncates the other
+  operand.  When one operand has a single term, over any coefficient
   domain and value group, the product shifts the other operand's exponents
   and scales its coefficients: one coefficient product per term, no
   accumulation.  Over a prime field with value group Z, operands dense
@@ -21,7 +24,7 @@ Which kernel serves which domain:
   support is packed into one Python int, the ints are multiplied once, and
   the coefficients below the product's precision bound are unpacked mod p.
   Every other product (sparse operands, Z[1/p] exponents, Q or series
-  coefficients) uses the schoolbook loop.  All three give the same
+  coefficients) uses the schoolbook loop.  All of them give the same
   coefficients and precision.
 * Inversion and Hensel q-th roots.  Over a coefficient field (F_p or Q)
   both are Newton iterations with precision doubling on truncated
@@ -267,6 +270,12 @@ class Series:
         self._check_domain(other)
         pa = INFINITY if self.precision is None else self.precision
         pb = INFINITY if other.precision is None else other.precision
+        # a known-zero operand only truncates the other one to its precision
+        if not other.coeffs:
+            return self if pa <= pb else self.truncate(pb)
+        if not self.coeffs:
+            out = -other if subtract else other
+            return out if pb <= pa else out.truncate(pa)
         prec = min(pa, pb)
         cd = self.domain.coeff
         op = cd.sub if subtract else cd.add
@@ -295,7 +304,9 @@ class Series:
         cd = self.domain.coeff
         ca, cb = self.coeffs, other.coeffs
         out = None
-        if len(ca) == 1 or len(cb) == 1:
+        if not (ca and cb):
+            out = {}  # a known-zero operand: nothing but the precision to compute
+        elif len(ca) == 1 or len(cb) == 1:
             # a single-term operand: shift and scale the other one
             cmul, ckz = cd.mul, cd.is_known_zero
             out = {}

@@ -77,6 +77,38 @@ def test_algebra_invert_zero_divisor_exit_code(capsys):
     assert "kernel" in data
 
 
+# stdout of `algebra invert`, recorded before the linear algebra shared one
+# elimination core; it must stay byte-identical
+GOLDEN_KERNEL = '{"error": "zero divisor", "kernel": "(2) + (3)*X + (1)*X^2"}\n'
+GOLDEN_UNIT_INVERSE = (
+    '(1 + 6*t + 3*t^2 + 5*t^3 + 6*t^4 + 6*t^5 + 2*t^6 + 6*t^8 + 3*t^9 + 2*t^10 + 5*t^11 + '
+    '2*t^13 + 4*t^14 + 3*t^15 + 2*t^16 + 4*t^18 + 5*t^19 + t^20 + 5*t^21 + 6*t^22 + '
+    '4*t^23 + 3*t^24 + 5*t^25 + t^26 + 3*t^27 + 3*t^28 + 3*t^29 + O(t^30)) + (4*t^3 + '
+    '2*t^4 + 4*t^5 + 3*t^6 + t^9 + 5*t^10 + 6*t^11 + 2*t^12 + 5*t^13 + t^14 + 2*t^17 + '
+    't^18 + 4*t^19 + 5*t^20 + 2*t^21 + 4*t^22 + t^23 + 2*t^25 + 5*t^26 + t^28 + 2*t^29 + '
+    'O(t^30))*u + (5*t + 4*t^2 + 4*t^3 + 2*t^5 + 3*t^7 + 4*t^8 + 5*t^9 + 3*t^10 + 4*t^12 '
+    '+ 3*t^13 + 6*t^15 + 2*t^16 + t^17 + 6*t^18 + 4*t^20 + t^21 + 3*t^22 + 6*t^23 + t^25 '
+    '+ 3*t^26 + 2*t^27 + 6*t^28 + 2*t^29 + O(t^30))*u^2 + (2*t^2 + t^3 + 5*t^4 + 3*t^5 + '
+    '3*t^6 + 4*t^7 + 4*t^8 + 6*t^9 + 2*t^10 + 3*t^11 + 2*t^13 + 2*t^14 + 6*t^15 + t^16 + '
+    '4*t^17 + 5*t^19 + 4*t^20 + 4*t^21 + 2*t^22 + 3*t^23 + 6*t^25 + 5*t^26 + 6*t^27 + '
+    't^28 + 6*t^29 + O(t^30))*u*X + (4 + 6*t + 5*t^2 + 2*t^3 + 5*t^4 + 2*t^6 + 6*t^7 + '
+    '2*t^8 + 3*t^9 + 6*t^10 + 4*t^11 + t^12 + 2*t^13 + 3*t^15 + t^16 + 3*t^17 + 4*t^18 + '
+    '2*t^19 + 5*t^20 + 3*t^21 + 6*t^22 + 5*t^23 + t^24 + t^25 + 4*t^28 + 5*t^29 + '
+    'O(t^30))*u^2*X + (t + 4*t^2 + 4*t^3 + 4*t^4 + 6*t^6 + 6*t^7 + 6*t^8 + 4*t^9 + 6*t^10 '
+    '+ 5*t^11 + 5*t^12 + t^13 + t^14 + 2*t^15 + 3*t^16 + 6*t^17 + 2*t^18 + 2*t^19 + '
+    '4*t^20 + 4*t^21 + t^22 + 5*t^23 + 6*t^25 + 4*t^26 + 6*t^27 + 4*t^28 + 4*t^29 + '
+    'O(t^30))*u*X^2'
+    "\n")
+
+
+@pytest.mark.parametrize("d, alpha, code, stdout", [
+    ("4;0;0;1;0;0;0;0;0", "6", 1, GOLDEN_KERNEL),
+    ("1 + t;0;2*t;0;0;3 + t^2;0;0;0", "2", 0, GOLDEN_UNIT_INVERSE),
+])
+def test_algebra_invert_golden_stdout(capsys, d, alpha, code, stdout):
+    assert run(capsys, "algebra", "invert", "--alpha", alpha, "--d", d)[:2] == (code, stdout)
+
+
 def test_algebra_constants_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "constants.json"
     code, out, _ = run(capsys, "algebra", "constants", "--alpha", "2",

@@ -1,9 +1,9 @@
 """The fast series kernels against the loops they replaced.
 
-``ref_mul``, ``ref_invert`` and ``ref_hensel`` are the schoolbook product,
-the full-precision Newton inverse and the Hensel loop that served every
-domain before the packed product and the precision-doubling iterations
-existed.  The kernels must give structurally identical results: the same
+``ref_mul``, ``ref_add``, ``ref_invert`` and ``ref_hensel`` are the
+schoolbook product, the term-by-term sum, the full-precision Newton inverse
+and the Hensel loop that served every domain before the packed product, the
+known-zero shortcuts and the precision-doubling iterations existed.  The kernels must give structurally identical results: the same
 coefficients, the same precision and, in towers, the same inner O-terms.
 """
 
@@ -98,6 +98,29 @@ def ref_hensel(s, q, target_precision=None):
         denom = ref_pow(r, q - 1).scale(cd.from_int(q))
         r = (r - ref_mul(err, ref_invert(denom, target))).truncate(target)
     raise CycdivError("Hensel lifting did not converge")
+
+
+def ref_add(a, b, subtract=False):
+    """a + b, or a - b, term by term, at the precision min(pa, pb)."""
+    a._check_domain(b)
+    pa = INFINITY if a.precision is None else a.precision
+    pb = INFINITY if b.precision is None else b.precision
+    prec = min(pa, pb)
+    cd = a.domain.coeff
+    op = cd.sub if subtract else cd.add
+    out = dict(a.coeffs)
+    for e, c in b.coeffs.items():
+        if e in out:
+            s = op(out[e], c)
+            if cd.is_known_zero(s):
+                del out[e]
+            else:
+                out[e] = s
+        else:
+            out[e] = cd.neg(c) if subtract else c
+    if prec != INFINITY:
+        out = {e: c for e, c in out.items() if e < prec}
+    return Series(a.domain, out, None if prec == INFINITY else prec, _validate=False)
 
 
 def identical(a, b):
@@ -217,6 +240,30 @@ def test_single_term_operands_match_schoolbook(data):
     for x, y in ((m, a), (a, m), (m, m), (a, b)):
         assert identical(x * y, ref_mul(x, y))
         assert identical(x - y, x + (-y))
+
+
+@given(st.data())
+@settings(max_examples=250, deadline=None)
+def test_known_zero_operands_match_references(data):
+    """An exact zero or an O(t^k) with no known terms, on either side of
+    ``*``, ``+`` and ``-``: same coefficients and precision as the loops."""
+    kind = data.draw(st.sampled_from(["laurent", "hahn", "q", "tower"]))
+    if kind == "laurent":
+        a = data.draw(laurent_series())
+    elif kind == "tower":
+        a = data.draw(tower_series())
+    else:
+        a = data.draw(field_series(H7_WIDE if kind == "hahn" else RQ_WIDE))
+    bounds = st.integers(-12, 45)
+    if kind == "hahn":
+        bounds = st.one_of(bounds, st.builds(Fraction, st.integers(-84, 315), st.sampled_from([7, 49])))
+    z = a.domain.series({}, data.draw(st.one_of(st.none(), bounds)))
+    for x, y in ((a, z), (z, a), (z, z)):
+        assert identical(x * y, ref_mul(x, y))
+        assert identical(x + y, ref_add(x, y))
+        assert identical(x - y, ref_add(x, y, subtract=True))
+    if z.precision is None or (a.precision is not None and a.precision <= z.precision):
+        assert a + z is a and a - z is a
 
 
 def test_dense_operands_are_packed_and_sparse_ones_are_not():
