@@ -200,17 +200,13 @@ def check_against_references(domain, matrix, rhs, kernels=True):
 # -- inputs: cyclic algebras with alpha = beta^q ------------------------------------
 
 CONTEXTS = {7: laurent_context(7, 3, precision=12), 11: laurent_context(11, 5, precision=8)}
-_ALGEBRAS = {}
 
 
 def split_algebra(p, beta):
     """The cyclic algebra over F_p((t)) with alpha = beta^q, where X - beta
     is a zero divisor."""
     ctx = CONTEXTS[p]
-    alpha = pow(beta, ctx.q, p)
-    if (p, alpha) not in _ALGEBRAS:
-        _ALGEBRAS[(p, alpha)] = CyclicAlgebra(ctx, ctx.F.from_int(alpha))
-    return _ALGEBRAS[(p, alpha)]
+    return CyclicAlgebra(ctx, ctx.F.from_int(pow(beta, ctx.q, p)))
 
 
 @st.composite
