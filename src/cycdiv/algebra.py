@@ -246,10 +246,12 @@ def left_mul_matrix(d):
 
 def invert(d, target_precision=None):
     """Two-sided inverse by solving d*x = 1; raises ZeroDivisorError with a
-    kernel vector when d is a (left) zero divisor."""
+    kernel vector when d is a (left) zero divisor, and CycdivError when no
+    coordinate of d is known to be nonzero."""
     A = d.algebra
     if d.is_known_zero():
-        raise ZeroDivisionError("inverse of the zero algebra element")
+        raise CycdivError("inverse of the zero algebra element: "
+                          "no coordinate is known to be nonzero")
     x = solve_linear(A.F, left_mul_matrix(d), list(A.one.coords), precision=target_precision)
     return A.element(x)
 

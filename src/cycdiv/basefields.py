@@ -3,7 +3,10 @@
 Field elements are plain Python values (ints in [0, p) for F_p,
 ``fractions.Fraction`` for the rationals); a *domain* object carries the
 arithmetic.  Series domains (see :mod:`cycdiv.series`) follow the same
-protocol, so towers can be built by nesting.
+protocol, so towers can be built by nesting.  A series over Q stores its
+coefficients as integer numerators over one denominator, but every Q value
+it hands out (``coeffs``, ``residue``, ``angular_component``) or takes in
+(construction, ``scale``, ``parse``) is a ``Fraction``, as here.
 """
 
 from fractions import Fraction

@@ -146,10 +146,7 @@ def cmd_algebra_invert(args):
     try:
         print(repr(invert(d)))
     except ZeroDivisorError as exc:
-        out = {"error": "zero divisor"}
-        if exc.kernel is not None:
-            out["kernel"] = repr(D.element(exc.kernel))
-        print(json.dumps(out))
+        print(json.dumps({"error": "zero divisor", "kernel": repr(D.element(exc.kernel))}))
         return 1
     return 0
 

@@ -20,7 +20,8 @@ over EXACT series or an exact base field a fraction is zero exactly when its
 numerator is, so a column without a pivot proves the matrix singular, and the
 vector read off the reduced rows, denominators cleared by products,
 annihilates M exactly.  Truncated entries cannot decide this (``O(t^k)`` may
-be nonzero), so ``solve_linear`` asks for a kernel only when M is exact.
+be nonzero), so ``solve_linear`` asks for a kernel only when M is exact, and
+a truncated M without a pivot is a PrecisionError.
 """
 
 from .errors import CycdivError, PrecisionError, ZeroDivisorError
@@ -107,9 +108,10 @@ def solve_linear(domain, matrix, rhs, precision=None):
 
     ``matrix`` is a list of rows; ``rhs`` a list.  For series domains,
     ``precision`` bounds the working precision (default: the domain's).
-    A singular system raises ZeroDivisorError, carrying an exact kernel
-    vector when the entries are EXACT; an exact matrix that is singular only
-    at the working precision raises PrecisionError.
+    A singular system raises ZeroDivisorError, always carrying an exact
+    kernel vector.  A column without a pivot at the working precision raises
+    PrecisionError when some entry is truncated (it may be a unit known to
+    too few terms) or when the exact matrix has no kernel.
     """
     n = _square(matrix, rhs)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
@@ -129,7 +131,8 @@ def solve_linear(domain, matrix, rhs, precision=None):
     if free is None:
         return [row[n] for row in rows]
     if not all(e.is_exact for row in matrix for e in row if isinstance(e, Series)):
-        raise ZeroDivisorError("singular linear system")
+        raise PrecisionError(f"no pivot in column {free} at working precision {work}, "
+                             "and the truncated entries cannot decide singularity")
     kernel = kernel_vector(domain, matrix)
     if kernel is None:
         raise PrecisionError(f"no pivot in column {free} at working precision {work}, "

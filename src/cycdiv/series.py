@@ -34,12 +34,26 @@ Which kernel serves which domain:
   tower) every coefficient carries its own O-term, so the full-precision
   Newton loops are kept there: they fix the inner precision the results
   report.  Every path ends with a full-precision check of its result.
+
+Q coefficients are kept in content form.  A series over Q stores integer
+numerators in ``terms`` over one positive denominator ``den``, with
+``gcd(den, *numerators) == 1`` and ``den == 1`` when nothing is known; its
+domain's ``ring`` is the integers, so the product and sum loops multiply and
+add Python ints, and the content is divided out once per result (one
+multi-argument ``math.gcd``), never once per coefficient product.  Every
+way of building a Q series gives this one form.  ``coeffs``, ``residue``,
+``angular_component``, ``to_str`` and ``parse`` are the boundary: they see
+``Fraction`` coefficients, so printed results do not depend on the form.
+Over every other coefficient domain ``terms`` holds the coefficients
+themselves, ``den`` is 1 and ``ring`` is the coefficient domain.
 """
 
 import math
+import operator
 import re
 import sys
 from array import array
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .basefields import Domain, PrimeField, RationalField, is_prime
@@ -118,8 +132,45 @@ def _newton_doubling(y, k, n, step):
     series known to the doubled precision k, and returns it correct below k."""
     while k < n:
         k = _norm_exp(min(2 * k, n))
-        y = step(Series(y.domain, y.coeffs, k, _validate=False), k)
+        y = step(_stored(y.domain, y.terms, y.den, k), k)
     return y
+
+
+class _Integers:
+    """Z, the ring of the numerators of a Q series in content form."""
+
+    add, sub, mul, neg, eq = operator.add, operator.sub, operator.mul, operator.neg, operator.eq
+    is_known_zero = operator.not_
+
+
+_ZZ = _Integers()
+
+
+class _Fractions(Mapping):
+    """Read-only exponent -> Fraction view of numerators over one denominator;
+    each coefficient is built when it is read."""
+
+    __slots__ = ("_terms", "_den")
+
+    def __init__(self, terms, den):
+        self._terms, self._den = terms, den
+
+    def __getitem__(self, e):
+        return Fraction(self._terms[e], self._den)
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __len__(self):
+        return len(self._terms)
+
+
+def _primitive(terms, den):
+    """``terms`` over ``den`` with their common content divided out."""
+    g = math.gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {e: c // g for e, c in terms.items()}, den // g
 
 
 class ValueGroup:
@@ -169,13 +220,18 @@ class ValueGroup:
 class Series:
     """Immutable truncated or exact generalized power series.
 
-    Do not mutate ``coeffs`` after construction.  Built via the factory
+    ``terms`` maps exponents to stored coefficients: the coefficients
+    themselves, or over Q their integer numerators over ``den`` (see the
+    module docstring); ``coeffs`` gives them as coefficient-field elements.
+    Do not mutate ``terms`` after construction.  Built via the factory
     methods on :class:`SeriesDomain`.
     """
 
-    __slots__ = ("domain", "coeffs", "precision")
+    __slots__ = ("domain", "terms", "den", "precision")
 
     def __init__(self, domain, coeffs, precision=None, _validate=True):
+        """``coeffs`` maps exponents to coefficient-field elements;
+        ``_validate=False`` skips the exponent checks and the zero filter."""
         if _validate:
             cd = domain.coeff
             clean = {}
@@ -190,11 +246,27 @@ class Series:
             coeffs = clean
             if precision is not None:
                 precision = _norm_exp(precision)
+        den = 1
+        if domain.ring is _ZZ and coeffs:
+            # over the lcm of reduced denominators the content is 1 already
+            den = math.lcm(*[c.denominator for c in coeffs.values()])
+            coeffs = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
         self.domain = domain
-        self.coeffs = coeffs
+        self.terms = coeffs
+        self.den = den
         self.precision = precision
 
     # -- basic state ---------------------------------------------------
+
+    @property
+    def coeffs(self):
+        """exponent -> coefficient, as elements of the coefficient field."""
+        return _Fractions(self.terms, self.den) if self.domain.ring is _ZZ else self.terms
+
+    def _coeff(self, e):
+        """The coefficient at the support exponent e."""
+        c = self.terms[e]
+        return Fraction(c, self.den) if self.domain.ring is _ZZ else c
 
     @property
     def is_exact(self):
@@ -202,10 +274,10 @@ class Series:
 
     def is_known_zero(self):
         """No nonzero known coefficient (exactly zero when also EXACT)."""
-        return not self.coeffs
+        return not self.terms
 
     def is_exact_zero(self):
-        return self.precision is None and not self.coeffs
+        return self.precision is None and not self.terms
 
     def valuation(self):
         """Minimal support exponent; INFINITY for exact zero.
@@ -213,8 +285,8 @@ class Series:
         Raises PrecisionError when the element truncates to zero at finite
         precision (the valuation is then only bounded below).
         """
-        if self.coeffs:
-            return min(self.coeffs)
+        if self.terms:
+            return min(self.terms)
         if self.precision is None:
             return INFINITY
         raise PrecisionError(
@@ -222,30 +294,30 @@ class Series:
         )
 
     def valuation_lower_bound(self):
-        if self.coeffs:
-            return min(self.coeffs)
+        if self.terms:
+            return min(self.terms)
         return INFINITY if self.precision is None else self.precision
 
     def residue(self):
         """Coefficient at exponent 0, extended by 0 off the valuation ring."""
         cd = self.domain.coeff
-        if not self.coeffs:
+        if not self.terms:
             if self.precision is None or self.precision > 0:
                 return cd.zero
             raise PrecisionError("insufficient precision to determine the residue")
-        v = min(self.coeffs)
+        v = min(self.terms)
         if v < 0:
             return cd.zero
         if self.precision is not None and self.precision <= 0:
             raise PrecisionError("insufficient precision to determine the residue")
-        return self.coeffs.get(0, cd.zero)
+        return self._coeff(0) if 0 in self.terms else cd.zero
 
     def angular_component(self):
         """Coefficient at the minimal exponent."""
         v = self.valuation()
         if v == INFINITY:
             raise CycdivError("angular component of the zero series is undefined")
-        return self.coeffs[v]
+        return self._coeff(v)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -258,9 +330,9 @@ class Series:
         return self._add(other, False)
 
     def __neg__(self):
-        cd = self.domain.coeff
-        return Series(self.domain, {e: cd.neg(c) for e, c in self.coeffs.items()},
-                      self.precision, _validate=False)
+        neg = self.domain.ring.neg
+        return _stored(self.domain, {e: neg(c) for e, c in self.terms.items()}, self.den,
+                       self.precision)
 
     def __sub__(self, other):
         return self._add(other, True)
@@ -271,27 +343,36 @@ class Series:
         pa = INFINITY if self.precision is None else self.precision
         pb = INFINITY if other.precision is None else other.precision
         # a known-zero operand only truncates the other one to its precision
-        if not other.coeffs:
+        if not other.terms:
             return self if pa <= pb else self.truncate(pb)
-        if not self.coeffs:
+        if not self.terms:
             out = -other if subtract else other
             return out if pb <= pa else out.truncate(pa)
         prec = min(pa, pb)
-        cd = self.domain.coeff
-        op = cd.sub if subtract else cd.add
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+        ring = self.domain.ring
+        op = ring.sub if subtract else ring.add
+        out, tb, den = dict(self.terms), other.terms, self.den
+        if other.den != den:  # Q numerators over the common denominator
+            den = math.lcm(den, other.den)
+            fa, fb = den // self.den, den // other.den
+            if fa != 1:
+                out = {e: c * fa for e, c in out.items()}
+            if fb != 1:
+                tb = {e: c * fb for e, c in tb.items()}
+        for e, c in tb.items():
             if e in out:
                 s = op(out[e], c)
-                if cd.is_known_zero(s):
+                if ring.is_known_zero(s):
                     del out[e]
                 else:
                     out[e] = s
             else:
-                out[e] = cd.neg(c) if subtract else c
+                out[e] = ring.neg(c) if subtract else c
         if prec != INFINITY:
             out = {e: c for e, c in out.items() if e < prec}
-        return Series(self.domain, out, None if prec == INFINITY else prec, _validate=False)
+        if den != 1:
+            out, den = _primitive(out, den)
+        return _stored(self.domain, out, den, None if prec == INFINITY else prec)
 
     def __mul__(self, other):
         self._check_domain(other)
@@ -301,14 +382,14 @@ class Series:
             prec = INFINITY
         else:
             prec = min(pa + other.valuation_lower_bound(), pb + self.valuation_lower_bound())
-        cd = self.domain.coeff
-        ca, cb = self.coeffs, other.coeffs
+        ring = self.domain.ring
+        ca, cb = self.terms, other.terms
         out = None
         if not (ca and cb):
             out = {}  # a known-zero operand: nothing but the precision to compute
         elif len(ca) == 1 or len(cb) == 1:
             # a single-term operand: shift and scale the other one
-            cmul, ckz = cd.mul, cd.is_known_zero
+            cmul, ckz = ring.mul, ring.is_known_zero
             out = {}
             if len(ca) == 1:
                 (e1, c1), = ca.items()
@@ -325,10 +406,10 @@ class Series:
         # a cheap necessary condition for the density test of _kronecker_mul:
         # the exponent spans are at least len(ca) + len(cb)
         elif len(ca) * len(cb) > _KRONECKER_DENSITY * (len(ca) + len(cb)) \
-                and type(cd) is PrimeField and self.domain.group.p is None:
-            out = _kronecker_mul(ca, cb, cd.p, prec)
+                and type(ring) is PrimeField and self.domain.group.p is None:
+            out = _kronecker_mul(ca, cb, ring.p, prec)
         if out is None:
-            cmul, cadd, ckz = cd.mul, cd.add, cd.is_known_zero
+            cmul, cadd, ckz = ring.mul, ring.add, ring.is_known_zero
             out = {}
             for e1, c1 in ca.items():
                 for e2, c2 in cb.items():
@@ -343,19 +424,27 @@ class Series:
             out = {e: c for e, c in out.items() if not ckz(c)}
         if self.domain.group.p is not None:
             out, prec = {_norm_exp(e): c for e, c in out.items()}, _norm_exp(prec)
-        return Series(self.domain, out, None if prec == INFINITY else prec, _validate=False)
+        den = self.den * other.den
+        if den != 1:
+            out, den = _primitive(out, den)
+        return _stored(self.domain, out, den, None if prec == INFINITY else prec)
 
     def scale(self, c):
         """Multiply by a coefficient-field element."""
-        cd = self.domain.coeff
-        if cd.is_known_zero(c):
-            return Series(self.domain, {}, self.precision, _validate=False)
+        ring = self.domain.ring
+        if self.domain.coeff.is_known_zero(c):
+            return _stored(self.domain, {}, 1, self.precision)
+        den = self.den
+        if ring is _ZZ:
+            c, den = c.numerator, den * c.denominator
         out = {}
-        for e, a in self.coeffs.items():
-            p = cd.mul(c, a)
-            if not cd.is_known_zero(p):
+        for e, a in self.terms.items():
+            p = ring.mul(c, a)
+            if not ring.is_known_zero(p):
                 out[e] = p
-        return Series(self.domain, out, self.precision, _validate=False)
+        if den != 1:
+            out, den = _primitive(out, den)
+        return _stored(self.domain, out, den, self.precision)
 
     def __pow__(self, n):
         if n < 0:
@@ -373,8 +462,10 @@ class Series:
         prec = _norm_exp(prec)
         if self.precision is not None and self.precision <= prec:
             return self
-        return Series(self.domain, {e: c for e, c in self.coeffs.items() if e < prec},
-                      prec, _validate=False)
+        out, den = {e: c for e, c in self.terms.items() if e < prec}, self.den
+        if den != 1:
+            out, den = _primitive(out, den)
+        return _stored(self.domain, out, den, prec)
 
     def shift(self, delta):
         """Multiply by the monomial of exponent delta."""
@@ -382,8 +473,8 @@ class Series:
         if not self.domain.group.contains(delta):
             raise ValueGroupError(f"exponent {delta} not in value group")
         prec = None if self.precision is None else _norm_exp(self.precision + delta)
-        return Series(self.domain, {_norm_exp(e + delta): c for e, c in self.coeffs.items()},
-                      prec, _validate=False)
+        return _stored(self.domain, {_norm_exp(e + delta): c for e, c in self.terms.items()},
+                       self.den, prec)
 
     def invert(self, target_precision=None):
         """Multiplicative inverse, exact for monomials, Newton otherwise.
@@ -396,8 +487,8 @@ class Series:
             raise ZeroDivisionError("inverse of the zero series")
         domain = self.domain
         cd = domain.coeff
-        lead_inv = cd.invert(self.coeffs[v])
-        if self.precision is None and len(self.coeffs) == 1:
+        lead_inv = cd.invert(self._coeff(v))
+        if self.precision is None and len(self.terms) == 1:
             return Series(domain, {-v: lead_inv}, None, _validate=False)
         achievable = INFINITY if self.precision is None else _norm_exp(self.precision - 2 * v)
         if target_precision is None:
@@ -419,7 +510,7 @@ class Series:
         # Newton on the unit u = self * t^-v: the leading inverse is right
         # below the smallest positive exponent of u
         n = _norm_exp(target + v)
-        k = min((e for e in self.coeffs if e > v), default=INFINITY) - v
+        k = min((e for e in self.terms if e > v), default=INFINITY) - v
         if k < n:
             u, one = self.shift(-v), domain.one
             y = _newton_doubling(domain.constant(lead_inv), k, n,
@@ -437,24 +528,24 @@ class Series:
         pa = INFINITY if self.precision is None else self.precision
         pb = INFINITY if other.precision is None else other.precision
         joint = min(pa, pb)
+        ta, tb = self.terms, other.terms
+        keys = (e for e in ta.keys() | tb.keys() if e < joint)
+        if self.domain.ring is _ZZ:
+            # the dropped tails can leave the two over different denominators
+            da, db = self.den, other.den
+            return all(ta.get(e, 0) * db == tb.get(e, 0) * da for e in keys)
         cd = self.domain.coeff
-        for e in set(self.coeffs) | set(other.coeffs):
-            if e >= joint:
-                continue
-            a = self.coeffs.get(e, cd.zero)
-            b = other.coeffs.get(e, cd.zero)
-            if not cd.eq(a, b):
-                return False
-        return True
+        return all(cd.eq(ta.get(e, cd.zero), tb.get(e, cd.zero)) for e in keys)
 
     def __eq__(self, other):
         """Structural equality (same support, coefficients and precision)."""
         if not isinstance(other, Series) or other.domain != self.domain:
             return NotImplemented
-        if self.precision != other.precision or set(self.coeffs) != set(other.coeffs):
+        if (self.precision != other.precision or self.den != other.den
+                or self.terms.keys() != other.terms.keys()):
             return False
-        cd = self.domain.coeff
-        return all(cd.eq(c, other.coeffs[e]) for e, c in self.coeffs.items())
+        eq = self.domain.ring.eq
+        return all(eq(c, other.terms[e]) for e, c in self.terms.items())
 
     def __hash__(self):
         raise TypeError("Series is not hashable; compare with agrees_to_precision")
@@ -463,6 +554,17 @@ class Series:
         return self.domain.to_str(self)
 
     __str__ = __repr__
+
+
+def _stored(domain, terms, den, precision):
+    """The series with stored form ``terms`` over ``den``, already canonical
+    (see the module docstring), built without ``__init__``'s conversion."""
+    s = object.__new__(Series)
+    s.domain = domain
+    s.terms = terms
+    s.den = den
+    s.precision = precision
+    return s
 
 
 def _exp_str(var, e):
@@ -482,6 +584,8 @@ class SeriesDomain(Domain):
         self.group = group if group is not None else ValueGroup()
         self.default_precision = default_precision
         self.characteristic = coeff.characteristic
+        # what the stored coefficients are multiplied and added in
+        self.ring = _ZZ if isinstance(coeff, RationalField) else coeff
         self.zero = Series(self, {}, None, _validate=False)
         self.one = Series(self, {0: coeff.one}, None, _validate=False)
 
@@ -517,33 +621,16 @@ class SeriesDomain(Domain):
         return self.constant(self.coeff.from_int(n))
 
     # -- Domain protocol ---------------------------------------------------
+    # The series operators themselves, without a wrapper frame: a tower
+    # calls them once per coefficient product.
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
+    add, neg, sub, mul, pow = operator.add, operator.neg, operator.sub, operator.mul, operator.pow
+    eq = staticmethod(Series.agrees_to_precision)
+    is_zero = staticmethod(Series.is_exact_zero)
+    is_known_zero = staticmethod(Series.is_known_zero)
 
     def invert(self, a):
         return a.invert()
-
-    def eq(self, a, b):
-        return a.agrees_to_precision(b)
-
-    def is_zero(self, a):
-        return a.is_exact_zero()
-
-    def is_known_zero(self, a):
-        return a.is_known_zero()
-
-    def pow(self, a, n):
-        return a ** n
 
     # -- q-th powers and roots ------------------------------------------
 
@@ -605,8 +692,9 @@ class SeriesDomain(Domain):
     def to_str(self, s):
         nested = isinstance(self.coeff, SeriesDomain)
         parts = []
-        for e in sorted(s.coeffs):
-            cs = self.coeff.to_str(s.coeffs[e])
+        coeffs = s.coeffs
+        for e in sorted(coeffs):
+            cs = self.coeff.to_str(coeffs[e])
             if nested:
                 cs = f"({cs})"
             if e == 0:
@@ -783,7 +871,7 @@ def hensel_qth_root(s, q, target_precision=None):
         raise CycdivError("Hensel lifting did not converge")
     # y lifts s^(-1/q) from 1/r0, which is right below the smallest positive
     # exponent of s; then s*y^(q-1) is the q-th root with residue r0
-    k = min((e for e in s.coeffs if e > 0), default=INFINITY)
+    k = min((e for e in s.terms if e > 0), default=INFINITY)
     if k < target:
         inv_q, one = cd.invert(cd.from_int(q)), domain.one
         y = _newton_doubling(domain.constant(cd.invert(r0)), k, target,

@@ -220,6 +220,8 @@ def test_hahn_mode(capsys):
     ["algebra", "certify", "--hahn", "5", "--alpha", "x", "--prec", "6"],
     ["algebra", "certify", "--hahn", "0", "--alpha", "x", "--prec", "6"],
     ["is-norm", "--x", "1 + + t"],
+    ["algebra", "invert", "--alpha", "2", "--d", "0;0;0;0;0;0;0;0;0"],
+    ["algebra", "invert", "--alpha", "6", "--d", "4 + O(t^3);0;0;1;0;0;0;0;0"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -5,8 +5,12 @@ schoolbook product, the term-by-term sum, the full-precision Newton inverse
 and the Hensel loop that served every domain before the packed product, the
 known-zero shortcuts and the precision-doubling iterations existed.  The kernels must give structurally identical results: the same
 coefficients, the same precision and, in towers, the same inner O-terms.
+``ref_neg``, ``ref_scale``, ``ref_truncate`` and ``ref_agrees`` are the
+Fraction-per-coefficient loops that served Q series before the content form.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -121,6 +125,34 @@ def ref_add(a, b, subtract=False):
     if prec != INFINITY:
         out = {e: c for e, c in out.items() if e < prec}
     return Series(a.domain, out, None if prec == INFINITY else prec, _validate=False)
+
+
+def ref_neg(a):
+    cd = a.domain.coeff
+    return Series(a.domain, {e: cd.neg(c) for e, c in a.coeffs.items()}, a.precision,
+                  _validate=False)
+
+
+def ref_scale(a, c):
+    cd = a.domain.coeff
+    out = {e: cd.mul(c, x) for e, x in a.coeffs.items()}
+    return Series(a.domain, {e: x for e, x in out.items() if not cd.is_known_zero(x)},
+                  a.precision, _validate=False)
+
+
+def ref_truncate(a, prec):
+    if a.precision is not None and a.precision <= prec:
+        return a
+    return Series(a.domain, {e: c for e, c in a.coeffs.items() if e < prec}, prec,
+                  _validate=False)
+
+
+def ref_agrees(a, b):
+    """Coefficient by coefficient below the joint precision."""
+    joint = min(INFINITY if s.precision is None else s.precision for s in (a, b))
+    cd = a.domain.coeff
+    return all(cd.eq(a.coeffs.get(e, cd.zero), b.coeffs.get(e, cd.zero))
+               for e in set(a.coeffs) | set(b.coeffs) if e < joint)
 
 
 def identical(a, b):
@@ -386,6 +418,106 @@ def test_hahn_kernels_match_references(tail, lead, target):
     s = H7.series({**tail, 0: 6})  # 6 = 3^3 in F_7
     assert same_outcome(outcome(hensel_qth_root, s, 3, target),
                         outcome(ref_hensel, s, 3, target))
+
+
+# -- Q coefficients in content form ---------------------------------------------
+
+HQ = hahn(QQ, "t", 7, 30)
+ALL_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def canonical(s):
+    """Whether s, and each series coefficient of it, is in the one stored form:
+    over Q nonzero int numerators over den > 0 with gcd(den, *numerators) == 1
+    (so den == 1 when nothing is known), elsewhere the coefficients over 1."""
+    if s.domain.coeff is not QQ:
+        return s.den == 1 and all(canonical(c) for c in s.terms.values() if isinstance(c, Series))
+    return (s.den > 0 and all(type(n) is int and n for n in s.terms.values())
+            and math.gcd(s.den, *s.terms.values()) == 1)
+
+
+@st.composite
+def q_series_pair(draw):
+    """Two series over Q((X)), the Z[1/7] Hahn field over Q, or Q((X))((Y)),
+    exact or truncated, with valuations down to -12 (-4 in towers)."""
+    kind = draw(st.sampled_from(["laurent", "hahn", "tower"]))
+    if kind == "tower":
+        return draw(tower_series()), draw(tower_series())
+    domain = HQ if kind == "hahn" else RQ_WIDE
+    return draw(field_series(domain)), draw(field_series(domain))
+
+
+def coefficient(draw, domain):
+    return draw(ALL_RATIONALS) if domain.coeff is QQ else draw(field_series(domain.coeff, 3))
+
+
+@given(q_series_pair(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_content_form_matches_fraction_references(pair, data):
+    a, b = pair
+    c = coefficient(data.draw, a.domain)
+    k = data.draw(st.integers(-12, 45))
+    for got, want in ((a * b, ref_mul(a, b)), (b * a, ref_mul(b, a)),
+                      (a + b, ref_add(a, b)), (a - b, ref_add(a, b, subtract=True)),
+                      (-a, ref_neg(a)), (a.scale(c), ref_scale(a, c)),
+                      (a.truncate(k), ref_truncate(a, k))):
+        assert canonical(got) and identical(got, want)
+    assert a.agrees_to_precision(b) == ref_agrees(a, b)
+    if a.domain.coeff is QQ:  # in towers == compares inner coefficients where known
+        assert (a == b) == identical(a, b)
+
+
+@given(q_series_pair(), st.integers(-12, 45), st.data())
+@settings(max_examples=200, deadline=None)
+def test_agreement_reads_only_jointly_known_coefficients(pair, k, data):
+    """a truncated at k against a's head plus another tail from k on: equal
+    where both are known, usually over different denominators; then one
+    coefficient changed below the joint precision."""
+    a, _ = pair
+    domain = a.domain
+    head = {e: c for e, c in a.coeffs.items() if e < k}
+    tail = {e: coefficient(data.draw, domain)
+            for e in data.draw(st.lists(st.integers(k, k + 20), max_size=4))}
+    b = domain.series({**head, **tail})
+    t = a.truncate(k)
+    assert canonical(t) and canonical(b)
+    assert t.agrees_to_precision(b) and b.agrees_to_precision(t) and ref_agrees(t, b)
+    joint = k if a.precision is None else min(k, a.precision)
+    if domain.coeff is QQ and joint > -12:
+        e = data.draw(st.integers(-12, joint - 1))
+        changed = b + domain.monomial(e, data.draw(RATIONALS))
+        assert not t.agrees_to_precision(changed) and not changed.agrees_to_precision(t)
+        assert not ref_agrees(t, changed)
+
+
+def test_every_construction_route_is_canonical():
+    RQ = laurent(QQ, "X", 10)
+    s = Series(RQ, {0: Fraction(1, 2), 1: Fraction(1, 3), 4: Fraction(-5, 6)})
+    assert (s.terms, s.den) == ({0: 3, 1: 2, 4: -5}, 6)
+    assert s.coeffs == {0: Fraction(1, 2), 1: Fraction(1, 3), 4: Fraction(-5, 6)}
+    t = s.truncate(2)
+    assert (t.terms, t.den, t.precision) == ({0: 3, 1: 2}, 6, 2)
+    u = s.truncate(1)
+    assert (u.terms, u.den) == ({0: 1}, 2)
+    assert ((s + (-s)).terms, (s + (-s)).den) == ({}, 1)
+    rng = random.Random(11)
+    built = [
+        s, t, u, s * s, s - s, s.scale(Fraction(6)), s.scale(QQ.zero),
+        Series(RQ, {0: Fraction(4, 6), 2: 3}, 5, _validate=False),
+        Series(RQ, {}, 4), Series(RQ, {0: Fraction(0), 1: Fraction(2, 4)}, 1),
+        RQ.series({1: Fraction(4, 6), 3: Fraction(9, 3)}, 2),
+        RQ.parse("1/2 - 3/4*X^2 + 6/8*X^3 + O(X^5)"), RQ.parse("2/4 + O(X^0)"),
+        RQ.from_int(6), RQ.constant(Fraction(-9, 6)), RQ.constant(QQ.zero),
+        RQ.monomial(3, Fraction(5, 10)), RQ.variable, RQ.zero, RQ.one,
+        HQ.parse("1/3*t^(1/7) + 2/9*t^(-2/49)"), QXY.parse("(1/2 + 2/3*X)*Y + (4/6 + O(X^2))"),
+        RQ.parse("3/7 + X").invert(), hensel_qth_root(RQ.parse("4/9 + X"), 2),
+    ]
+    for domain in (RQ, HQ, QXY):
+        built += [domain.random_element(rng, precision=rng.choice([None, 2, 5]))
+                  for _ in range(30)]
+    for x in built:
+        assert canonical(x), x
+        assert x.domain.parse(str(x)) == x  # the same stored form after printing
 
 
 # -- towers keep the full-precision loops --------------------------------------
