@@ -6,6 +6,7 @@ var CDA_PRECISION overrides the default precision.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -34,8 +35,17 @@ def _default_precision():
     return DEFAULT_PRECISION
 
 
-def _build_context(args):
+def _precision(args):
+    """The working precision: --prec, else CDA_PRECISION, else the default;
+    at least 1, so that a result knows some coefficient."""
     prec = args.prec if args.prec is not None else _default_precision()
+    if prec < 1:
+        raise CycdivError(f"precision must be at least 1, got {prec}")
+    return prec
+
+
+def _build_context(args):
+    prec = _precision(args)
     for flag, value in (("--p", args.p), ("--q", args.q)):
         if not is_prime(value):
             raise CycdivError(f"{flag} {value} is not prime")
@@ -159,8 +169,9 @@ def cmd_algebra_constants(args):
 
 
 def cmd_albert(args):
-    prec = args.prec if args.prec is not None else _default_precision()
-    R, F, _, _, phi = albert_setup(precision=prec)
+    if args.trials < 1:
+        raise CycdivError(f"--trials must be at least 1, got {args.trials}")
+    R, F, _, _, phi = albert_setup(precision=_precision(args))
     rng = random.Random(f"{args.seed}:albert-cli")
     if args.extension:
         witness, _ = nonsquare_witness(R)
@@ -176,19 +187,31 @@ def cmd_albert(args):
 
 
 def cmd_biquat_constants(args):
-    prec = args.prec if args.prec is not None else _default_precision()
-    _, F, D1, D2, _ = albert_setup(precision=prec)
+    _, F, D1, D2, _ = albert_setup(precision=_precision(args))
     with open(args.out, "w") as fh:
         fh.write(constants_to_json(tensor(D1, D2).constants, F))
     print(f"wrote structure constants (n = 16) to {args.out}")
     return 0
 
 
+def _read_config(path):
+    """The settings in a ``verify --config`` file: a JSON object whose keys
+    are :class:`SuiteConfig` fields (their values are checked by ``validate``)."""
+    with open(path) as fh:
+        try:
+            settings = json.load(fh)
+        except ValueError as exc:
+            raise CycdivError(f"config {path} is not valid JSON: {exc}")
+    if not isinstance(settings, dict):
+        raise CycdivError(f"config {path} must hold a JSON object, not {type(settings).__name__}")
+    unknown = sorted(set(settings) - {f.name for f in dataclasses.fields(SuiteConfig)})
+    if unknown:
+        raise CycdivError(f"unknown keys in config {path}: {unknown}")
+    return settings
+
+
 def cmd_verify(args):
-    settings = {}
-    if args.config:
-        with open(args.config) as fh:
-            settings.update(json.load(fh))
+    settings = _read_config(args.config) if args.config else {}
     settings.setdefault("precision", _default_precision())
     for key in ("seed", "precision", "trials", "p", "q"):
         val = getattr(args, key, None)
@@ -298,10 +321,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CycdivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (CycdivError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

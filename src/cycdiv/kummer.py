@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import anagram
 from .basefields import is_prime
 from .element import Element, FiniteAlgebra, monomial_label
-from .errors import CycdivError
+from .errors import CycdivError, PrecisionError
 from .series import INFINITY, SeriesDomain, hensel_qth_root
 
 
@@ -168,7 +168,8 @@ def is_norm(ctx, x, target_precision=None):
     Writes v(x) = i*v(t) + q*m; membership then reduces to the residue of
     the unit part being a q-th power in the residue field.  On success the
     preimage u^i * (monomial m) * (Hensel q-th root) is returned; on
-    failure the failing residue (or valuation) is the certificate.
+    failure the failing residue (or valuation) is the certificate.  A root
+    truncated to no known coefficient raises :class:`PrecisionError`.
     """
     F, q = ctx.F, ctx.q
     if not isinstance(F, SeriesDomain):
@@ -197,6 +198,9 @@ def is_norm(ctx, x, target_precision=None):
         return NormDecision(False, {"kind": "residue", "residue": rf.to_str(r),
                                     "reason": f"residue is not a {q}-th power in the residue field"})
     h = hensel_qth_root(w, q, target_precision)
+    if h.is_known_zero():
+        raise PrecisionError(f"the {q}-th root is known to no coefficient at precision "
+                             f"O({F.var}^{h.precision}): no preimage to certify")
     g = F.mul(F.monomial(m), h)
     coords = [F.zero] * q
     coords[hit] = g

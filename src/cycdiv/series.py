@@ -31,9 +31,11 @@ Which kernel serves which domain:
   approximants: ``y <- y + y(1 - s*y)`` for the inverse, and the
   division-free inverse-root step ``y <- y + y(1 - s*y^q)/q`` followed by
   ``r = s*y^(q-1)`` for the root.  Over a series coefficient domain (a
-  tower) every coefficient carries its own O-term, so the full-precision
-  Newton loops are kept there: they fix the inner precision the results
-  report.  Every path ends with a full-precision check of its result.
+  tower) every coefficient carries its own O-term, whose bound depends on
+  the path, so the full-precision Newton loops are kept there: the
+  doubling steps would print other inner O-terms and drop coefficients of
+  high inner valuation (``tests/test_series_kernels.py`` pins such
+  inputs).  Every path ends with a full-precision check of its result.
 
 Q coefficients are kept in content form.  A series over Q stores integer
 numerators in ``terms`` over one positive denominator ``den``, with

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cycdiv import verify
 from cycdiv.cli import main
 
 
@@ -222,8 +223,56 @@ def test_hahn_mode(capsys):
     ["is-norm", "--x", "1 + + t"],
     ["algebra", "invert", "--alpha", "2", "--d", "0;0;0;0;0;0;0;0;0"],
     ["algebra", "invert", "--alpha", "6", "--d", "4 + O(t^3);0;0;1;0;0;0;0;0"],
+    # a precision below 1 leaves a norm certificate with no known coefficient
+    ["is-norm", "--x", "6 + t", "--prec", "0"],
+    ["is-norm", "--x", "6 + t", "--prec", "-4"],
+    ["is-norm", "--hahn", "7", "--x", "6 + t", "--prec", "0"],
+    ["algebra", "certify", "--alpha", "6 + t", "--prec", "0"],
+    ["algebra", "certify", "--hahn", "7", "--alpha", "x", "--prec", "0"],
+    ["albert", "--trials", "5", "--prec", "0"],
+    ["albert", "--trials", "0"],
+    ["albert", "--trials", "-2"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith("error: ")
+
+
+def test_precision_below_1_from_env_or_biquat_exits_2(capsys, monkeypatch, tmp_path):
+    out_path = tmp_path / "biquat.json"
+    code, out, err = run(capsys, "biquat", "constants", "--out", str(out_path), "--prec", "0")
+    assert (code, out) == (2, "") and err.startswith("error: ") and not out_path.exists()
+    monkeypatch.setenv("CDA_PRECISION", "0")
+    for argv in (["is-norm", "--x", "6 + t"], ["algebra", "certify", "--alpha", "6 + t"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"bogus": 1}', "unknown keys"),
+    ("{nope", "not valid JSON"),
+    ("[1,2]", "JSON object"),
+    ('"trials"', "JSON object"),
+    ('{"trials": "5"}', "trials must be an integer"),
+    ('{"trials": true}', "trials must be an integer"),
+    ('{"seed": 1.5}', "seed must be an integer"),
+    ('{"p": null}', "p must be an integer"),
+    ('{"claims": "albert-anisotropy"}', "claims must be a list"),
+    ('{"claims": [1]}', "claims must be a list"),
+])
+def test_malformed_verify_config_exits_2(capsys, monkeypatch, tmp_path, text, reason):
+    def claim_runs(config, tally):
+        raise AssertionError("a claim ran on a malformed config")
+
+    monkeypatch.setattr(verify, "_CLAIM_FUNCS", dict.fromkeys(verify.CLAIM_IDS, claim_runs))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and reason in err
+
+
+def test_unreadable_verify_config_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--config", str(tmp_path))  # a directory
+    assert (code, out) == (2, "") and err.startswith("error: ")

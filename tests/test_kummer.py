@@ -5,7 +5,7 @@ import pytest
 
 from cycdiv import (KummerContext, PrimeField, QQ, galois_sigma, is_norm, laurent,
                     norm_formula, norm_oracle, norm_valuation)
-from cycdiv.errors import CycdivError
+from cycdiv.errors import CycdivError, PrecisionError
 from cycdiv.verify import hahn_tower_context, laurent_context
 
 CTX = laurent_context(7, 3, precision=20)
@@ -112,6 +112,14 @@ def test_is_norm_residue_cases():
     dec = is_norm(CTX, R.from_int(6))
     assert dec.is_norm
     assert norm_oracle(dec.preimage).agrees_to_precision(R.from_int(6))
+
+
+def test_is_norm_needs_a_known_root_coefficient():
+    # below precision 1 the Hensel root knows no coefficient: no certificate
+    for ctx, target in ((laurent_context(7, 3, precision=0), None), (CTX, 0), (CTX, -4)):
+        with pytest.raises(PrecisionError):
+            is_norm(ctx, ctx.F.parse("6 + t"), target)
+    assert is_norm(CTX, R.parse("6 + t"), 1).preimage.coords[0].precision == 1
 
 
 def test_is_norm_valuation_shift():

@@ -12,11 +12,12 @@ Fraction-per-coefficient loops that served Q series before the content form.
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycdiv import INFINITY, PrimeField, QQ, Series, hahn, hensel_qth_root, laurent
+from cycdiv import INFINITY, PrimeField, QQ, Series, SeriesDomain, hahn, hensel_qth_root, laurent
 from cycdiv.errors import CycdivError, PrecisionError
 from cycdiv.series import _kronecker_mul
 from cycdiv.verify import albert_setup, hahn_tower_context
@@ -518,6 +519,76 @@ def test_every_construction_route_is_canonical():
     for x in built:
         assert canonical(x), x
         assert x.domain.parse(str(x)) == x  # the same stored form after printing
+
+
+# -- towers: the full-precision loops against the references --------------------
+
+TOWERS = {
+    "Q((X))((Y))": albert_setup(precision=4)[1],
+    "F_7((x^G))((t^G))": hahn_tower_context(7, 3, precision=4).F,
+    "F_7((x))((t))": laurent(laurent(F7, "x", 4), "t", 4),
+}
+
+
+@st.composite
+def small_series(draw, domain, lo=-3, hi=5, min_size=1):
+    """Up to three terms at exponents lo..hi (sevenths too in Z[1/7]), exact
+    or truncated below 6; in a tower each coefficient is such a series."""
+    exps = st.integers(lo, hi)
+    if domain.group.p is not None:
+        exps = st.one_of(exps, st.builds(Fraction, st.integers(7 * lo, 7 * hi), st.just(7)))
+    if isinstance(domain.coeff, SeriesDomain):
+        coeffs = small_series(domain.coeff)
+    else:
+        coeffs = RATIONALS if domain.coeff is QQ else st.integers(1, 6)
+    terms = draw(st.dictionaries(exps, coeffs, min_size=min_size, max_size=3))
+    return domain.series(terms, draw(st.one_of(st.none(), st.integers(lo, 6))))
+
+
+@given(st.sampled_from(sorted(TOWERS)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_tower_invert_and_hensel_match_full_newton(name, data):
+    """Inner and outer O-terms, negative outer and inner valuations, q = 2 and 3."""
+    F = TOWERS[name]
+    s = data.draw(small_series(F))
+    target = data.draw(st.one_of(st.none(), st.integers(-2, 4)))
+    assert same_outcome(outcome(s.invert, target), outcome(ref_invert, s, target))
+    q = data.draw(st.sampled_from([2, 3]))
+    # a unit whose residue is the q-th power of an inner series
+    tail = data.draw(small_series(F, lo=1, hi=3, min_size=0))
+    residue = data.draw(small_series(F.coeff)) ** q
+    u = F.series({**tail.coeffs, 0: residue}, data.draw(st.one_of(st.none(), st.integers(1, 4))))
+    target = data.draw(st.one_of(st.none(), st.integers(-1, 4)))
+    assert same_outcome(outcome(hensel_qth_root, u, q, target),
+                        outcome(ref_hensel, u, q, target))
+
+
+def test_tower_results_the_doubling_steps_would_change():
+    """The doubling inverse drops the t^4 coefficient of the inverse below
+    (and others of high inner valuation); the doubling root s*y^(q-1)
+    prints the cube root below as (3*x^(-1) + O(x^2)) + (3*x^4 + O(x^7))*t^2
+    + O(t^4)."""
+    H = TOWERS["F_7((x^G))((t^G))"]
+    s = H.parse("(4*x^(-2) + 4*x^7)*t^(2/7) + (6*x^2 + 2*x^5)*t^(4/7) + (4*x^2)*t^(20/7)")
+    inverse = s.invert(8)
+    assert identical(inverse, ref_invert(s, 8))
+    assert "(2*x^62 + O(x^64))*t^4 + " in repr(inverse)
+    L = TOWERS["F_7((x))((t))"]
+    s = L.parse("(6*x^(-3)) + (4*x^2)*t^2")
+    root = hensel_qth_root(s, 3)
+    assert identical(root, ref_hensel(s, 3))
+    assert repr(root) == "(3*x^(-1) + O(x^3)) + (3*x^4 + O(x^6))*t^2 + O(t^4)"
+
+
+# the cube root of TOWER_CUBE at precision 4, as the full-precision Hensel
+# loop prints it
+TOWER_CUBE = "(6 + x) + (1 + x^(1/7))*t^(1/7) + (3)*t^(5/7)"
+TOWER_CUBE_ROOT = (Path(__file__).parent / "tower_cube_root_prec4.txt").read_text().rstrip("\n")
+
+
+def test_tower_cube_root_printed_as_before():
+    T = hahn_tower_context(7, 3, precision=4).F
+    assert repr(hensel_qth_root(T.parse(TOWER_CUBE), 3)) == TOWER_CUBE_ROOT
 
 
 # -- towers keep the full-precision loops --------------------------------------
