@@ -9,6 +9,23 @@ serialized to JSON.  An algebra given by structure constants alone
 (:class:`ConstantsAlgebra`: the quaternion algebras and their tensor
 products) multiplies through :func:`constants_mul`.  ``left_mul_matrix``,
 ``invert`` and ``structure_constants`` work in any of them through ``*``.
+
+Which path of :func:`constants_mul` serves which input:
+
+* The flat product.  When F is a Laurent tower over Q or F_p (value group Z
+  at every level, one level or more) and every coordinate of both operands
+  and every structure constant is EXACT at every level, each coordinate is
+  flattened once to one map {packed exponent key: int} over one common
+  denominator (see ``cycdiv.series``), the structure constants once per
+  :class:`StructureConstants`, and all +-lam*a_i*b_j terms are accumulated
+  in one int map per output coordinate, which is turned back into a series
+  once.  Such inputs have one canonical exact result, so this path gives the
+  same stored series as the loop.  This is the Albert biquaternion product
+  over Q((X))((Y)).
+* The loop.  Everything else (a truncated coordinate or an inner O-term,
+  Z[1/p] exponents, a coefficient field as F, exponents too wide to pack)
+  adds up ``F.mul(a_i, b_j)`` with ``F`` arithmetic, adding or subtracting
+  it for the entries exactly 1 or -1 and multiplying the others in.
 """
 
 import json
@@ -19,7 +36,11 @@ from .element import Element, FiniteAlgebra, monomial_label
 from .errors import CycdivError, DomainMismatchError
 from .kummer import KummerContext, is_norm
 from .linalg import solve_linear
-from .series import SeriesDomain
+from .series import SeriesDomain, _flat_bounds, _flat_levels, _flatten, _unflatten
+
+# The flat product packs exponents only into keys below 2**62 in absolute
+# value (at most three 30-bit digits of a CPython int); wider ones take the loop.
+_FLAT_KEY_BITS = 62
 
 
 class CyclicAlgebra(FiniteAlgebra):
@@ -108,6 +129,7 @@ class StructureConstants:
 
     def __post_init__(self):
         self._sparse = None
+        self._flat = {}  # "bounds": _entry_bounds, and shift -> _flat_table
 
     def sparse(self, F):
         """(i, j) -> [(k, lam, sign)] over the nonzero entries, where sign is
@@ -124,6 +146,24 @@ class StructureConstants:
                             table.setdefault((i, j), []).append((k, lam, sign))
             self._sparse = table
         return self._sparse
+
+    def _entry_bounds(self, F, depth):
+        """``_flat_bounds`` of the nonzero entries, or None when one is truncated."""
+        if "bounds" not in self._flat:
+            self._flat["bounds"] = _flat_bounds(
+                [lam for entries in self.sparse(F).values() for _, lam, _ in entries], depth)
+        return self._flat["bounds"]
+
+    def _flat_table(self, F, shift):
+        """(i, j) -> [(k, flat form of lam as (key, value) pairs)] at ``shift``,
+        over the denominator of ``_entry_bounds``."""
+        table = self._flat.get(shift)
+        if table is None:
+            den = self._flat["bounds"][2]
+            table = {ij: [(k, tuple(_flatten(lam, shift, den).items())) for k, lam, _ in entries]
+                     for ij, entries in self.sparse(F).items()}
+            self._flat[shift] = table
+        return table
 
 
 def _is_exactly(F, a, b):
@@ -150,10 +190,14 @@ def structure_constants(algebra):
 
 
 def constants_mul(a, b, constants, F):
-    """Bilinear product (a M_1 b^T, ..., a M_n b^T) from structure constants."""
+    """Bilinear product (a M_1 b^T, ..., a M_n b^T) from structure constants,
+    by the flat product or the loop (see the module docstring)."""
     n = constants.n
     if len(a) != n or len(b) != n:
         raise CycdivError("coordinate length mismatch with the structure constants")
+    out = _flat_constants_mul(a, b, constants, F)
+    if out is not None:
+        return out
     out = [F.zero] * n
     table = constants.sparse(F)
     for i, ai in enumerate(a):
@@ -174,6 +218,51 @@ def constants_mul(a, b, constants, F):
                 else:
                     out[k] = F.add(out[k], F.mul(p, lam))
     return out
+
+
+def _flat_constants_mul(a, b, constants, F):
+    """``constants_mul`` on the flat forms of the coordinates and the structure
+    constants (see ``cycdiv.series``), or None when F is no Laurent tower over
+    Q or F_p, an input is truncated at some level, or the exponents of the
+    result would not pack into ``_FLAT_KEY_BITS``."""
+    levels = _flat_levels(F)
+    if levels is None:
+        return None
+    depth = len(levels)
+    bounds = [constants._entry_bounds(F, depth), _flat_bounds(a, depth), _flat_bounds(b, depth)]
+    if None in bounds:
+        return None
+    lows = [sum(lo) for lo in zip(*[bound[0] for bound in bounds])]
+    highs = [sum(hi) for hi in zip(*[bound[1] for bound in bounds])]
+    shift = max([hi - lo for lo, hi in zip(lows[1:], highs[1:])], default=0).bit_length()
+    # every key, of an operand's term or of a product of three, is below
+    # 3 * widest * 2**(shift * (depth - 1) + 1) in absolute value
+    widest = max(max(-lo, hi) for bound in bounds for lo, hi in zip(bound[0], bound[1]))
+    if shift * (depth - 1) + (3 * widest).bit_length() >= _FLAT_KEY_BITS:
+        return None
+    table = constants._flat_table(F, shift)
+    den_c, den_a, den_b = (bound[2] for bound in bounds)
+    flat_a = [_flatten(c, shift, den_a).items() for c in a]
+    flat_b = [_flatten(c, shift, den_b).items() for c in b]
+    acc = [{} for _ in range(constants.n)]
+    for i, fa in enumerate(flat_a):
+        if not fa:
+            continue
+        for j, fb in enumerate(flat_b):
+            if not fb:
+                continue
+            # the longer operand in the innermost loop
+            short, long = (fa, fb) if len(fa) <= len(fb) else (fb, fa)
+            for k, lam in table.get((i, j), ()):
+                out = acc[k]
+                for kc, vc in lam:
+                    for ks, vs in short:
+                        ksc, vsc = ks + kc, vs * vc
+                        for kl, vl in long:
+                            key = ksc + kl
+                            out[key] = out.get(key, 0) + vsc * vl
+    den = den_a * den_b * den_c
+    return [_unflatten(levels, out, shift, lows, den) for out in acc]
 
 
 class ConstantsAlgebra(FiniteAlgebra):

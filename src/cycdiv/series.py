@@ -36,6 +36,10 @@ Which kernel serves which domain:
   doubling steps would print other inner O-terms and drop coefficients of
   high inner valuation (``tests/test_series_kernels.py`` pins such
   inputs).  Every path ends with a full-precision check of its result.
+* Sums of products of EXACT elements of a Laurent tower over Q or F_p.
+  ``algebra.constants_mul`` does them on the flat form (``_flatten``,
+  ``_unflatten``): one int map per element, packed exponent keys, no
+  ``Series`` arithmetic until the result is built.
 
 Q coefficients are kept in content form.  A series over Q stores integer
 numerators in ``terms`` over one positive denominator ``den``, with
@@ -47,7 +51,8 @@ way of building a Q series gives this one form.  ``coeffs``, ``residue``,
 ``angular_component``, ``to_str`` and ``parse`` are the boundary: they see
 ``Fraction`` coefficients, so printed results do not depend on the form.
 Over every other coefficient domain ``terms`` holds the coefficients
-themselves, ``den`` is 1 and ``ring`` is the coefficient domain.
+themselves, ``den`` is 1 and ``ring`` is the coefficient domain; over F_p
+they are the representatives in [1, p) however the series was built.
 """
 
 import math
@@ -175,6 +180,110 @@ def _primitive(terms, den):
     return {e: c // g for e, c in terms.items()}, den // g
 
 
+# The flat form of an EXACT element of a Laurent tower over Q or F_p: one
+# map {key: int}.  The exponent tuple (e_0, ..., e_{L-1}) of a coefficient,
+# outermost level first, is packed into the key sum(e_l << shift*(L-1-l))
+# (Kronecker substitution with signed slots; von zur Gathen & Gerhard,
+# "Modern Computer Algebra", 8.4).  Packing is linear, so the key of a
+# product of terms is the sum of their keys.  The values are the innermost
+# coefficients: over Q integer numerators over one denominator chosen for
+# the whole map, over F_p ints reduced only when the form is turned back
+# into a series.  Keys decode as long as the exponents at every inner level
+# of a result span fewer than 2**shift values.
+
+
+def _flat_levels(domain):
+    """The levels of ``domain``, outermost first, when it is a Laurent tower
+    (value group Z at every level) over Q or F_p; else None."""
+    levels = []
+    while isinstance(domain, SeriesDomain):
+        if domain.group.p is not None:
+            return None
+        levels.append(domain)
+        domain = domain.coeff
+    if not levels or not isinstance(domain, (PrimeField, RationalField)):
+        return None
+    return levels
+
+
+def _flat_bounds(elements, depth):
+    """(lows, highs, den) over the nonzero ``elements`` of a depth-level tower:
+    the least and largest exponent at each level, and the lcm of the
+    innermost denominators; None when one of them is truncated at some level.
+    Without nonzero elements every bound is 0."""
+    level = [s for s in elements if s.terms or s.precision is not None]
+    if not level:
+        return [0] * depth, [0] * depth, 1
+    lows, highs = [], []
+    while True:
+        if any(s.precision is not None or not s.terms for s in level):
+            return None
+        lows.append(min(min(s.terms) for s in level))
+        highs.append(max(max(s.terms) for s in level))
+        if len(lows) == depth:
+            return lows, highs, math.lcm(*[s.den for s in level])
+        level = [c for s in level for c in s.terms.values()]
+
+
+def _flatten(s, shift, den, prefix=0, out=None):
+    """The flat form of the EXACT tower element ``s`` over ``den`` (a multiple
+    of every innermost denominator); ``prefix`` holds the packed exponents of
+    the levels above ``s``."""
+    out = {} if out is None else out
+    if isinstance(s.domain.coeff, SeriesDomain):
+        for e, c in s.terms.items():
+            _flatten(c, shift, den, (prefix + e) << shift, out)
+    else:
+        f = den // s.den
+        for e, c in s.terms.items():
+            out[prefix + e] = c * f
+    return out
+
+
+def _unflatten(levels, flat, shift, lows, den):
+    """The EXACT series whose flat form is ``flat`` over ``den``, with the
+    level-l exponents of its terms in [lows[l], lows[l] + 2**shift) for l >= 1;
+    the same stored form as the arithmetic of ``Series`` gives."""
+    inner = levels[-1]
+    if inner.ring is not _ZZ:
+        p = inner.ring.p
+        flat = {k: r for k, c in flat.items() if (r := c % p)}
+    if len(levels) == 1:
+        groups = {0: {e: c for e, c in flat.items() if c}}
+    else:
+        off = 0  # the key of the exponent tuple (0, lows[1], ..., lows[-1])
+        for lo in lows[1:]:
+            off = (off << shift) + lo
+        mask, lo, groups = (1 << shift) - 1, lows[-1], {}
+        for key, c in flat.items():
+            if c:
+                key -= off
+                g = groups.get(outer := key >> shift)
+                if g is None:
+                    groups[outer] = {(key & mask) + lo: c}
+                else:
+                    g[(key & mask) + lo] = c
+    series = {}
+    for key, terms in groups.items():
+        if not terms:
+            continue
+        d = den
+        if d != 1:
+            g = math.gcd(d, *terms.values())
+            if g != 1:
+                terms, d = {e: c // g for e, c in terms.items()}, d // g
+        series[key] = _stored(inner, terms, d, None)
+    for level in range(len(levels) - 2, 0, -1):
+        lo, groups = lows[level], {}
+        for key, s in series.items():
+            groups.setdefault(key >> shift, {})[(key & mask) + lo] = s
+        series = {key: _stored(levels[level], terms, 1, None) for key, terms in groups.items()}
+    if len(levels) == 1:
+        return series.get(0, inner.zero)
+    # the outermost keys are the exponents themselves
+    return _stored(levels[0], series, 1, None) if series else levels[0].zero
+
+
 class ValueGroup:
     """Z, or the p-divisible group Z[1/p] of rationals with p-power denominator."""
 
@@ -233,7 +342,8 @@ class Series:
 
     def __init__(self, domain, coeffs, precision=None, _validate=True):
         """``coeffs`` maps exponents to coefficient-field elements;
-        ``_validate=False`` skips the exponent checks and the zero filter."""
+        ``_validate=False`` skips the exponent checks and the zero filter
+        (over F_p, reducing mod p still drops the multiples of p)."""
         if _validate:
             cd = domain.coeff
             clean = {}
@@ -248,11 +358,15 @@ class Series:
             coeffs = clean
             if precision is not None:
                 precision = _norm_exp(precision)
-        den = 1
-        if domain.ring is _ZZ and coeffs:
-            # over the lcm of reduced denominators the content is 1 already
-            den = math.lcm(*[c.denominator for c in coeffs.values()])
-            coeffs = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+        den, ring = 1, domain.ring
+        if ring is _ZZ:
+            if coeffs:
+                # over the lcm of reduced denominators the content is 1 already
+                den = math.lcm(*[c.denominator for c in coeffs.values()])
+                coeffs = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+        elif isinstance(ring, PrimeField):
+            p = ring.p
+            coeffs = {e: r for e, c in coeffs.items() if (r := c % p)}
         self.domain = domain
         self.terms = coeffs
         self.den = den

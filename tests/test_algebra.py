@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cycdiv import (QQ, BiquaternionElement, CyclicAlgebra, KummerContext, Series,
-                    StructureConstants, constants_from_json, constants_mul, constants_to_json,
-                    galois_sigma, invert, is_division, relation_mul, structure_constants,
-                    tensor, zero_divisor_witness)
+from cycdiv import (QQ, BiquaternionElement, CyclicAlgebra, KummerContext, PrimeField,
+                    QuaternionAlgebra, Series, SeriesDomain, StructureConstants,
+                    constants_from_json, constants_mul, constants_to_json, galois_sigma, invert,
+                    is_division, laurent, relation_mul, structure_constants, tensor,
+                    zero_divisor_witness)
+from cycdiv.algebra import _flat_constants_mul
 from cycdiv.errors import CycdivError, DomainMismatchError, ZeroDivisorError
 from cycdiv.verify import albert_setup, hahn_tower_context, hamilton_algebra, laurent_context
-from test_series_kernels import identical
+from test_series_kernels import canonical, identical
 
 CTX = laurent_context(7, 3, precision=20)
 R = CTX.F
@@ -181,6 +184,119 @@ def test_truncated_unit_entries_are_multiplied(tower):
     want = plain_constants_mul([a, F.zero, F.zero], [b, F.zero, F.zero], consts, F)
     assert all(identical(x, y) for x, y in zip(got, want))
     assert "O(" in F.to_str(got[0]) and "O(" not in F.to_str(got[2])
+
+
+# -- the flat product against the plain loop ------------------------------------
+
+QXY = albert_setup(precision=8)[1]
+F7XT = laurent(laurent(PrimeField(7), "x", 8), "t", 8)
+QT = laurent(QQ, "t", 8)
+
+
+def _flat_cases():
+    """(F, constants) for the flat product: biquaternions over Q((X))((Y)),
+    structure constants with denominators and negative exponents there,
+    cyclic algebras with alpha = 1 + t over F_7((x))((t)), Q((t)) and F_7((t)),
+    one over the three-level F_7((x))((y))((t)), and the Z[1/7] Hahn tower,
+    which the flat product leaves to the loop."""
+    _, _, D1, D2, _ = albert_setup(precision=8)
+    yield QXY, tensor(D1, D2).constants
+    H = QuaternionAlgebra(QXY, QXY.parse("(1/2*X^(-1) + 3)*Y^(-1) + (X^2)"),
+                          QXY.parse("(-2/3) + (X^(-2))*Y"))
+    yield QXY, H.constants
+    xi = F7XT.constant(F7XT.coeff.constant(2))
+    tower = KummerContext(F7XT, 3, F7XT.variable, xi)
+    yield F7XT, structure_constants(CyclicAlgebra(tower, F7XT.one + F7XT.variable))
+    F3 = laurent(laurent(laurent(PrimeField(7), "x", 4), "y", 4), "t", 4)
+    deep = KummerContext(F3, 3, F3.variable, F3.from_int(2))
+    yield F3, structure_constants(CyclicAlgebra(deep, F3.parse("((1)*y^(-1))*t + ((x))")))
+    quadratic = KummerContext(QT, 2, QT.variable, QT.from_int(-1))
+    yield QT, structure_constants(CyclicAlgebra(quadratic, QT.one + QT.variable))
+    yield R, structure_constants(CyclicAlgebra(CTX, R.one + R.variable))
+    hahn = hahn_tower_context(7, 3, precision=5)
+    yield hahn.F, structure_constants(CyclicAlgebra(hahn, hahn.F.constant(hahn.F.coeff.variable)))
+
+
+FLAT_CASES = list(_flat_cases())
+
+
+def exact_element(draw, domain, wide=False):
+    """An EXACT element with exponents from -3 to 3 at every level (up to
+    +-2**70 at the innermost level when ``wide``), Q coefficients with
+    denominators up to 9 and F_p coefficients not reduced mod p."""
+    if not isinstance(domain, SeriesDomain):
+        if isinstance(domain, PrimeField):
+            return draw(st.integers(1, 3 * domain.p))
+        return draw(st.fractions(min_value=-9, max_value=9, max_denominator=9))
+    inner = isinstance(domain.coeff, SeriesDomain)
+    exps = st.integers(-3, 3)
+    if wide and not inner:
+        exps = st.sampled_from([-2 ** 70, 2 ** 70])
+    if domain.group.p is not None:
+        exps = exps | st.fractions(-3, 3, max_denominator=7).filter(domain.group.contains)
+    return domain.series({e: exact_element(draw, domain.coeff, wide)
+                          for e in draw(st.lists(exps, max_size=3, unique=True))})
+
+
+def with_o_term(draw, F, c, inner):
+    """c known only below a bound: at the outer level, or in one inner
+    coefficient when ``inner`` and c has one."""
+    if inner and c.terms:
+        e = draw(st.sampled_from(sorted(c.terms)))
+        head = c.coeffs[e]
+        bound = draw(st.integers(min(head.terms) + 1, 4))
+        cut = F.coeff.series({f: x for f, x in head.coeffs.items() if f < bound}, bound)
+        return F.series({**c.coeffs, e: cut})
+    return c.truncate(draw(st.integers(-3, 4)))
+
+
+@pytest.mark.parametrize("case", range(len(FLAT_CASES)))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_flat_product_matches_plain_loop(case, data):
+    F, consts = FLAT_CASES[case]
+    mode = data.draw(st.sampled_from(["exact", "truncated", "inner O-term", "wide"]))
+    inner = isinstance(F.coeff, SeriesDomain)
+    if mode == "inner O-term" and not inner:
+        mode = "truncated"
+    a, b = ([exact_element(data.draw, F, mode == "wide") if data.draw(st.booleans()) else F.zero
+             for _ in range(consts.n)] for _ in range(2))
+    if mode in ("truncated", "inner O-term"):
+        k = data.draw(st.integers(0, consts.n - 1))
+        a[k] = with_o_term(data.draw, F, a[k], mode == "inner O-term")
+    want = plain_constants_mul(a, b, consts, F)
+    assert all(identical(x, y) for x, y in zip(constants_mul(a, b, consts, F), want))
+    # exact coordinates over a Laurent tower over Q or F_p take the flat product
+    flat = _flat_constants_mul(a, b, consts, F)
+    narrow = mode == "exact" or (mode == "wide" and not any(c.terms for c in a + b))
+    assert (flat is not None) == (narrow and F.group.p is None and F.coeff.group.p is None
+                                  if inner else narrow)
+    if flat is not None:
+        assert all(canonical(x) and identical(x, y) for x, y in zip(flat, want))
+
+
+def _conjugates(F, x, y):
+    """x + y*i and x - y*i in the quaternion algebra (X^2, Y / F)."""
+    H = QuaternionAlgebra(F, F.parse("(X^2)") if F is QXY else F.parse("t^2"),
+                          F.parse("(X)*Y") if F is QXY else F.parse("3 + t"))
+    return H.constants, [x, y, F.zero, F.zero], [x, F.neg(y), F.zero, F.zero]
+
+
+@pytest.mark.parametrize("F, x, y", [
+    (QXY, "(X) + (1/3)*Y", "(1)"),            # the Y^0 coefficient X^2 - X^2 cancels
+    (QXY, "(X^(-1) + 2/5*X)*Y^(-2)", "(1/7)*Y^(-1)"),
+    (QT, "t + 1/2*t^3", "1"),                 # t^2 - t^2 cancels
+])
+def test_flat_product_cancellations(F, x, y):
+    consts, a, b = _conjugates(F, F.parse(x), F.parse(y))
+    got = _flat_constants_mul(a, b, consts, F)
+    assert got is not None
+    assert all(canonical(g) and identical(g, w)
+               for g, w in zip(got, plain_constants_mul(a, b, consts, F)))
+    # (x + y i)(x - y i) = x^2 - y^2 i^2: the i coordinate cancels to an exact zero
+    assert got[1].is_exact_zero() and not got[0].is_known_zero()
+    if F is QXY and x == "(X) + (1/3)*Y":
+        assert 0 not in got[0].terms and got[0].terms
 
 
 def test_constants_json_roundtrip():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -134,6 +135,23 @@ def test_biquat_constants(tmp_path, capsys):
     data = json.loads(out_path.read_text())
     assert data["n"] == 16
     assert data["basis"][0] == "1(x)1"
+
+
+# sha256 of the written files, recorded before the flat structure-constant
+# product existed; the files must not change byte for byte
+BIQUAT_CONSTANTS = "4d8dbe2dab7b534459d6b0da93d0cffbd51789643c289da1d681e08f3eafe131"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["algebra", "constants", "--alpha", "2"],
+     "f5de5628f8e1c4650e94143d9c44b43f88626614b7645abc6ce3a1cbe1664293"),
+    (["biquat", "constants"], BIQUAT_CONSTANTS),
+    (["biquat", "constants", "--prec", "6"], BIQUAT_CONSTANTS),
+])
+def test_constants_files_byte_identical(tmp_path, capsys, argv, digest):
+    out_path = tmp_path / "constants.json"
+    assert run(capsys, *argv, "--out", str(out_path))[0] == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 def test_verify_selected_claims(capsys, tmp_path):

@@ -430,7 +430,10 @@ ALL_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 def canonical(s):
     """Whether s, and each series coefficient of it, is in the one stored form:
     over Q nonzero int numerators over den > 0 with gcd(den, *numerators) == 1
-    (so den == 1 when nothing is known), elsewhere the coefficients over 1."""
+    (so den == 1 when nothing is known), over F_p the representatives in
+    [1, p) over 1, elsewhere the coefficients over 1."""
+    if isinstance(s.domain.coeff, PrimeField):
+        return s.den == 1 and all(0 < c < s.domain.coeff.p for c in s.terms.values())
     if s.domain.coeff is not QQ:
         return s.den == 1 and all(canonical(c) for c in s.terms.values() if isinstance(c, Series))
     return (s.den > 0 and all(type(n) is int and n for n in s.terms.values())
@@ -516,6 +519,33 @@ def test_every_construction_route_is_canonical():
     for domain in (RQ, HQ, QXY):
         built += [domain.random_element(rng, precision=rng.choice([None, 2, 5]))
                   for _ in range(30)]
+    for x in built:
+        assert canonical(x), x
+        assert x.domain.parse(str(x)) == x  # the same stored form after printing
+
+
+def test_every_prime_field_route_is_reduced():
+    R = laurent(F7, "t", 10)
+    assert R.constant(8).terms == {0: 1}
+    assert R.series({0: 8}).residue() == 1
+    assert R.series({1: -1}).angular_component() == 6
+    assert (R.series({0: 8}) + R.zero).terms == (R.zero + R.series({0: 8})).terms == {0: 1}
+    assert R.series({0: 14, 2: 7}, 5).terms == {} and R.constant(21) == R.zero
+    rng = random.Random(12)
+    s = Series(R, {-1: 15, 0: -3, 2: 7, 3: 22}, 6)
+    assert s.terms == {-1: 1, 0: 4, 3: 1}
+    built = [
+        s, -s, s + R.zero, R.zero + s, s - R.zero, s * R.one, s * s, s.scale(8), s.shift(2),
+        s.truncate(1), Series(R, {0: 8, 1: 14, 2: -1}, None, _validate=False),
+        Series(R, {}, 3), R.series({-2: 9, 4: 70}), R.parse("8 + 13*t^2 - t^3 + O(t^4)"),
+        R.constant(-6), R.from_int(50), R.monomial(3, 10), R.monomial(1), R.variable,
+        R.zero, R.one, R.series({0: 8}).invert(), hensel_qth_root(R.series({0: 8, 1: 9}), 2),
+    ]
+    tower = TOWERS["F_7((x))((t))"]
+    built += [tower.series({0: tower.coeff.series({0: 8, 1: -1}), 2: tower.coeff.constant(9)}),
+              tower.constant(tower.coeff.constant(15)), tower.parse("(8 + 9*x) + (-1)*t")]
+    built += [domain.random_element(rng, precision=rng.choice([None, 2, 5]))
+              for domain in (R, tower, TOWERS["F_7((x^G))((t^G))"]) for _ in range(20)]
     for x in built:
         assert canonical(x), x
         assert x.domain.parse(str(x)) == x  # the same stored form after printing
