@@ -25,18 +25,19 @@ Which path of :func:`constants_mul` serves which input:
 * The loop.  Everything else (a truncated coordinate or an inner O-term,
   Z[1/p] exponents, a coefficient field as F, exponents too wide to pack)
   adds up ``F.mul(a_i, b_j)`` with ``F`` arithmetic, adding or subtracting
-  it for the entries exactly 1 or -1 and multiplying the others in.
+  it for the entries exactly 1 or -1 and multiplying the others in.  It
+  skips exact zeros only: a coordinate or entry known only to an O-term
+  bounds the precision of the products it enters, as in ``relation_mul``.
 """
 
 import json
 from dataclasses import dataclass
 
-from .basefields import PrimeField, RationalField
 from .element import Element, FiniteAlgebra, monomial_label
 from .errors import CycdivError, DomainMismatchError
 from .kummer import KummerContext, is_norm
 from .linalg import solve_linear
-from .series import SeriesDomain, _flat_bounds, _flat_levels, _flatten, _unflatten
+from .series import _flat_bounds, _flat_levels, _flatten, _is_exactly, _unflatten
 
 # The flat product packs exponents only into keys below 2**62 in absolute
 # value (at most three 30-bit digits of a CPython int); wider ones take the loop.
@@ -94,12 +95,12 @@ def relation_mul(d, e):
     for j in range(q):
         for i in range(q):
             a = d.coords[A.basis_index(i, j)]
-            if F.is_known_zero(a):
+            if F.is_zero(a):
                 continue
             for l in range(q):
                 for k in range(q):
                     b = e.coords[A.basis_index(k, l)]
-                    if F.is_known_zero(b):
+                    if F.is_zero(b):
                         continue
                     p = F.mul(a, b)
                     jk = (j * k) % q
@@ -132,15 +133,16 @@ class StructureConstants:
         self._flat = {}  # "bounds": _entry_bounds, and shift -> _flat_table
 
     def sparse(self, F):
-        """(i, j) -> [(k, lam, sign)] over the nonzero entries, where sign is
-        1 or -1 when lam is exactly F.one or -F.one and 0 otherwise."""
+        """(i, j) -> [(k, lam, sign)] over the entries that are not exactly
+        zero (an O-term bounds a product's precision), where sign is 1 or -1
+        when lam is exactly F.one or -F.one and 0 otherwise."""
         if self._sparse is None:
             minus_one = F.neg(F.one)
             table = {}
             for k, mat in enumerate(self.matrices):
                 for i, row in enumerate(mat):
                     for j, lam in enumerate(row):
-                        if not F.is_known_zero(lam):
+                        if not F.is_zero(lam):
                             sign = (1 if _is_exactly(F, lam, F.one)
                                     else -1 if _is_exactly(F, lam, minus_one) else 0)
                             table.setdefault((i, j), []).append((k, lam, sign))
@@ -164,16 +166,6 @@ class StructureConstants:
                      for ij, entries in self.sparse(F).items()}
             self._flat[shift] = table
         return table
-
-
-def _is_exactly(F, a, b):
-    """Whether a and b are the same element of F with nothing truncated: at
-    each level of a series tower both are EXACT with the same support."""
-    if isinstance(F, SeriesDomain):
-        return (a.precision is None and b.precision is None
-                and a.coeffs.keys() == b.coeffs.keys()
-                and all(_is_exactly(F.coeff, c, b.coeffs[e]) for e, c in a.coeffs.items()))
-    return isinstance(F, (PrimeField, RationalField)) and F.eq(a, b)
 
 
 def structure_constants(algebra):
@@ -201,10 +193,10 @@ def constants_mul(a, b, constants, F):
     out = [F.zero] * n
     table = constants.sparse(F)
     for i, ai in enumerate(a):
-        if F.is_known_zero(ai):
+        if F.is_zero(ai):
             continue
         for j, bj in enumerate(b):
-            if F.is_known_zero(bj):
+            if F.is_zero(bj):
                 continue
             entries = table.get((i, j))
             if not entries:

@@ -109,6 +109,10 @@ def cmd_norm(args):
         print(f"valuation = {norm_valuation(a)}")
     except CycdivError:
         pass
+    if not ctx.F.eq(oracle, formula):
+        print("verification failed: the oracle and the formula disagree on their jointly "
+              "known coefficients", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -5,8 +5,38 @@ basis 1, u, ..., u^{q-1}.  The norm is computed two independent ways: as
 the product of all Galois conjugates (the oracle) and through the closed
 combinatorial formula indexed by anagram classes.  Over valued base
 fields the residue criterion decides norm membership and certifies it.
+
+Which route of :func:`kummer_mul` serves which context:
+
+* One product in F((u)).  When F = k((t)) is a Laurent field (value group Z,
+  any coefficient field k, towers included) and t is exactly its variable,
+  u = t^(1/q) is a uniformiser of K and K = k((u)): the coordinate b_i at
+  t^e is the coefficient of u^(q*e + i).  Each operand becomes that EXACT
+  u-series (over one common denominator over Q), the two are multiplied
+  once with ``Series.__mul__`` (Kronecker or schoolbook by its own rule),
+  and the product is split by exponent mod q; u^q -> t needs no step of its
+  own.  Each output coordinate is then truncated to the precision the loop
+  gives it: the least, over the pairs (i, j) that reach it, of
+  ``product_precision(b_i, c_j)``, plus v(t) = 1 when i + j >= q.  The
+  result is the loop's, coefficient for coefficient and O-term for O-term.
+  Over a tower a coordinate with an inner O-term takes the loop: there the
+  loop drops inner coefficients known to no term after each product and
+  sum, and one accumulation would keep their O-terms.
+* The loop.  Other contexts multiply the q^2 coordinate pairs with ``F``
+  arithmetic, times t for i + j >= q, and add them up.  There K is not
+  k((u)) with the coordinates interleaved: when t is another element than
+  the variable (v(t) > 1, or more than one term) u^q is not the variable,
+  so b_i(u^q) u^i is no series in u with known exponents; over a Hahn field
+  (value group Z[1/p]) K is a Hahn field in u, not a Laurent field, and
+  the class of an exponent mod q would have to be found in Z[1/p]/qZ[1/p];
+  over a coefficient field such as Q (the Hamilton quaternions) there are
+  no series to interleave.
+
+Both routes skip exactly-zero coordinates only: a coordinate known only to
+an O-term bounds the precision of the products it enters.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,7 +44,8 @@ from . import anagram
 from .basefields import is_prime
 from .element import Element, FiniteAlgebra, monomial_label
 from .errors import CycdivError, PrecisionError
-from .series import INFINITY, SeriesDomain, hensel_qth_root
+from .series import (INFINITY, SeriesDomain, _is_exactly, _primitive, _stored, hensel_qth_root,
+                     product_precision)
 
 
 class KummerContext(FiniteAlgebra):
@@ -48,6 +79,10 @@ class KummerContext(FiniteAlgebra):
         self._xi_pows = [F.one]
         for _ in range(q - 1):
             self._xi_pows.append(F.mul(self._xi_pows[-1], xi))
+        # k((u)) when K is that Laurent field (see the module docstring)
+        self._u_field = None
+        if isinstance(F, SeriesDomain) and F.group.p is None and _is_exactly(F, t, F.variable):
+            self._u_field = SeriesDomain(F.coeff, "u")
 
     def __eq__(self, other):
         return other is self or (isinstance(other, KummerContext) and other.F == self.F
@@ -72,16 +107,20 @@ class KummerContext(FiniteAlgebra):
         return self.F.mul(self.F.pow(self.xi, self.q * (self.q - 1) // 2), self.t)
 
 def kummer_mul(a, b):
-    """Product in K, reducing u^q to t."""
+    """Product in K, reducing u^q to t: one product in k((u)) or the loop
+    (see the module docstring)."""
     a._check(b)
+    out = _u_series_mul(a, b)
+    if out is not None:
+        return out
     ctx = a.context
     F, q, t = ctx.F, ctx.q, ctx.t
     out = [F.zero] * q
     for i, ai in enumerate(a.coords):
-        if F.is_known_zero(ai):
+        if F.is_zero(ai):
             continue
         for j, bj in enumerate(b.coords):
-            if F.is_known_zero(bj):
+            if F.is_zero(bj):
                 continue
             p = F.mul(ai, bj)
             k = i + j
@@ -90,6 +129,61 @@ def kummer_mul(a, b):
                 p = F.mul(p, t)
             out[k] = F.add(out[k], p)
     return ctx.element(out)
+
+
+def _u_series_mul(a, b):
+    """``kummer_mul`` as one product of u-series in k((u)), or None when K is
+    not k((u)) or, over a tower, a coordinate has an inner O-term."""
+    ctx = a.context
+    U = ctx._u_field
+    if U is None:
+        return None
+    F, q = ctx.F, ctx.q
+    if isinstance(U.coeff, SeriesDomain) and not all(map(_inner_exact, a.coords + b.coords)):
+        return None
+    prec = [INFINITY] * q
+    for i, ai in enumerate(a.coords):
+        if F.is_zero(ai):
+            continue
+        for j, bj in enumerate(b.coords):
+            if F.is_zero(bj):
+                continue
+            k, p = i + j, product_precision(ai, bj)
+            if k >= q:
+                k, p = k - q, p + 1
+            if p < prec[k]:
+                prec[k] = p
+    product = _to_u_series(U, a.coords, q) * _to_u_series(U, b.coords, q)
+    split = [{} for _ in range(q)]
+    for e, c in product.terms.items():
+        e, k = divmod(e, q)
+        if e < prec[k]:
+            split[k][e] = c
+    out = []
+    for terms, p in zip(split, prec):
+        den = product.den
+        if den != 1:
+            terms, den = _primitive(terms, den)
+        out.append(_stored(F, terms, den, None if p == INFINITY else p))
+    return ctx.element(out)
+
+
+def _to_u_series(U, coords, q):
+    """The EXACT u-series sum_i b_i(u^q) u^i of the known terms of the b_i."""
+    den = math.lcm(*[b.den for b in coords])
+    terms = {}
+    for i, b in enumerate(coords):
+        f = den // b.den
+        for e, c in b.terms.items():
+            terms[q * e + i] = c * f if f != 1 else c
+    return _stored(U, terms, den, None)
+
+
+def _inner_exact(s):
+    """Whether every coefficient of s, at every inner level, is EXACT."""
+    return all(c.precision is None and (not isinstance(c.domain.coeff, SeriesDomain)
+                                        or _inner_exact(c))
+               for c in s.terms.values())
 
 
 def galois_sigma(a, k):

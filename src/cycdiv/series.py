@@ -25,7 +25,12 @@ Which kernel serves which domain:
   the coefficients below the product's precision bound are unpacked mod p.
   Every other product (sparse operands, Z[1/p] exponents, Q or series
   coefficients) uses the schoolbook loop.  All of them give the same
-  coefficients and precision.
+  coefficients and precision, by the one rule ``product_precision``.
+* Products in a Kummer field K = k((t))(u), u^q = t the variable.
+  ``kummer.kummer_mul`` interleaves the coordinates into one EXACT series in
+  u = t^(1/q), so one ``Series.__mul__`` (Kronecker over F_p when dense)
+  replaces the q^2 coordinate products; each output coordinate is cut at
+  the ``product_precision`` of the pairs that reach it.
 * Inversion and Hensel q-th roots.  Over a coefficient field (F_p or Q)
   both are Newton iterations with precision doubling on truncated
   approximants: ``y <- y + y(1 - s*y)`` for the inverse, and the
@@ -492,12 +497,7 @@ class Series:
 
     def __mul__(self, other):
         self._check_domain(other)
-        pa = INFINITY if self.precision is None else self.precision
-        pb = INFINITY if other.precision is None else other.precision
-        if pa == pb == INFINITY:
-            prec = INFINITY
-        else:
-            prec = min(pa + other.valuation_lower_bound(), pb + self.valuation_lower_bound())
+        prec = product_precision(self, other)
         ring = self.domain.ring
         ca, cb = self.terms, other.terms
         out = None
@@ -670,6 +670,16 @@ class Series:
         return self.domain.to_str(self)
 
     __str__ = __repr__
+
+
+def product_precision(a, b):
+    """The precision of a*b: INFINITY when both are EXACT, else
+    ``min(pa + v(b), pb + v(a))`` with v the valuation lower bound."""
+    pa, pb = a.precision, b.precision
+    if pa is None and pb is None:
+        return INFINITY
+    return min(INFINITY if pa is None else pa + b.valuation_lower_bound(),
+               INFINITY if pb is None else pb + a.valuation_lower_bound())
 
 
 def _stored(domain, terms, den, precision):
@@ -996,6 +1006,16 @@ def hensel_qth_root(s, q, target_precision=None):
     if not (r ** q - s).truncate(target).is_known_zero():
         raise CycdivError("Hensel lifting did not converge")
     return r.truncate(target)
+
+
+def _is_exactly(F, a, b):
+    """Whether a and b are the same element of F with nothing truncated: at
+    each level of a series tower both are EXACT with the same support."""
+    if isinstance(F, SeriesDomain):
+        return (a.precision is None and b.precision is None
+                and a.coeffs.keys() == b.coeffs.keys()
+                and all(_is_exactly(F.coeff, c, b.coeffs[e]) for e, c in a.coeffs.items()))
+    return isinstance(F, (PrimeField, RationalField)) and F.eq(a, b)
 
 
 def root_domain(domain):

@@ -1,4 +1,5 @@
 import json
+import math
 import operator
 import random
 from fractions import Fraction
@@ -115,13 +116,14 @@ def test_structure_constants_match_relations():
 
 
 def plain_constants_mul(a, b, constants, F):
-    """a M_k b^T with every nonzero entry multiplied in, +-1 ones included."""
+    """a M_k b^T with every entry that is not exactly zero multiplied in, +-1
+    ones and O-terms with no known coefficient included."""
     out = [F.zero] * constants.n
     for k, mat in enumerate(constants.matrices):
         for i, ai in enumerate(a):
             for j, bj in enumerate(b):
                 lam = mat[i][j]
-                if not (F.is_known_zero(ai) or F.is_known_zero(bj) or F.is_known_zero(lam)):
+                if not (F.is_zero(ai) or F.is_zero(bj) or F.is_zero(lam)):
                     out[k] = F.add(out[k], F.mul(F.mul(ai, bj), lam))
     return out
 
@@ -186,6 +188,23 @@ def test_truncated_unit_entries_are_multiplied(tower):
     assert "O(" in F.to_str(got[0]) and "O(" not in F.to_str(got[2])
 
 
+def test_o_term_only_coordinates_bound_every_product():
+    # (1 + O(t^3)*u) * u = u + O(t^3)*u^2: the O-term is no exact zero
+    o3 = R.parse("O(t^3)")
+    want = ["0", "1", "O(t^3)"]
+    got = CTX.element([R.one, o3, R.zero]) * CTX.u
+    assert [R.to_str(c) for c in got.coords] == want
+    d = D2ALG.element([R.one, o3] + [R.zero] * 7)
+    for coords in (relation_mul(d, D2ALG.u).coords,
+                   constants_mul(d.coords, D2ALG.u.coords, structure_constants(D2ALG), R)):
+        assert [R.to_str(c) for c in coords] == want + ["0"] * 6
+    # an O-term-only structure constant bounds the product it enters, too
+    consts = StructureConstants(2, ["e0", "e1"], [[[R.one, R.zero], [R.zero, R.zero]],
+                                                  [[o3, R.zero], [R.zero, R.zero]]])
+    got = constants_mul([R.parse("2 + t"), R.zero], [R.one, R.zero], consts, R)
+    assert [R.to_str(c) for c in got] == ["2 + t", "O(t^3)"]
+
+
 # -- the flat product against the plain loop ------------------------------------
 
 QXY = albert_setup(precision=8)[1]
@@ -232,8 +251,9 @@ def exact_element(draw, domain, wide=False):
     exps = st.integers(-3, 3)
     if wide and not inner:
         exps = st.sampled_from([-2 ** 70, 2 ** 70])
-    if domain.group.p is not None:
-        exps = exps | st.fractions(-3, 3, max_denominator=7).filter(domain.group.contains)
+    p = domain.group.p
+    if p is not None:  # n/p in [-3, 3], built rather than filtered
+        exps = exps | st.integers(-3 * p, 3 * p).map(lambda n: Fraction(n, p))
     return domain.series({e: exact_element(draw, domain.coeff, wide)
                           for e in draw(st.lists(exps, max_size=3, unique=True))})
 
@@ -244,7 +264,8 @@ def with_o_term(draw, F, c, inner):
     if inner and c.terms:
         e = draw(st.sampled_from(sorted(c.terms)))
         head = c.coeffs[e]
-        bound = draw(st.integers(min(head.terms) + 1, 4))
+        # an integer above the least exponent, which may be a fraction
+        bound = draw(st.integers(math.floor(min(head.terms)) + 1, 4))
         cut = F.coeff.series({f: x for f, x in head.coeffs.items() if f < bound}, bound)
         return F.series({**c.coeffs, e: cut})
     return c.truncate(draw(st.integers(-3, 4)))

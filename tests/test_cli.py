@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cycdiv import verify
+from cycdiv import cli, verify
 from cycdiv.cli import main
 
 
@@ -30,6 +30,53 @@ def test_norm_command(capsys):
     assert "oracle  = 1 + 5*t + t^2" in out
     assert "formula = 1 + 5*t + t^2" in out
     assert "valuation = 0" in out
+
+
+# a dense F_11((t)) element, q = 5, with another O-term in each coordinate but
+# the last; the product of its conjugates takes the u-series route
+DENSE_NORM_ELEMENT = (
+    "3 + 2*t + 5*t^2 + t^3 + 7*t^4 + 4*t^6 + 9*t^7 + O(t^40);"
+    "1 + 4*t + 9*t^3 + 10*t^4 + 2*t^8 + O(t^35);"
+    "t^(-1) + 6 + 2*t^2 + 8*t^5 + O(t^50);"
+    "5*t + 8*t^2 + 3*t^9 + O(t^45);"
+    "2 + 10*t + 3*t^5 + 7*t^11")
+# stdout of `norm --p 11 --q 5 --prec 60` on it, recorded while kummer_mul
+# multiplied coordinate by coordinate; it must stay byte-identical
+GOLDEN_DENSE_NORM = (
+    'oracle  = t^(-3) + 8*t^(-2) + t^(-1) + 8*t + 8*t^2 + 7*t^3 + 8*t^4 + 10*t^5 + t^6 + '
+    '9*t^7 + 10*t^9 + 9*t^10 + t^11 + 3*t^12 + 8*t^13 + 4*t^14 + 6*t^15 + 4*t^16 + 3*t^17 +'
+    ' 2*t^19 + 4*t^20 + 10*t^21 + 10*t^22 + 5*t^23 + 9*t^25 + 3*t^26 + 6*t^27 + 4*t^28 + '
+    't^29 + 6*t^30 + 8*t^31 + 5*t^32 + 9*t^33 + O(t^34)\n'
+    'formula = t^(-3) + 8*t^(-2) + t^(-1) + 8*t + 8*t^2 + 7*t^3 + 8*t^4 + 10*t^5 + t^6 + '
+    '9*t^7 + 10*t^9 + 9*t^10 + t^11 + 3*t^12 + 8*t^13 + 4*t^14 + 6*t^15 + 4*t^16 + 3*t^17 +'
+    ' 2*t^19 + 4*t^20 + 10*t^21 + 10*t^22 + 5*t^23 + 9*t^25 + 3*t^26 + 6*t^27 + 4*t^28 + '
+    't^29 + 6*t^30 + 8*t^31 + 5*t^32 + 9*t^33 + O(t^34)\n'
+    'valuation = -3\n')
+
+
+def test_norm_golden_stdout(capsys):
+    argv = ["norm", "--p", "11", "--q", "5", "--prec", "60", "--element", DENSE_NORM_ELEMENT]
+    assert run(capsys, *argv)[:2] == (0, GOLDEN_DENSE_NORM)
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--p", "11", "--q", "5", "--prec", "60", "--element", DENSE_NORM_ELEMENT],
+    ["norm", "--hahn", "7", "--prec", "4", "--element", "(1 + x) + (2)*t^(1/7);(3*x^(-1));(x)*t"],
+])
+def test_norm_exits_1_when_oracle_and_formula_disagree(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    # a planted fault: the formula's coefficient of t is off by one
+    real = cli.norm_formula
+
+    def planted(a):
+        F = a.context.F
+        return F.add(real(a), F.monomial(1))
+
+    monkeypatch.setattr(cli, "norm_formula", planted)
+    code, faulty, err = run(capsys, *argv)
+    assert code == 1 and "disagree" in err
+    assert faulty.splitlines()[0] == out.splitlines()[0]  # stdout as before
 
 
 def test_is_norm_negative(capsys):

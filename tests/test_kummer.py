@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cycdiv import (KummerContext, PrimeField, QQ, galois_sigma, is_norm, laurent,
+from cycdiv import (KummerContext, PrimeField, QQ, SeriesDomain, galois_sigma, is_norm, laurent,
                     norm_formula, norm_oracle, norm_valuation)
 from cycdiv.errors import CycdivError, PrecisionError
-from cycdiv.verify import hahn_tower_context, laurent_context
+from cycdiv.kummer import _u_series_mul, kummer_mul
+from cycdiv.verify import hahn_tower_context, hamilton_algebra, laurent_context
+from test_series_kernels import canonical, identical
 
 CTX = laurent_context(7, 3, precision=20)
 R = CTX.F
@@ -154,3 +157,102 @@ def test_hahn_tower_context_norms():
     # x (the inner variable) is not a norm: v_inner not in 3*Z[1/7]
     dec = is_norm(ctx, F.constant(F.coeff.variable))
     assert not dec.is_norm
+
+
+# -- kummer_mul: one product in k((u)) against the loop -------------------------
+
+def ref_kummer_mul(a, b):
+    """The loop: the q^2 coordinate products, times t when i + j >= q, added
+    up; only exact zeros are skipped."""
+    ctx = a.context
+    F, q, t = ctx.F, ctx.q, ctx.t
+    out = [F.zero] * q
+    for i, ai in enumerate(a.coords):
+        for j, bj in enumerate(b.coords):
+            if F.is_zero(ai) or F.is_zero(bj):
+                continue
+            p, k = F.mul(ai, bj), i + j
+            if k >= q:
+                p, k = F.mul(p, t), k - q
+            out[k] = F.add(out[k], p)
+    return out
+
+
+def _u_contexts():
+    """K = k((u)) with u^q the variable: F_7((t)) q=3, F_11((t)) q=5, Q((t))
+    q=2 and the tower F_7((x))((t)) q=3."""
+    yield CTX
+    yield laurent_context(11, 5, precision=20)
+    QT = laurent(QQ, "t", 8)
+    yield KummerContext(QT, 2, QT.variable, QT.from_int(-1))
+    T = laurent(laurent(PrimeField(7), "x", 6), "t", 6)
+    yield KummerContext(T, 3, T.variable, T.constant(T.coeff.constant(2)))
+
+
+U_CONTEXTS = list(_u_contexts())
+
+
+def coefficient(draw, domain, inner_o_terms):
+    """A nonzero coefficient: F_p, Q with denominators, or an inner series
+    with negative exponents and, when ``inner_o_terms``, maybe an O-term."""
+    if isinstance(domain, PrimeField):
+        return draw(st.integers(1, domain.p - 1))
+    if domain is QQ:
+        return draw(st.fractions(-9, 9, max_denominator=9).filter(bool))
+    terms = {e: draw(st.integers(1, 6)) for e in draw(st.lists(st.integers(-2, 3), min_size=1,
+                                                              max_size=3, unique=True))}
+    prec = draw(st.none() | st.integers(-1, 4)) if inner_o_terms else None
+    return domain.series(terms, prec)
+
+
+def coordinate(draw, F, inner_o_terms):
+    """An exact zero, an O-term with no known coefficient, or an exact,
+    truncated or dense coordinate with exponents from -4 on."""
+    kind = draw(st.sampled_from(["zero", "o-term", "exact", "truncated", "dense"]))
+    if kind == "zero":
+        return F.zero
+    if kind == "o-term":
+        return F.series({}, draw(st.integers(-4, 6)))
+    if kind == "dense":
+        exps = range(draw(st.integers(-4, 1)), draw(st.integers(2, 12)))
+    else:
+        exps = draw(st.lists(st.integers(-4, 8), max_size=5, unique=True))
+    terms = {e: coefficient(draw, F.coeff, inner_o_terms) for e in exps}
+    return F.series(terms, None if kind == "exact" else draw(st.integers(-4, 12)))
+
+
+@pytest.mark.parametrize("case", range(len(U_CONTEXTS)))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_u_series_product_matches_the_loop(case, data):
+    ctx = U_CONTEXTS[case]
+    F = ctx.F
+    tower = isinstance(F.coeff, SeriesDomain)
+    inner_o_terms = tower and data.draw(st.booleans())
+    a, b = (ctx.element([coordinate(data.draw, F, inner_o_terms) for _ in range(ctx.q)])
+            for _ in range(2))
+    want = ref_kummer_mul(a, b)
+    got = kummer_mul(a, b).coords
+    assert all(identical(g, w) and canonical(g) for g, w in zip(got, want))
+    # the u-route serves every such product, but over a tower only those
+    # without an inner O-term
+    inner_exact = all(c.precision is None for x in a.coords + b.coords
+                      for c in (x.terms.values() if tower else ()))
+    assert (_u_series_mul(a, b) is not None) == inner_exact
+
+
+def test_other_contexts_take_the_loop():
+    hahn = hahn_tower_context(7, 3, precision=4)
+    H = hamilton_algebra().kummer
+    other_t = KummerContext(R, 3, R.parse("t + t^2"), R.from_int(2))
+    rng = random.Random(16)
+    for ctx in (hahn, H, other_t):
+        assert ctx._u_field is None
+        for _ in range(5):
+            a, b = ctx.random_element(rng), ctx.random_element(rng)
+            assert _u_series_mul(a, b) is None
+            got, want = kummer_mul(a, b).coords, ref_kummer_mul(a, b)
+            if ctx is H:
+                assert list(got) == want
+            else:
+                assert all(identical(g, w) for g, w in zip(got, want))
