@@ -8,7 +8,9 @@ structure-constant bilinear product is extracted from them and can be
 serialized to JSON.  An algebra given by structure constants alone
 (:class:`ConstantsAlgebra`: the quaternion algebras and their tensor
 products) multiplies through :func:`constants_mul`.  ``left_mul_matrix``,
-``invert`` and ``structure_constants`` work in any of them through ``*``.
+``invert`` and ``structure_constants`` work in any of them through ``*``;
+in a cyclic algebra ``left_mul_matrix`` reads the matrix off the rewriting
+rules instead, entry by entry with the products ``relation_mul`` makes.
 
 Which path of :func:`constants_mul` serves which input:
 
@@ -321,8 +323,40 @@ def is_division(algebra, target_precision=None):
 def left_mul_matrix(d):
     """Matrix of x -> d*x in the fixed basis (columns are d * e_j)."""
     A = d.algebra
+    if isinstance(A, CyclicAlgebra):
+        return _cyclic_left_mul_matrix(d)
     cols = [(d * A.basis(j)).coords for j in range(A.n)]
     return [[col[i] for col in cols] for i in range(A.n)]
+
+
+def _cyclic_left_mul_matrix(d):
+    """``left_mul_matrix`` in a cyclic algebra, read off
+    (u^i X^j)(u^k X^l) = xi^{jk} u^{i+k} X^{j+l}: the coordinate a of u^i X^j
+    times xi^{jk}, then t when i + k wraps, then alpha when j + l wraps, the
+    products ``relation_mul`` makes for d * u^k X^l."""
+    A = d.algebra
+    F, q, ctx, n = A.F, A.q, A.kummer, A.n
+    matrix = [[F.zero] * n for _ in range(n)]
+    for j in range(q):
+        for i in range(q):
+            a = d.coords[A.basis_index(i, j)]
+            if F.is_zero(a):
+                continue
+            for k in range(q):
+                p = a
+                jk = (j * k) % q
+                if jk:
+                    p = F.mul(p, ctx.xi_pow(jk))
+                ii = i + k
+                if ii >= q:
+                    ii -= q
+                    p = F.mul(p, ctx.t)
+                wrapped = F.mul(p, A.alpha) if j else None  # for the l where j + l wraps
+                for l in range(q):
+                    jj = j + l
+                    matrix[A.basis_index(ii, jj % q)][A.basis_index(k, l)] = (
+                        p if jj < q else wrapped)
+    return matrix
 
 
 def invert(d, target_precision=None):

@@ -2,12 +2,43 @@
 
 ``solve_linear`` and ``kernel_vector`` run one Gauss–Jordan core,
 ``_eliminate``, on the augmented rows ``[M | rhs]`` (a kernel has no
-right-hand side); the caller brings the pivot rule and the pivot inversion.
-``solve_linear`` works in the domain itself: series entries are truncated to
-the working precision plus a slack, the pivot is an entry of least valuation,
+right-hand side).  The core owns the pivot search, the row swaps and the
+live columns; a *route* brings the entry representation and two row
+operations, ``scale_row`` (invert the pivot, scale the pivot row) and
+``reduce_row`` (``row[j] -= f * prow[j]`` on the live columns).
+``solve_linear`` works in the domain: series entries are truncated to the
+working precision plus a slack, the pivot is an entry of least valuation,
 and it is inverted to the precision its O-term allows.  ``kernel_vector``
-works in fractions (num, den) of the domain, never reduced, and pivots on the
-first nonzero entry.
+works in fractions (num, den) of the domain, never reduced, and pivots on
+the first nonzero entry.
+
+Which route serves which domain:
+
+* Term maps, over F_p((t)): a ``SeriesDomain`` whose ``ring`` is a
+  ``PrimeField`` and whose value group is Z.  Each entry is a ``_Terms``,
+  an ``{exponent: int}`` map with its precision and valuation bound, and
+  ``row[j] -= f*prow[j]`` adds the term products straight into ``row[j]``'s
+  map, reduces mod p once, and cuts at the precision
+  ``series.product_precision`` gives.  Dense operands are multiplied by
+  Kronecker substitution, with the density rule of
+  ``series._kronecker_mul``; each entry keeps its packed int, so a pivot
+  row entry is packed once per pivot step and a multiplier once per row,
+  not once per product.  Sparse operands take the schoolbook loop.  No
+  ``Series`` is built until the result, except the pivot, which
+  ``Series.invert`` inverts.  The truncated solve takes this route, and so
+  does ``kernel_vector`` when every entry is EXACT; its fractions are pairs
+  of such maps.  Products of EXACT series have one canonical result, and
+  the truncated steps follow the rule of ``Series.__mul__`` and
+  ``Series.__sub__``, so both give the same stored series as the loop.
+* The loop, in the arithmetic of the domain itself: Hahn fields, towers,
+  Q((t)) and base fields such as Q.  ``kernel_vector`` there, and on a
+  truncated F_p((t)) matrix, runs on ``FractionField``.
+
+A multiplier f known only to an O-term is no zero: ``f*prow[j]`` is known to
+no term, but it is known only to ``product_precision(f, prow[j])``, which
+bounds what is known of ``row[j]`` after the step.  Both routes apply that
+bound without a product; they skip only exact zeros.  (The fractions of a
+kernel skip known zeros: a kernel is only certified from EXACT entries.)
 
 A pivot step on column c reads column c and then writes only the live
 columns: those right of c (the right-hand side with them) and, for a kernel,
@@ -24,16 +55,18 @@ be nonzero), so ``solve_linear`` asks for a kernel only when M is exact, and
 a truncated M without a pivot is a PrecisionError.
 """
 
+from .basefields import PrimeField
 from .errors import CycdivError, PrecisionError, ZeroDivisorError
-from .series import INFINITY, Series, SeriesDomain
+from .series import (_KRONECKER_DENSITY, INFINITY, Series, SeriesDomain, _pack, _slot_width,
+                     _slots, _stored, product_precision)
 
 # precision beyond the requested one that a series solve works at
 _SLACK = 10
 
 
 class FractionField:
-    """Fractions (num, den) over an integral domain: the operations of
-    ``_eliminate``, with no reduction and no division in the base."""
+    """Fractions (num, den) over an integral domain: the operations of the
+    loop route, with no reduction and no division in the base."""
 
     def __init__(self, base):
         self.base = base
@@ -54,6 +87,8 @@ class FractionField:
     def is_known_zero(self, x):
         return self.base.is_known_zero(x[0])
 
+    is_zero = is_known_zero
+
 
 def _square(matrix, rhs=None):
     """The size n of a square matrix (and of ``rhs``), else CycdivError."""
@@ -65,20 +100,23 @@ def _square(matrix, rhs=None):
     return n
 
 
-def _eliminate(domain, rows, pivot_key, invert, kernel=False):
+def _eliminate(rows, route, kernel=False):
     """Gauss–Jordan on the n augmented ``rows`` in place; returns the pivot
     row of each pivot column, and the first column without a pivot (None if
     every column has one).  Without ``kernel`` it stops at that column.
 
-    Among the nonzero entries of a column in the rows not yet used, the
-    first one of least ``pivot_key`` is the pivot; ``invert`` inverts it.
+    Among the entries of a column in the rows not yet used that are not
+    ``route.is_known_zero``, the first one of least ``route.pivot_key`` is
+    the pivot.  Every other row whose entry f in the pivot column is not
+    ``route.is_zero`` is reduced by f times the pivot row.
     """
     n = len(rows)
     width = len(rows[0]) if rows else 0
-    is_zero, mul, sub = domain.is_known_zero, domain.mul, domain.sub
+    is_known_zero, is_zero, pivot_key = route.is_known_zero, route.is_zero, route.pivot_key
+    scale_row, reduce_row = route.scale_row, route.reduce_row
     pivots, free, top = {}, None, 0
     for col in range(n):
-        nonzero = [r for r in range(top, n) if not is_zero(rows[r][col])]
+        nonzero = [r for r in range(top, n) if not is_known_zero(rows[r][col])]
         if not nonzero:
             if not kernel:
                 return pivots, col
@@ -89,18 +127,249 @@ def _eliminate(domain, rows, pivot_key, invert, kernel=False):
         rows[top], rows[pr] = rows[pr], rows[top]
         live = range(col + 1, width) if free is None else [free, *range(col + 1, width)]
         prow = rows[top]
-        pinv = invert(prow[col])
-        for j in live:
-            prow[j] = mul(pinv, prow[j])
+        scale_row(prow, col, live)
         for r, row in enumerate(rows):
             f = row[col]
-            if r == top or is_zero(f):
-                continue
-            for j in live:
-                row[j] = sub(row[j], mul(f, prow[j]))
+            if r != top and not is_zero(f):
+                reduce_row(row, f, prow, live)
         pivots[col] = top
         top += 1
     return pivots, free
+
+
+class _Loop:
+    """The loop route: entries are elements of ``domain`` (a field domain or
+    a ``FractionField``), combined with its own operations."""
+
+    def __init__(self, domain, pivot_key, invert):
+        self.domain, self.pivot_key, self.invert = domain, pivot_key, invert
+        self.is_known_zero, self.is_zero = domain.is_known_zero, domain.is_zero
+
+    @staticmethod
+    def series(x):
+        return x
+
+    def scale_row(self, row, col, live):
+        mul = self.domain.mul
+        pinv = self.invert(row[col])
+        for j in live:
+            row[j] = mul(pinv, row[j])
+
+    def reduce_row(self, row, f, prow, live):
+        if self.is_known_zero(f):
+            # an O-term multiplier (is_zero skips exact zeros, and over a
+            # field or in fractions the two tests agree): only the precision
+            for j in live:
+                prec = product_precision(f, prow[j])
+                if prec != INFINITY:  # f*0 is an exact zero
+                    row[j] = row[j].truncate(prec)
+            return
+        mul, sub = self.domain.mul, self.domain.sub
+        for j in live:
+            row[j] = sub(row[j], mul(f, prow[j]))
+
+
+def _is_term_field(domain):
+    """Whether ``domain`` is F_p((t)), which the term-map route serves."""
+    return (isinstance(domain, SeriesDomain) and type(domain.ring) is PrimeField
+            and domain.group.p is None)
+
+
+class _Terms:
+    """A term-map entry: ``terms`` {exponent: int in [1, p)}, its precision
+    (INFINITY for EXACT) and its valuation lower bound ``low``.  Its exponent
+    span and its Kronecker packings, by slot width, are made on first use
+    and kept: a pivot row entry or a multiplier is packed once for all the
+    products it enters.  ``terms`` is not changed once it has been read as
+    an operand."""
+
+    __slots__ = ("terms", "prec", "low", "_span", "_packs")
+
+    def __init__(self, terms, prec=INFINITY):
+        self.terms, self.prec = terms, prec
+        self.low = min(terms) if terms else prec
+        self._span = self._packs = None
+
+    def span(self):
+        if self._span is None:
+            self._span = max(self.terms) - self.low + 1
+        return self._span
+
+    def packed(self, width, p):
+        """The int whose ``width``-byte slot i holds the coefficient at low + i."""
+        if self._packs is None:
+            self._packs = {}
+        packed = self._packs.get(width)
+        if packed is None:
+            packed = self._packs[width] = _pack(self.terms, self.low, self.span(), width, p)
+        return packed
+
+
+def _add_products(out, a, b, p, prec, sign):
+    """Add ``sign`` times the terms of a*b below ``prec`` into the map ``out``,
+    unreduced mod p; a and b are nonzero ``_Terms``.  Dense operands (the
+    density rule of ``series._kronecker_mul``) are multiplied by Kronecker
+    substitution, the others term by term."""
+    ta, tb = a.terms, b.terms
+    la, lb = len(ta), len(tb)
+    get = out.get
+    # a cheap necessary condition first: the spans are at least la and lb
+    if la * lb > _KRONECKER_DENSITY * (la + lb):
+        na, nb = a.span(), b.span()
+        width = _slot_width(min(la, lb) * (p - 1) ** 2)
+        if la * lb > _KRONECKER_DENSITY * (na + nb) and width is not None:
+            lo = a.low + b.low
+            n = min(na + nb - 1, prec - lo)
+            if n > 0:
+                slots = enumerate(_slots(a.packed(width, p) * b.packed(width, p),
+                                         na + nb - 1, width, n), lo)
+                if sign > 0:
+                    for e, c in slots:
+                        if c:
+                            out[e] = get(e, 0) + c
+                else:
+                    for e, c in slots:
+                        if c:
+                            out[e] = get(e, 0) - c
+            return
+    if la > lb:
+        ta, tb = tb, ta
+    for e1, c1 in ta.items():
+        c1 *= sign
+        for e2, c2 in tb.items():
+            e = e1 + e2
+            if e < prec:
+                out[e] = get(e, 0) + c1 * c2
+
+
+def _reduced(terms, p, prec=INFINITY):
+    """``terms`` reduced mod p, without zeros and exponents from ``prec`` on."""
+    return {e: r for e, c in terms.items() if e < prec and (r := c % p)}
+
+
+def _invert_pivot(v, work):
+    """The inverse of the series pivot ``v`` to the working precision, or to
+    less when the O-term of ``v`` allows no more."""
+    achievable = INFINITY if v.precision is None else v.precision - 2 * v.valuation()
+    return v.invert(min(work, achievable))
+
+
+class _TermSolve:
+    """The term-map route of the truncated solve over F_p((t)); an entry is
+    a ``_Terms``."""
+
+    def __init__(self, domain, work):
+        self.domain, self.p, self.work = domain, domain.ring.p, work
+
+    def entry(self, s):
+        """The entry of ``s`` truncated to the working precision."""
+        prec = self.work if s.precision is None else min(s.precision, self.work)
+        return _Terms({e: c for e, c in s.terms.items() if e < prec}, prec)
+
+    def series(self, x):
+        return _stored(self.domain, x.terms, 1, None if x.prec == INFINITY else x.prec)
+
+    @staticmethod
+    def is_known_zero(x):
+        return not x.terms
+
+    @staticmethod
+    def is_zero(x):
+        return not x.terms and x.prec == INFINITY
+
+    @staticmethod
+    def pivot_key(x):
+        return x.low
+
+    def scale_row(self, row, col, live):
+        inv = _invert_pivot(self.series(row[col]), self.work)
+        pinv, p = _Terms(inv.terms, INFINITY if inv.precision is None else inv.precision), self.p
+        for j in live:
+            b = row[j]
+            prec = min(pinv.prec + b.low, b.prec + pinv.low)
+            out = {}
+            if b.terms:
+                _add_products(out, pinv, b, p, prec, 1)
+                out = _reduced(out, p)
+            row[j] = _Terms(out, prec)
+
+    def reduce_row(self, row, f, prow, live):
+        p = self.p
+        for j in live:
+            x, b = row[j], prow[j]
+            # the precision of f*prow[j] bounds row[j], even with no term
+            prec = min(x.prec, f.prec + b.low, b.prec + f.low)
+            t = x.terms
+            if f.terms and b.terms:
+                _add_products(t, f, b, p, prec, -1)
+                t = _reduced(t, p, prec)
+            elif prec < x.prec:
+                t = {e: c for e, c in t.items() if e < prec}
+            else:
+                continue
+            row[j] = _Terms(t, prec)
+
+
+class _TermKernel:
+    """The term-map route of the exact kernel over F_p((t)): an entry is a
+    fraction (num, den) of EXACT ``_Terms``, never reduced, as in
+    ``FractionField``; ``zero``, ``mul``, ``neg`` and ``series`` are the
+    arithmetic of the ``_Terms`` themselves."""
+
+    def __init__(self, domain):
+        self.domain, self.p, self.zero = domain, domain.ring.p, _Terms({})
+
+    @staticmethod
+    def is_known_zero(x):
+        return not x[0].terms
+
+    is_zero = is_known_zero
+
+    @staticmethod
+    def pivot_key(x):
+        return 0
+
+    def mul(self, a, b):
+        ta, tb = a.terms, b.terms
+        if not (ta and tb):
+            return self.zero
+        p = self.p
+        if len(ta) == 1 or len(tb) == 1:
+            # nonzero values mod a prime p: no product vanishes
+            (e1, c1), = (ta if len(ta) == 1 else tb).items()
+            return _Terms({e1 + e: c1 * c % p for e, c in (tb if len(ta) == 1 else ta).items()})
+        out = {}
+        _add_products(out, a, b, p, INFINITY, 1)
+        return _Terms(_reduced(out, p))
+
+    def neg(self, a):
+        p = self.p
+        return _Terms({e: p - c for e, c in a.terms.items()})
+
+    def series(self, a):
+        return _stored(self.domain, a.terms, 1, None)
+
+    def scale_row(self, row, col, live):
+        num, den = row[col]
+        mul = self.mul
+        for j in live:
+            a, b = row[j]
+            row[j] = mul(den, a), mul(num, b)
+
+    def reduce_row(self, row, f, prow, live):
+        f0, f1 = f
+        p, mul = self.p, self.mul
+        for j in live:
+            r0, r1 = row[j]
+            p0, p1 = prow[j]
+            # row - f*prow = (r0*b - a*r1, r1*b) with (a, b) = f*prow
+            a, b = mul(f0, p0), mul(f1, p1)
+            num = {}
+            if r0.terms and b.terms:
+                _add_products(num, r0, b, p, INFINITY, 1)
+            if a.terms and r1.terms:
+                _add_products(num, a, r1, p, INFINITY, -1)
+            row[j] = _Terms(_reduced(num, p)), mul(r1, b)
 
 
 def solve_linear(domain, matrix, rhs, precision=None):
@@ -118,18 +387,17 @@ def solve_linear(domain, matrix, rhs, precision=None):
     work = None
     if isinstance(domain, SeriesDomain):
         work = (precision if precision is not None else domain.default_precision) + _SLACK
+    if _is_term_field(domain):
+        route = _TermSolve(domain, work)
+        rows = [[route.entry(e) for e in row] for row in rows]
+    elif work is not None:
         rows = [[e.truncate(work) for e in row] for row in rows]
-
-        def invert(v):
-            achievable = INFINITY if v.precision is None else v.precision - 2 * v.valuation()
-            return v.invert(min(work, achievable))
-
-        pivot_key = Series.valuation_lower_bound
+        route = _Loop(domain, Series.valuation_lower_bound, lambda v: _invert_pivot(v, work))
     else:
-        invert, pivot_key = domain.invert, _first
-    _, free = _eliminate(domain, rows, pivot_key, invert)
+        route = _Loop(domain, _first, domain.invert)
+    _, free = _eliminate(rows, route)
     if free is None:
-        return [row[n] for row in rows]
+        return [route.series(row[n]) for row in rows]
     if not all(e.is_exact for row in matrix for e in row if isinstance(e, Series)):
         raise PrecisionError(f"no pivot in column {free} at working precision {work}, "
                              "and the truncated entries cannot decide singularity")
@@ -149,25 +417,33 @@ def kernel_vector(domain, matrix):
     elimination (exact over EXACT series and exact base fields), then
     denominators cleared so the result lives in the original domain."""
     n = _square(matrix)
-    one = domain.one
-    ff = FractionField(domain)
-    rows = [[(e, one) for e in row] for row in matrix]
-    pivots, fc = _eliminate(ff, rows, _first, ff.invert, kernel=True)
+    if _is_term_field(domain) and all(e.is_exact for row in matrix for e in row):
+        route = base = _TermKernel(domain)
+        one = _Terms(domain.one.terms)
+        rows = [[(_Terms(e.terms), one) for e in row] for row in matrix]
+    else:
+        base, one = domain, domain.one
+        ff = FractionField(domain)
+        route = _Loop(ff, _first, ff.invert)
+        rows = [[(e, one) for e in row] for row in matrix]
+    pivots, fc = _eliminate(rows, route, kernel=True)
     if fc is None:
         return None
-    x = [(domain.zero, one)] * n
+    x = [(base.zero, one)] * n
     x[fc] = (one, one)
     for col, r in pivots.items():
         num, den = rows[r][fc]
-        x[col] = (domain.neg(num), den)
+        x[col] = (base.neg(num), den)
     # clear denominators: x_i = num_i/den_i -> num_i * prod_{j != i} den_j
     cleared = []
     for i, (num, den) in enumerate(x):
-        scale = domain.one
+        scale = one
         for j, (_, dj) in enumerate(x):
             if j != i:
-                scale = domain.mul(scale, dj)
-        cleared.append(domain.mul(num, scale))
+                scale = base.mul(scale, dj)
+        cleared.append(base.mul(num, scale))
+    if base is not domain:
+        cleared = [base.series(c) for c in cleared]
     if all(domain.is_known_zero(c) for c in cleared):
         raise CycdivError("kernel clearing produced the zero vector")
     return cleared

@@ -45,6 +45,9 @@ Which kernel serves which domain:
   ``algebra.constants_mul`` does them on the flat form (``_flatten``,
   ``_unflatten``): one int map per element, packed exponent keys, no
   ``Series`` arithmetic until the result is built.
+* Linear systems over F_p((t)).  ``linalg`` eliminates on the term maps
+  themselves, packed with ``_pack`` and unpacked with ``_slots`` when dense,
+  and builds each result once, at the precision ``product_precision`` gives.
 
 Q coefficients are kept in content form.  A series over Q stores integer
 numerators in ``terms`` over one positive denominator ``den``, with
@@ -85,6 +88,7 @@ _KRONECKER_DENSITY = 2
 
 # array typecodes by item size in bytes: the slot widths packing can use
 _SLOT_CODES = {array(code).itemsize: code for code in "BHIQ"}
+_SLOT_WIDTHS = sorted(_SLOT_CODES)
 
 
 def _norm_exp(e):
@@ -103,7 +107,10 @@ def _norm_exp(e):
 def _slot_width(bound):
     """Smallest array item size, in bytes, that holds values up to ``bound``."""
     bits = bound.bit_length()
-    return min((w for w in _SLOT_CODES if 8 * w >= bits), default=None)
+    for width in _SLOT_WIDTHS:
+        if 8 * width >= bits:
+            return width
+    return None
 
 
 def _pack(coeffs, lo, n, width, p):
@@ -112,6 +119,13 @@ def _pack(coeffs, lo, n, width, p):
     for e, c in coeffs.items():
         slots[e - lo] = c % p
     return int.from_bytes(slots, sys.byteorder)
+
+
+def _slots(product, n, width, n_out):
+    """The first ``n_out`` ``width``-byte slots of ``product``, a product of
+    ``_pack`` ints that spans ``n`` slots."""
+    data = product.to_bytes(n * width, sys.byteorder)
+    return array(_SLOT_CODES[width], data[:n_out * width])
 
 
 def _kronecker_mul(ca, cb, p, prec):
@@ -132,9 +146,8 @@ def _kronecker_mul(ca, cb, p, prec):
         return None
     lo = lo_a + lo_b
     n_out = na + nb - 1 if prec == INFINITY else min(na + nb - 1, prec - lo)
-    data = (_pack(ca, lo_a, na, width, p) * _pack(cb, lo_b, nb, width, p)).to_bytes(
-        (na + nb - 1) * width, sys.byteorder)
-    slots = array(_SLOT_CODES[width], data[:n_out * width])
+    slots = _slots(_pack(ca, lo_a, na, width, p) * _pack(cb, lo_b, nb, width, p),
+                   na + nb - 1, width, n_out)
     return {lo + i: r for i, c in enumerate(slots) if (r := c % p)}
 
 

@@ -12,7 +12,7 @@ from cycdiv import (QQ, BiquaternionElement, CyclicAlgebra, KummerContext, Prime
                     constants_from_json, constants_mul, constants_to_json, galois_sigma, invert,
                     is_division, laurent, relation_mul, structure_constants, tensor,
                     zero_divisor_witness)
-from cycdiv.algebra import _flat_constants_mul
+from cycdiv.algebra import _flat_constants_mul, left_mul_matrix
 from cycdiv.errors import CycdivError, DomainMismatchError, ZeroDivisorError
 from cycdiv.verify import albert_setup, hahn_tower_context, hamilton_algebra, laurent_context
 from test_series_kernels import canonical, identical
@@ -75,6 +75,49 @@ def test_invert_roundtrip():
         x = invert(d, target_precision=12)
         assert (d * x - D.one).is_known_zero()
         assert (x * d - D.one).is_known_zero()
+
+
+def _coordinate(F, rng):
+    """An exact zero, an O-term, or a random coordinate, exact or truncated."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return F.zero
+    if not isinstance(F, SeriesDomain):
+        return F.random_element(rng, nonzero=True)
+    if kind == 1:
+        return F.series({}, rng.randint(-1, 4))
+    c = F.random_element(rng, n_terms=2, exp_lo=-2, exp_hi=3)
+    return c.truncate(rng.randint(0, 5)) if kind == 2 else c
+
+
+def _q_laurent_context():
+    F = laurent(QQ, "t")
+    return KummerContext(F, 2, F.variable, F.from_int(-1))
+
+
+@pytest.mark.parametrize("context", [lambda: laurent_context(7, 3), lambda: laurent_context(11, 5),
+                                     lambda: hahn_tower_context(7, 3, precision=4),
+                                     _q_laurent_context, None],
+                         ids=["F_7((t))", "F_11((t))", "hahn", "Q((t))", "hamilton"])
+def test_cyclic_left_mul_matrix_is_the_product_columns(context):
+    """The matrix read off the rewriting rules is, entry by entry, the
+    columns d * e_j of relation_mul, O-terms included."""
+    if context is None:
+        D = hamilton_algebra()
+    else:
+        ctx = context()
+        D = CyclicAlgebra(ctx, ctx.F.parse("(3) + (1)*t + O(t^5)"))
+    rng = random.Random(f"left-mul:{D!r}")
+    for _ in range(6):
+        d = D.element([_coordinate(D.F, rng) for _ in range(D.n)])
+        cols = [(d * D.basis(j)).coords for j in range(D.n)]
+        got = left_mul_matrix(d)
+        for i in range(D.n):
+            for j in range(D.n):
+                if isinstance(D.F, SeriesDomain):
+                    assert identical(got[i][j], cols[j][i])
+                else:
+                    assert got[i][j] == cols[j][i]
 
 
 def test_invert_zero_raises():
