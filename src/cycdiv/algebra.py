@@ -30,16 +30,39 @@ Which path of :func:`constants_mul` serves which input:
   it for the entries exactly 1 or -1 and multiplying the others in.  It
   skips exact zeros only: a coordinate or entry known only to an O-term
   bounds the precision of the products it enters, as in ``relation_mul``.
+
+Which route of :func:`invert` serves which input:
+
+* The q x q system over K.  In a cyclic algebra whose K is the Laurent
+  field F_p((u)), u = t^(1/q) (``KummerContext._u_field``, t the variable
+  of F = F_p((t))), with d and alpha EXACT.  D is a q-dimensional right
+  K-vector space with basis 1, X, ..., X^(q-1), and x -> d*x commutes with
+  right multiplication by K, so it is K-linear there.  With d = sum_j a_j X^j
+  (a_j the u-series ``kummer._to_u_series`` makes of the slice X^j) and
+  a X^m = X^m sigma^-m(a), the coefficient of X^k in d X^l b is
+  sigma^-k(a_(k-l mod q)) alpha^[l > k] b; sigma^m multiplies the coefficient
+  of u^e by xi^(m*e).  ``solve_linear`` over K (the term-map route of
+  ``cycdiv.linalg``) solves that system for the right coordinates b_l of
+  the inverse, at the working precision q*(target + slack) in u, plus
+  2q|v| when v, the least valuation of an entry, is negative: without it,
+  some coordinates came out less precise than over F.  The left coordinates
+  are x_l = sigma^l(b_l), split by exponent mod q.  A singular system gives
+  the kernel over K mapped back the same way, scaled so that the lowest
+  coefficient of its last nonzero coordinate is 1.  A PrecisionError reruns
+  the F-route, so the error and its message are the F-route's.
+* The q^2 x q^2 system over F, ``solve_linear`` on ``left_mul_matrix``:
+  everything else (a truncated coordinate or alpha, Hahn fields, towers,
+  Q((t)), a coefficient field such as Q, and ``ConstantsAlgebra``).
 """
 
 import json
 from dataclasses import dataclass
 
 from .element import Element, FiniteAlgebra, monomial_label
-from .errors import CycdivError, DomainMismatchError
-from .kummer import KummerContext, is_norm
-from .linalg import solve_linear
-from .series import _flat_bounds, _flat_levels, _flatten, _is_exactly, _unflatten
+from .errors import CycdivError, DomainMismatchError, PrecisionError, ZeroDivisorError
+from .kummer import KummerContext, _to_u_series, is_norm
+from .linalg import _SLACK, _is_term_field, solve_linear
+from .series import _flat_bounds, _flat_levels, _flatten, _is_exactly, _stored, _unflatten
 
 # The flat product packs exponents only into keys below 2**62 in absolute
 # value (at most three 30-bit digits of a CPython int); wider ones take the loop.
@@ -360,15 +383,84 @@ def _cyclic_left_mul_matrix(d):
 
 
 def invert(d, target_precision=None):
-    """Two-sided inverse by solving d*x = 1; raises ZeroDivisorError with a
-    kernel vector when d is a (left) zero divisor, and CycdivError when no
-    coordinate of d is known to be nonzero."""
+    """Two-sided inverse by solving d*x = 1, over K or over F (see the module
+    docstring); raises ZeroDivisorError with a kernel vector when d is a
+    (left) zero divisor, and CycdivError when no coordinate of d is known to
+    be nonzero."""
     A = d.algebra
     if d.is_known_zero():
         raise CycdivError("inverse of the zero algebra element: "
                           "no coordinate is known to be nonzero")
+    if _k_route(d):
+        try:
+            return _invert_over_k(d, target_precision)
+        except PrecisionError:
+            pass  # the F-route decides again, and words the error in t
     x = solve_linear(A.F, left_mul_matrix(d), list(A.one.coords), precision=target_precision)
     return A.element(x)
+
+
+def _k_route(d):
+    """Whether ``invert`` solves over K = F_p((u)): d lies in a cyclic algebra
+    whose K is that Laurent field, and d and alpha are EXACT."""
+    A = d.algebra
+    return (isinstance(A, CyclicAlgebra) and _is_term_field(A.kummer._u_field)
+            and A.alpha.is_exact and all(c.is_exact for c in d.coords))
+
+
+def _invert_over_k(d, target_precision):
+    """``invert`` as the q x q system over K = F_p((u)) in the right
+    K-coordinates b_l of x = sum_l X^l b_l (see the module docstring)."""
+    A = d.algebra
+    F, q, ctx = A.F, A.q, A.kummer
+    U, p = ctx._u_field, F.coeff.p
+    xi = ctx.xi.terms[0]  # a root of unity of F_p((t)) is a constant
+    xi_pows = [pow(xi, m, p) for m in range(q)]
+    a = [_to_u_series(U, d.coords[q * j:q * (j + 1)], q) for j in range(q)]
+    alpha = _to_u_series(U, [A.alpha] + [F.zero] * (q - 1), q)
+    wrapped = [None] + [aj * alpha for aj in a[1:]]  # a_0 never wraps
+    # d X^l b = sum_j X^k sigma^-k(a_j) alpha^[l > k] b with k = j + l mod q
+    matrix = [[_sigma((wrapped if l > k else a)[(k - l) % q], -k, xi_pows) for l in range(q)]
+              for k in range(q)]
+    target = F.default_precision if target_precision is None else target_precision
+    low = min((s.valuation() for row in matrix for s in row if s.terms), default=0)
+    work = q * (target + _SLACK) + (2 * q * -low if low < 0 else 0)
+    try:
+        b = solve_linear(U, matrix, [U.one] + [U.zero] * (q - 1), precision=work - _SLACK)
+    except ZeroDivisorError as exc:
+        kernel = _left_coords(A, exc.kernel, xi_pows)
+        # scaled so that its last nonzero coordinate has lowest coefficient 1
+        last = next(c for c in reversed(kernel) if c.terms)
+        inv = pow(last.terms[min(last.terms)], -1, p)
+        raise ZeroDivisorError(str(exc), kernel=[
+            _stored(F, {e: c * inv % p for e, c in s.terms.items()}, 1, None)
+            for s in kernel]) from None
+    return A.element(_left_coords(A, b, xi_pows))
+
+
+def _sigma(s, m, xi_pows):
+    """sigma_0^m of the u-series s over F_p: the coefficient of u^e times
+    xi^(m*e), from the powers ``xi_pows`` of xi mod p."""
+    q, p = len(xi_pows), s.domain.ring.p
+    return _stored(s.domain, {e: c * xi_pows[m * e % q] % p for e, c in s.terms.items()}, 1,
+                   s.precision)
+
+
+def _left_coords(A, b, xi_pows):
+    """The F-coordinates of x = sum_l X^l b_l = sum_l sigma^l(b_l) X^l: the
+    coefficient of u^(q*s + i) in sigma^l(b_l) is that of t^s u^i X^l, known
+    below the precision ceil((P - i)/q) when b_l is known below u^P."""
+    F, q = A.F, A.q
+    out = [None] * A.n
+    for l, s in enumerate(b):
+        split = [{} for _ in range(q)]
+        for e, c in _sigma(s, l, xi_pows).terms.items():
+            t_exp, i = divmod(e, q)
+            split[i][t_exp] = c
+        for i, terms in enumerate(split):
+            prec = None if s.precision is None else -((i - s.precision) // q)
+            out[A.basis_index(i, l)] = _stored(F, terms, 1, prec)
+    return out
 
 
 def zero_divisor_witness(algebra, beta):

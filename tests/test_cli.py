@@ -126,6 +126,17 @@ def test_algebra_invert_zero_divisor_exit_code(capsys):
     assert "kernel" in data
 
 
+def test_algebra_invert_over_k_readme_commands(capsys):
+    # g*(X - 2) over F_11((t)), q = 5: the 25 x 25 solve over F did not finish
+    d = "9;5;4;10;2;2;4;2;0;8;10;10;9;2;7;4;0;0;4;9;5;7;0;1;5"
+    code, out, _ = run(capsys, "algebra", "invert", "--p", "11", "--q", "5", "--alpha", "10",
+                       "--d", d)
+    assert code == 1 and json.loads(out)["error"] == "zero divisor"
+    # t^-1 + u: the solve over F knew O(t^30), O(t^31), O(t^31)
+    code, out, _ = run(capsys, "algebra", "invert", "--alpha", "2", "--d", "t^(-1);1;0;0;0;0;0;0;0")
+    assert code == 0 and out.count("O(t^36)") == 3 and out.count("O(") == 3
+
+
 # stdout of `algebra invert`, recorded before the linear algebra shared one
 # elimination core; it must stay byte-identical
 GOLDEN_KERNEL = '{"error": "zero divisor", "kernel": "(2) + (3)*X + (1)*X^2"}\n'

@@ -10,17 +10,25 @@ no kernel is now a PrecisionError: an exact one that is singular only at the
 working precision, or one with truncated entries.  The reference solve skips
 only exact zeros: a multiplier known only to an O-term bounds the precision
 of the row it reduces.
+
+``invert`` over K = F_p((u)) is checked against the solve over F that it
+replaces for exact inputs (``left_mul_matrix`` and ``solve_linear``): the same
+outcome, equal coefficients where both are known and no coordinate known to
+less, and kernels that both products annihilate.
 """
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cycdiv import (QQ, CyclicAlgebra, KummerContext, PrimeField, Series, hahn, laurent,
                     laurent_context)
-from cycdiv import linalg
-from cycdiv.algebra import invert, left_mul_matrix
+from cycdiv import algebra as algebra_module, linalg
+from cycdiv.algebra import (constants_mul, invert, left_mul_matrix, relation_mul,
+                            structure_constants)
 from cycdiv.basefields import Domain
 from cycdiv.cli import main
 from cycdiv.errors import CycdivError, PrecisionError, ZeroDivisorError
@@ -473,3 +481,165 @@ def test_wrong_shapes_raise(matrix, rhs):
     if any(len(row) != len(matrix) for row in matrix):
         with pytest.raises(CycdivError, match="square"):
             kernel_vector(QQ, matrix)
+
+
+# -- invert over K = F_p((u)) against the F-route ------------------------------------
+
+K_CONTEXTS = {(7, 3): laurent_context(7, 3, precision=12),
+              (11, 5): laurent_context(11, 5, precision=8),
+              (13, 3): laurent_context(13, 3, precision=12)}
+_ALGEBRAS = {}  # (p, q, alpha) -> (algebra, its structure constants)
+
+
+def k_algebra(p, q, alpha):
+    """The cyclic algebra over F_p((t)) with ``alpha`` (text), and its
+    structure constants, made once."""
+    if (p, q, alpha) not in _ALGEBRAS:
+        ctx = K_CONTEXTS[p, q]
+        D = CyclicAlgebra(ctx, ctx.F.parse(alpha))
+        _ALGEBRAS[p, q, alpha] = D, structure_constants(D)
+    return _ALGEBRAS[p, q, alpha]
+
+
+def constants_of(D):
+    return next(constants for E, constants in _ALGEBRAS.values() if E is D)
+
+
+@st.composite
+def k_route_elements(draw):
+    """Exact d with negative valuations, in algebras with alpha = beta^q, t,
+    3 + t or t^-1 + 2: units g and 1 + g, and g*(X - beta).  g has 1 to 3
+    nonzero coordinates (one for q = 5, whose F-route kernel swells)."""
+    p, q = draw(st.sampled_from(sorted(K_CONTEXTS)))
+    beta = draw(st.integers(1, p - 1))
+    alpha = draw(st.sampled_from([str(pow(beta, q, p)), "t", "3 + t", "t^(-1) + 2"]))
+    D, _ = k_algebra(p, q, alpha)
+    F = D.F
+    kind = draw(st.sampled_from(["g", "1 + g", "g*(X - beta)"]))
+    coords = [F.zero] * D.n
+    for idx in draw(st.sets(st.integers(0, D.n - 1), min_size=1,
+                            max_size=1 if q == 5 and kind == "g*(X - beta)" else 3)):
+        coords[idx] = F.series(draw(st.dictionaries(st.integers(-3, 4), st.integers(1, p - 1),
+                                                    min_size=1, max_size=3)))
+    g = D.element(coords)
+    d = {"g": g, "1 + g": D.one + g,
+         "g*(X - beta)": g * (D.X - D.from_base(F.from_int(beta)))}[kind]
+    assume(not d.is_known_zero())
+    return d
+
+
+def invert_outcome(d):
+    """("x", coordinates), ("kernel", kernel) or the library error's class, and
+    the domains of the ``solve_linear`` calls ``invert`` made."""
+    domains = []
+
+    def spy(domain, matrix, rhs, precision=None):
+        domains.append(domain)
+        return solve_linear(domain, matrix, rhs, precision)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra_module, "solve_linear", spy)
+        try:
+            return ("x", list(invert(d).coords)), domains
+        except ZeroDivisorError as exc:
+            return ("kernel", exc.kernel), domains
+        except CycdivError as exc:
+            return type(exc), domains
+
+
+def precision_of(s):
+    return INFINITY if s.precision is None else s.precision
+
+
+def check_k_route(d):
+    D = d.algebra
+    F, U = D.F, D.kummer._u_field
+    got, domains = invert_outcome(d)
+    want = solve_outcome(solve_linear, F, left_mul_matrix(d), list(D.one.coords))
+    # the route: a q x q solve over K, and the F-route again only on a PrecisionError
+    assert domains == ([U, F] if got is PrecisionError else [U])
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return got
+    assert got[0] == want[0]
+    if got[0] == "x":
+        for a, b in zip(got[1], want[1]):
+            assert a.agrees_to_precision(b) and precision_of(a) >= precision_of(b)
+    else:
+        kernel = got[1]
+        assert not all(F.is_zero(c) for c in kernel)
+        assert all(F.is_zero(c) for c in relation_mul(d, D.element(kernel)).coords)
+        assert all(F.is_zero(c) for c in constants_mul(d.coords, kernel, constants_of(D), F))
+    return got
+
+
+def _t40():
+    D, _ = k_algebra(7, 3, "2")
+    return D.element([D.F.parse("t^40")] + [D.F.zero] * (D.n - 1))
+
+
+# a unit the working precision cannot invert: PrecisionError from both routes
+@example(_t40())
+@given(k_route_elements())
+@settings(max_examples=150, deadline=None)
+def test_invert_over_k_matches_the_f_route(d):
+    check_k_route(d)
+
+
+def test_k_route_serves_only_exact_f_p_laurent_cyclic_algebras():
+    D, _ = k_algebra(7, 3, "2")
+    F = D.F
+    exact = D.one + D.element([F.parse("t^(-1)")] * D.n)
+    assert check_k_route(exact)[0] == "x"
+    truncated = D.element([F.parse("1 + O(t^5)")] + [F.zero] * (D.n - 1))
+    assert invert_outcome(truncated)[1] == [F]
+    ctx = K_CONTEXTS[7, 3]
+    inexact_alpha = CyclicAlgebra(ctx, F.parse("2 + O(t^9)"))
+    assert invert_outcome(inexact_alpha.one)[1] == [F]
+    QF = laurent(QQ, "t")
+    qt = CyclicAlgebra(KummerContext(QF, 2, QF.variable, QF.from_int(-1)), QF.from_int(2))
+    assert invert_outcome(qt.one)[1] == [QF]
+    tower = hahn_tower_context(7, 3, precision=3)
+    assert invert_outcome(CyclicAlgebra(tower, tower.F.variable).one)[1] == [tower.F]
+
+
+# ROADMAP item 3's cases, whose F-route kernels swell: Cramer's rule bounds a
+# kernel's entries, and the K-route keeps within it
+
+
+def test_dense_zero_divisor_kernel_within_the_cramer_bound():
+    """q = 3 over F_7((t)), d = g*(X - 3) with nine dense coordinates of
+    degree 8: the F-route took 4 to 5 s for entries of 48 704 terms (Python
+    3.11, 2 vCPUs).  The matrix
+    of d has entries of degree at most 9, so a kernel with entries of degree
+    at most 8*9 = 72, that is at most 73 terms, exists."""
+    rng = random.Random(5)
+    D, _ = k_algebra(7, 3, "6")
+    F = D.F
+    g = D.element([F.series({e: rng.randrange(1, 7) for e in range(9)}) for _ in range(D.n)])
+    d = g * (D.X - D.from_base(F.from_int(3)))
+    start = time.perf_counter()
+    with pytest.raises(ZeroDivisorError) as caught:
+        invert(d)
+    assert time.perf_counter() - start < 0.5
+    kernel = caught.value.kernel
+    assert max(len(c.terms) for c in kernel) <= 73
+    assert all(F.is_zero(c) for c in relation_mul(d, D.element(kernel)).coords)
+
+
+def test_q5_zero_divisor_with_25_constant_coordinates():
+    """q = 5 over F_11((t)), d = g*(X - 2) with all 25 coordinates of g
+    nonzero constants: the F-route did not finish in 300 s (Python 3.11,
+    2 vCPUs)."""
+    rng = random.Random(11)
+    D, constants = k_algebra(11, 5, "10")
+    F = D.F
+    g = D.element([F.from_int(rng.randrange(1, 11)) for _ in range(D.n)])
+    d = g * (D.X - D.from_base(F.from_int(2)))
+    start = time.perf_counter()
+    with pytest.raises(ZeroDivisorError) as caught:
+        invert(d)
+    assert time.perf_counter() - start < 10
+    kernel = caught.value.kernel
+    assert all(F.is_zero(c) for c in relation_mul(d, D.element(kernel)).coords)
+    assert all(F.is_zero(c) for c in constants_mul(d.coords, kernel, constants, F))
