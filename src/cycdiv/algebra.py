@@ -44,12 +44,16 @@ Which route of :func:`invert` serves which input:
   of u^e by xi^(m*e).  ``solve_linear`` over K (the term-map route of
   ``cycdiv.linalg``) solves that system for the right coordinates b_l of
   the inverse, at the working precision q*(target + slack) in u, plus
-  2q|v| when v, the least valuation of an entry, is negative: without it,
-  some coordinates came out less precise than over F.  The left coordinates
-  are x_l = sigma^l(b_l), split by exponent mod q.  A singular system gives
-  the kernel over K mapped back the same way, scaled so that the lowest
-  coefficient of its last nonzero coordinate is 1.  A PrecisionError reruns
-  the F-route, so the error and its message are the F-route's.
+  2q|v| when v, the least valuation of an entry, is negative.  That extra
+  was found by trial: without it some coordinates came out 1 to 3 terms
+  less precise than over F; with it none did, for coordinates with
+  exponents down to -10 and alpha down to t^-5 (``tests/test_linalg.py``).
+  The left coordinates are x_l = sigma^l(b_l), split by exponent mod q
+  (``kummer._from_u_series``).  A singular system gives the kernel over K
+  mapped back the same way, scaled so that the lowest coefficient of its
+  last nonzero coordinate is 1.  No pivot over K is a PrecisionError that
+  names the working precision in t, target + slack: the kernel over K has
+  shown the exact matrix nonsingular.
 * The q^2 x q^2 system over F, ``solve_linear`` on ``left_mul_matrix``:
   everything else (a truncated coordinate or alpha, Hahn fields, towers,
   Q((t)), a coefficient field such as Q, and ``ConstantsAlgebra``).
@@ -60,9 +64,9 @@ from dataclasses import dataclass
 
 from .element import Element, FiniteAlgebra, monomial_label
 from .errors import CycdivError, DomainMismatchError, PrecisionError, ZeroDivisorError
-from .kummer import KummerContext, _to_u_series, is_norm
+from .kummer import KummerContext, _from_u_series, _to_u_series, _u_sigma, is_norm
 from .linalg import _SLACK, _is_term_field, solve_linear
-from .series import _flat_bounds, _flat_levels, _flatten, _is_exactly, _stored, _unflatten
+from .series import _flat_bounds, _flat_levels, _flatten, _is_exactly, _unflatten
 
 # The flat product packs exponents only into keys below 2**62 in absolute
 # value (at most three 30-bit digits of a CPython int); wider ones take the loop.
@@ -392,10 +396,7 @@ def invert(d, target_precision=None):
         raise CycdivError("inverse of the zero algebra element: "
                           "no coordinate is known to be nonzero")
     if _k_route(d):
-        try:
-            return _invert_over_k(d, target_precision)
-        except PrecisionError:
-            pass  # the F-route decides again, and words the error in t
+        return _invert_over_k(d, target_precision)
     x = solve_linear(A.F, left_mul_matrix(d), list(A.one.coords), precision=target_precision)
     return A.element(x)
 
@@ -420,47 +421,29 @@ def _invert_over_k(d, target_precision):
     alpha = _to_u_series(U, [A.alpha] + [F.zero] * (q - 1), q)
     wrapped = [None] + [aj * alpha for aj in a[1:]]  # a_0 never wraps
     # d X^l b = sum_j X^k sigma^-k(a_j) alpha^[l > k] b with k = j + l mod q
-    matrix = [[_sigma((wrapped if l > k else a)[(k - l) % q], -k, xi_pows) for l in range(q)]
+    matrix = [[_u_sigma((wrapped if l > k else a)[(k - l) % q], -k, xi_pows) for l in range(q)]
               for k in range(q)]
     target = F.default_precision if target_precision is None else target_precision
     low = min((s.valuation() for row in matrix for s in row if s.terms), default=0)
     work = q * (target + _SLACK) + (2 * q * -low if low < 0 else 0)
     try:
         b = solve_linear(U, matrix, [U.one] + [U.zero] * (q - 1), precision=work - _SLACK)
+    except PrecisionError:
+        raise PrecisionError(f"no pivot at working precision {target + _SLACK}, "
+                             "but the exact matrix is nonsingular") from None
     except ZeroDivisorError as exc:
         kernel = _left_coords(A, exc.kernel, xi_pows)
         # scaled so that its last nonzero coordinate has lowest coefficient 1
         last = next(c for c in reversed(kernel) if c.terms)
-        inv = pow(last.terms[min(last.terms)], -1, p)
-        raise ZeroDivisorError(str(exc), kernel=[
-            _stored(F, {e: c * inv % p for e, c in s.terms.items()}, 1, None)
-            for s in kernel]) from None
+        scale = F.from_int(pow(last.terms[min(last.terms)], -1, p))
+        raise ZeroDivisorError(str(exc), kernel=[F.mul(scale, c) for c in kernel]) from None
     return A.element(_left_coords(A, b, xi_pows))
-
-
-def _sigma(s, m, xi_pows):
-    """sigma_0^m of the u-series s over F_p: the coefficient of u^e times
-    xi^(m*e), from the powers ``xi_pows`` of xi mod p."""
-    q, p = len(xi_pows), s.domain.ring.p
-    return _stored(s.domain, {e: c * xi_pows[m * e % q] % p for e, c in s.terms.items()}, 1,
-                   s.precision)
 
 
 def _left_coords(A, b, xi_pows):
     """The F-coordinates of x = sum_l X^l b_l = sum_l sigma^l(b_l) X^l: the
-    coefficient of u^(q*s + i) in sigma^l(b_l) is that of t^s u^i X^l, known
-    below the precision ceil((P - i)/q) when b_l is known below u^P."""
-    F, q = A.F, A.q
-    out = [None] * A.n
-    for l, s in enumerate(b):
-        split = [{} for _ in range(q)]
-        for e, c in _sigma(s, l, xi_pows).terms.items():
-            t_exp, i = divmod(e, q)
-            split[i][t_exp] = c
-        for i, terms in enumerate(split):
-            prec = None if s.precision is None else -((i - s.precision) // q)
-            out[A.basis_index(i, l)] = _stored(F, terms, 1, prec)
-    return out
+    u-series sigma^l(b_l) split into the coordinates of u^i X^l."""
+    return [c for l, s in enumerate(b) for c in _from_u_series(A.F, _u_sigma(s, l, xi_pows), A.q)]
 
 
 def zero_divisor_witness(algebra, beta):

@@ -154,18 +154,7 @@ def _u_series_mul(a, b):
             if p < prec[k]:
                 prec[k] = p
     product = _to_u_series(U, a.coords, q) * _to_u_series(U, b.coords, q)
-    split = [{} for _ in range(q)]
-    for e, c in product.terms.items():
-        e, k = divmod(e, q)
-        if e < prec[k]:
-            split[k][e] = c
-    out = []
-    for terms, p in zip(split, prec):
-        den = product.den
-        if den != 1:
-            terms, den = _primitive(terms, den)
-        out.append(_stored(F, terms, den, None if p == INFINITY else p))
-    return ctx.element(out)
+    return ctx.element(_from_u_series(F, product, q, prec))
 
 
 def _to_u_series(U, coords, q):
@@ -177,6 +166,28 @@ def _to_u_series(U, coords, q):
         for e, c in b.terms.items():
             terms[q * e + i] = c * f if f != 1 else c
     return _stored(U, terms, den, None)
+
+
+def _from_u_series(F, s, q, precisions=None):
+    """The coordinates b_0, ..., b_(q-1) of the u-series s = sum_i b_i(u^q) u^i
+    over F, the inverse of ``_to_u_series``: the coefficient of u^(q*e + i) is
+    that of t^e in b_i.  b_i is known below ``precisions[i]`` (INFINITY:
+    exact) or, without them, below t^ceil((P - i)/q) when s is known below u^P."""
+    if precisions is None:
+        P = s.precision
+        precisions = [INFINITY if P is None else -((i - P) // q) for i in range(q)]
+    split = [{} for _ in range(q)]
+    for e, c in s.terms.items():
+        e, i = divmod(e, q)
+        if e < precisions[i]:
+            split[i][e] = c
+    out = []
+    for terms, p in zip(split, precisions):
+        den = s.den
+        if den != 1:
+            terms, den = _primitive(terms, den)
+        out.append(_stored(F, terms, den, None if p == INFINITY else p))
+    return out
 
 
 def _inner_exact(s):
@@ -193,6 +204,14 @@ def galois_sigma(a, k):
         raise CycdivError(f"Galois power {k} out of range 0..{ctx.q - 1}")
     F = ctx.F
     return ctx.element(F.mul(ctx.xi_pow(i * k), b) for i, b in enumerate(a.coords))
+
+
+def _u_sigma(s, k, xi_pows):
+    """sigma_0^k of the u-series s over F_p: the coefficient of u^e times
+    xi^(k*e), from the powers ``xi_pows`` (ints mod p) of xi."""
+    q, p = len(xi_pows), s.domain.ring.p
+    return _stored(s.domain, {e: c * xi_pows[k * e % q] % p for e, c in s.terms.items()}, 1,
+                   s.precision)
 
 
 def norm_oracle(a):

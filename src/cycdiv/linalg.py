@@ -437,18 +437,14 @@ def kernel_vector(domain, matrix):
     for col, r in pivots.items():
         num, den = rows[r][fc]
         x[col] = (base.neg(num), den)
-    # clear denominators: x_i = num_i/den_i -> num_i * prod_{j != i} den_j,
-    # the product of the dens before i times that of those after it: about
-    # 4n products, not n*(n - 1).  Over a coefficient field truncated
-    # products associate, O-terms included: the valuation bound of a*b is
-    # the sum of theirs, so a product's precision does not depend on the order
-    after = [one]
-    for _, den in reversed(x[1:]):
-        after.append(base.mul(den, after[-1]))
-    cleared, before = [], one
-    for (num, den), rest in zip(x, reversed(after)):
-        cleared.append(base.mul(num, base.mul(before, rest)))
-        before = base.mul(before, den)
+    # clear denominators: x_i = num_i/den_i -> num_i * prod_{j != i} den_j
+    cleared = []
+    for i, (num, den) in enumerate(x):
+        scale = one
+        for j, (_, dj) in enumerate(x):
+            if j != i:
+                scale = base.mul(scale, dj)
+        cleared.append(base.mul(num, scale))
     if base is not domain:
         cleared = [base.series(c) for c in cleared]
     if all(domain.is_known_zero(c) for c in cleared):
