@@ -432,11 +432,12 @@ def _invert_over_k(d, target_precision):
         raise PrecisionError(f"no pivot at working precision {target + _SLACK}, "
                              "but the exact matrix is nonsingular") from None
     except ZeroDivisorError as exc:
-        kernel = _left_coords(A, exc.kernel, xi_pows)
-        # scaled so that its last nonzero coordinate has lowest coefficient 1
-        last = next(c for c in reversed(kernel) if c.terms)
-        scale = F.from_int(pow(last.terms[min(last.terms)], -1, p))
-        raise ZeroDivisorError(str(exc), kernel=[F.mul(scale, c) for c in kernel]) from None
+        # scaled so that its last nonzero coordinate has lowest coefficient 1:
+        # the map is F_p-linear, so scaling the powers of xi scales its result
+        last = next(c for c in reversed(_left_coords(A, exc.kernel, xi_pows)) if c.terms)
+        inv = pow(last.terms[min(last.terms)], -1, p)
+        kernel = _left_coords(A, exc.kernel, [x * inv % p for x in xi_pows])
+        raise ZeroDivisorError(str(exc), kernel=kernel) from None
     return A.element(_left_coords(A, b, xi_pows))
 
 

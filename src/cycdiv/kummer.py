@@ -208,7 +208,8 @@ def galois_sigma(a, k):
 
 def _u_sigma(s, k, xi_pows):
     """sigma_0^k of the u-series s over F_p: the coefficient of u^e times
-    xi^(k*e), from the powers ``xi_pows`` (ints mod p) of xi."""
+    ``xi_pows[k*e mod q]``, the powers xi^0, ..., xi^(q-1) as ints mod p (or
+    c times them, which gives c*sigma_0^k(s))."""
     q, p = len(xi_pows), s.domain.ring.p
     return _stored(s.domain, {e: c * xi_pows[k * e % q] % p for e, c in s.terms.items()}, 1,
                    s.precision)

@@ -587,8 +587,17 @@ def _t40():
     return D.element([D.F.parse("t^40")] + [D.F.zero] * (D.n - 1))
 
 
+def _f_route_short():
+    D, _ = k_algebra(11, 5, "t^(-10) + 3*t^2")
+    coords = [D.F.zero] * D.n
+    coords[2], coords[6], coords[9] = map(D.F.parse, ["7*t^(-2)", "8*t^(-9)", "t^(-9) + 6*t^(-7)"])
+    return D.element(coords)
+
+
 # a unit the working precision cannot invert: PrecisionError from both routes
 @example(_t40())
+# a unit the F-route finds no pivot for at its working precision, inverted over K
+@example(_f_route_short())
 @given(k_route_elements())
 @settings(max_examples=150, deadline=None)
 def test_invert_over_k_matches_the_f_route(d):
