@@ -41,19 +41,19 @@ Which route of :func:`invert` serves which input:
   (a_j the u-series ``kummer._to_u_series`` makes of the slice X^j) and
   a X^m = X^m sigma^-m(a), the coefficient of X^k in d X^l b is
   sigma^-k(a_(k-l mod q)) alpha^[l > k] b; sigma^m multiplies the coefficient
-  of u^e by xi^(m*e).  ``solve_linear`` over K (the term-map route of
-  ``cycdiv.linalg``) solves that system for the right coordinates b_l of
-  the inverse, at the working precision q*(target + slack) in u, plus
-  2q|v| when v, the least valuation of an entry, is negative.  That extra
-  was found by trial: without it some coordinates came out 1 to 3 terms
-  less precise than over F; with it none did, for coordinates with
+  of u^e by xi^(m*e).  The entries are EXACT Laurent polynomials in u, and
+  ``linalg.solve_exact`` solves the system for the right coordinates b_l
+  of the inverse by fraction-free elimination: b_l = N_l * det^-1, cut at
+  the working precision q*(target + slack) in u, plus 2q|v| when v, the
+  least valuation of an entry, is negative (an EXACT 0 when N_l is).  That
+  extra was found by trial: without it some coordinates came out 1 to 3
+  terms less precise than over F; with it none did, for coordinates with
   exponents down to -10 and alpha down to t^-5 (``tests/test_linalg.py``).
   The left coordinates are x_l = sigma^l(b_l), split by exponent mod q
-  (``kummer._from_u_series``).  A singular system gives the kernel over K
-  mapped back the same way, scaled so that the lowest coefficient of its
-  last nonzero coordinate is 1.  No pivot over K is a PrecisionError that
-  names the working precision in t, target + slack: the kernel over K has
-  shown the exact matrix nonsingular.
+  (``kummer._from_u_series``).  Singularity is decided exactly, so no
+  exact input is a PrecisionError here.  A singular system gives its
+  Cramer kernel over K mapped back the same way, scaled so that the lowest
+  coefficient of its last nonzero coordinate is 1.
 * The q^2 x q^2 system over F, ``solve_linear`` on ``left_mul_matrix``:
   everything else (a truncated coordinate or alpha, Hahn fields, towers,
   Q((t)), a coefficient field such as Q, and ``ConstantsAlgebra``).
@@ -63,9 +63,9 @@ import json
 from dataclasses import dataclass
 
 from .element import Element, FiniteAlgebra, monomial_label
-from .errors import CycdivError, DomainMismatchError, PrecisionError, ZeroDivisorError
+from .errors import CycdivError, DomainMismatchError, ZeroDivisorError
 from .kummer import KummerContext, _from_u_series, _to_u_series, _u_sigma, is_norm
-from .linalg import _SLACK, _is_term_field, solve_linear
+from .linalg import _SLACK, _is_term_field, solve_exact, solve_linear
 from .series import _flat_bounds, _flat_levels, _flatten, _is_exactly, _unflatten
 
 # The flat product packs exponents only into keys below 2**62 in absolute
@@ -427,10 +427,7 @@ def _invert_over_k(d, target_precision):
     low = min((s.valuation() for row in matrix for s in row if s.terms), default=0)
     work = q * (target + _SLACK) + (2 * q * -low if low < 0 else 0)
     try:
-        b = solve_linear(U, matrix, [U.one] + [U.zero] * (q - 1), precision=work - _SLACK)
-    except PrecisionError:
-        raise PrecisionError(f"no pivot at working precision {target + _SLACK}, "
-                             "but the exact matrix is nonsingular") from None
+        b = solve_exact(U, matrix, [U.one] + [U.zero] * (q - 1), work)
     except ZeroDivisorError as exc:
         # scaled so that its last nonzero coordinate has lowest coefficient 1:
         # the map is F_p-linear, so scaling the powers of xi scales its result

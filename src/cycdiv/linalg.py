@@ -1,7 +1,7 @@
 """Dense linear algebra over field domains: solves and exact kernel vectors.
 
-``solve_linear`` and ``kernel_vector`` run one Gauss–Jordan core,
-``_eliminate``, on the augmented rows ``[M | rhs]`` (a kernel has no
+``solve_linear``, ``solve_exact`` and ``kernel_vector`` run one Gauss–Jordan
+core, ``_eliminate``, on the augmented rows ``[M | rhs]`` (a kernel has no
 right-hand side).  The core owns the pivot search, the row swaps and the
 live columns; a *route* brings the entry representation and two row
 operations, ``scale_row`` (invert the pivot, scale the pivot row) and
@@ -30,8 +30,13 @@ Which route serves which domain:
   of such maps.  Products of EXACT series have one canonical result, and
   the truncated steps follow the rule of ``Series.__mul__`` and
   ``Series.__sub__``, so both give the same stored series as the loop.
+  ``solve_exact`` runs fraction-free (Bareiss) elimination on EXACT term
+  maps, with exact division by long division on the lowest terms: every
+  entry stays a minor of [M | rhs], so nothing swells past Cramer's bound,
+  the determinant decides singularity exactly, and x_l = N_l * det^-1
+  takes one ``Series.invert``, cut at the requested precision.
   ``algebra.invert`` in a cyclic algebra over F_p((t)) with EXACT inputs
-  solves a q x q system over K = F_p((u)) on this route instead of the
+  solves a q x q system over K = F_p((u)) with it instead of the
   q^2 x q^2 one over F (see the ``cycdiv.algebra`` module docstring).
 * The loop, in the arithmetic of the domain itself: Hahn fields, towers,
   Q((t)) and base fields such as Q.  ``kernel_vector`` there, and on a
@@ -373,6 +378,98 @@ class _TermKernel:
             if a.terms and r1.terms:
                 _add_products(num, a, r1, p, INFINITY, -1)
             row[j] = _Terms(_reduced(num, p)), mul(r1, b)
+
+
+def _exact_quotient(a, b, p):
+    """a / b for term maps (Laurent polynomials over F_p) where b divides a:
+    long division on the lowest terms, with a check that nothing remains."""
+    lb = min(b)
+    inv = pow(b[lb], -1, p)
+    if len(b) == 1:
+        return {e - lb: c * inv % p for e, c in a.items()}
+    la = min(a)
+    r = [0] * (max(a) - la + 1)
+    for e, c in a.items():
+        r[e - la] = c
+    rest = [(e - lb, c) for e, c in b.items() if e != lb]
+    n = max(len(r) - (max(b) - lb), 0)
+    out = {}
+    for i in range(n):
+        if c := r[i] % p * inv % p:
+            out[la - lb + i] = c
+            for k, cb in rest:
+                r[i + k] -= c * cb
+    if any(c % p for c in r[n:]):
+        raise CycdivError("inexact division in fraction-free elimination")
+    return out
+
+
+class _Bareiss:
+    """The fraction-free route of ``solve_exact`` over F_p((t)) (Bareiss
+    1968): an entry is an EXACT ``_Terms``.  A step on the pivot ``piv``,
+    after the step on ``prev``, sets row[j] = (piv*row[j] - f*prow[j]) / prev
+    on every other row, f = row[col]; the division is exact, as every entry
+    is then a minor of [M | rhs], and every pivot row's own pivot becomes
+    ``piv``."""
+
+    is_known_zero = staticmethod(_TermSolve.is_known_zero)
+    pivot_key = staticmethod(_TermKernel.pivot_key)
+
+    def __init__(self, p):
+        self.p, self.piv, self.prev = p, _Terms({0: 1}), None
+
+    @staticmethod
+    def is_zero(x):
+        return False  # a row with f = 0 is still scaled by piv/prev
+
+    def scale_row(self, row, col, live):
+        self.prev, self.piv = self.piv.terms, row[col]
+
+    def reduce_row(self, row, f, prow, live):
+        p, piv, prev = self.p, self.piv, self.prev
+        for j in live:
+            x, b = row[j], prow[j]
+            out = {}
+            if x.terms:
+                _add_products(out, piv, x, p, INFINITY, 1)
+            if f.terms and b.terms:
+                _add_products(out, f, b, p, INFINITY, -1)
+            out = _reduced(out, p)
+            row[j] = _Terms(_exact_quotient(out, prev, p) if out else out)
+
+
+def solve_exact(domain, matrix, rhs, precision):
+    """Solve M x = rhs for EXACT M and rhs over F_p((t)) by fraction-free
+    Gauss–Jordan elimination (``_Bareiss``), which decides singularity
+    exactly.  Each pivot row ends as det*x_l = N_l (det up to sign), so
+    x_l = N_l * det^-1 takes one ``Series.invert`` of det; each x_l is cut
+    at t^precision, and is an EXACT 0 when N_l is.  A singular M raises
+    ZeroDivisorError with the Cramer kernel: r x r minors, r the rank, read
+    off the first column without a pivot.  Never a PrecisionError."""
+    n = _square(matrix, rhs)
+    if not (_is_term_field(domain) and all(e.is_exact for row in [*matrix, rhs] for e in row)):
+        raise CycdivError("solve_exact needs EXACT entries over F_p((t))")
+    p = domain.ring.p
+    route = _Bareiss(p)
+    rows = [[_Terms(e.terms) for e in row] + [_Terms(b.terms)] for row, b in zip(matrix, rhs)]
+    pivots, free = _eliminate(rows, route, kernel=True)
+
+    def series(terms):
+        return _stored(domain, terms, 1, None)
+
+    if free is not None:
+        kernel = [domain.zero] * n
+        kernel[free] = series(route.piv.terms)
+        for col, r in pivots.items():
+            kernel[col] = series({e: p - c for e, c in rows[r][free].terms.items()})
+        raise ZeroDivisorError("singular linear system", kernel=kernel)
+    nums = [row[n] for row in rows]  # the pivot of column l is in row l
+    lows = [x.low for x in nums if x.terms]
+    if not lows:
+        return [domain.zero] * n
+    inv = series(route.piv.terms).invert(precision - min(lows))
+    return [(series(x.terms) * inv).truncate(precision) if x.terms else domain.zero
+            for x in nums]
 
 
 def solve_linear(domain, matrix, rhs, precision=None):

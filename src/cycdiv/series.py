@@ -617,6 +617,9 @@ class Series:
         domain = self.domain
         cd = domain.coeff
         lead_inv = cd.invert(self._coeff(v))
+        if isinstance(cd, SeriesDomain) and cd.is_known_zero(lead_inv):
+            raise PrecisionError(f"the inverse of the leading coefficient {self._coeff(v)!r} "
+                                 f"is known to no term: {lead_inv!r}")
         if self.precision is None and len(self.terms) == 1:
             return Series(domain, {-v: lead_inv}, None, _validate=False)
         achievable = INFINITY if self.precision is None else _norm_exp(self.precision - 2 * v)

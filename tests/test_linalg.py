@@ -28,11 +28,12 @@ from cycdiv import (QQ, CyclicAlgebra, KummerContext, PrimeField, Series, hahn, 
                     laurent_context)
 from cycdiv import algebra as algebra_module, linalg
 from cycdiv.algebra import (constants_mul, invert, left_mul_matrix, relation_mul,
-                            structure_constants)
+                            structure_constants, zero_divisor_witness)
 from cycdiv.basefields import Domain
 from cycdiv.cli import main
 from cycdiv.errors import CycdivError, PrecisionError, ZeroDivisorError
-from cycdiv.linalg import kernel_vector, solve_linear
+from cycdiv.kummer import _to_u_series
+from cycdiv.linalg import kernel_vector, solve_exact, solve_linear
 from cycdiv.series import INFINITY, SeriesDomain
 from cycdiv.verify import albert_setup, hahn_tower_context
 
@@ -429,17 +430,35 @@ def test_o_term_only_multipliers_bound_the_inverse(field):
 
 def test_unit_singular_at_working_precision_is_a_precision_error(capsys):
     """t^40 is a unit, but truncated at the working precision 30 it has no
-    pivot; the exact matrix has no kernel, so this is not a zero divisor."""
+    pivot: the solve over F is a PrecisionError, and the exact matrix has no
+    kernel, so this is not a zero divisor.  ``invert`` solves over K by exact
+    elimination, where t^40 is a unit like any other."""
     ctx = laurent_context(7, 3)
     D = CyclicAlgebra(ctx, ctx.F.from_int(2))
     coords = [D.F.zero] * D.n
     coords[0] = D.F.parse("t^40")
+    d = D.element(coords)
     with pytest.raises(PrecisionError, match="working precision 30"):
-        invert(D.element(coords))
-    assert kernel_vector(D.F, left_mul_matrix(D.element(coords))) is None
+        solve_linear(D.F, left_mul_matrix(d), list(D.one.coords))
+    assert kernel_vector(D.F, left_mul_matrix(d)) is None
+    x = invert(d)
+    assert repr(x.coords[0]) == "t^(-40) + O(t^30)"
+    one = relation_mul(d, x)
+    assert all(a.agrees_to_precision(b) for a, b in zip(one.coords, D.one.coords))
     code = main(["algebra", "invert", "--alpha", "2", "--d", "t^40;0;0;0;0;0;0;0;0"])
     out, err = capsys.readouterr()
-    assert code == 2 and out == "" and "working precision 30" in err
+    assert code == 0 and out.startswith("(t^(-40) + O(t^30))") and err == ""
+
+
+def test_tower_pivot_known_to_no_term_is_a_precision_error():
+    """The pivot x^-3 + x^-1 of F_7((x))((t)) with inner precision 3 has an
+    inverse known to no term (O(x^3)): the solve cannot go on."""
+    X = laurent(PrimeField(7), "x", 3)
+    T = laurent(X, "t", 4)
+    matrix = [[T.constant(X.parse("x^(-3) + x^(-1)")), T.constant(X.parse("x^(-2) + 1"))],
+              [T.zero, T.zero]]
+    with pytest.raises(PrecisionError, match="known to no term"):
+        solve_linear(T, matrix, [T.one, T.zero])
 
 
 @given(small_systems())
@@ -535,15 +554,19 @@ def k_route_elements(draw):
 
 def invert_outcome(d):
     """("x", coordinates), ("kernel", kernel) or the library error's class, and
-    the domains of the ``solve_linear`` calls ``invert`` made."""
+    the domains of the ``solve_linear`` and ``solve_exact`` calls ``invert``
+    made."""
     domains = []
 
-    def spy(domain, matrix, rhs, precision=None):
-        domains.append(domain)
-        return solve_linear(domain, matrix, rhs, precision)
+    def spy(solve):
+        def call(domain, matrix, rhs, precision=None):
+            domains.append(domain)
+            return solve(domain, matrix, rhs, precision)
+        return call
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebra_module, "solve_linear", spy)
+        mp.setattr(algebra_module, "solve_linear", spy(solve_linear))
+        mp.setattr(algebra_module, "solve_exact", spy(solve_exact))
         try:
             return ("x", list(invert(d).coords)), domains
         except ZeroDivisorError as exc:
@@ -594,7 +617,7 @@ def _f_route_short():
     return D.element(coords)
 
 
-# a unit the working precision cannot invert: PrecisionError from both routes
+# a unit the F-route's working precision cannot pivot on, inverted exactly over K
 @example(_t40())
 # a unit the F-route finds no pivot for at its working precision, inverted over K
 @example(_f_route_short())
@@ -645,19 +668,134 @@ def test_dense_zero_divisor_kernel_within_the_cramer_bound():
     assert all(F.is_zero(c) for c in relation_mul(d, D.element(kernel)).coords)
 
 
-def test_q5_zero_divisor_with_25_constant_coordinates():
-    """q = 5 over F_11((t)), d = g*(X - 2) with all 25 coordinates of g
-    nonzero constants: the F-route did not finish in 300 s (Python 3.11,
-    2 vCPUs)."""
+def _q5_zero_divisor():
+    """q = 5 over F_11((t)): d = g*(X - 2), all 25 coordinates of g nonzero
+    constants."""
     rng = random.Random(11)
-    D, constants = k_algebra(11, 5, "10")
+    D, _ = k_algebra(11, 5, "10")
     F = D.F
     g = D.element([F.from_int(rng.randrange(1, 11)) for _ in range(D.n)])
-    d = g * (D.X - D.from_base(F.from_int(2)))
+    return g * (D.X - D.from_base(F.from_int(2)))
+
+
+def test_q5_zero_divisor_with_25_constant_coordinates():
+    """The F-route did not finish in 300 s on ``_q5_zero_divisor`` (Python
+    3.11, 2 vCPUs)."""
+    d = _q5_zero_divisor()
+    D, constants = k_algebra(11, 5, "10")
+    F = D.F
     start = time.perf_counter()
     with pytest.raises(ZeroDivisorError) as caught:
         invert(d)
     assert time.perf_counter() - start < 10
     kernel = caught.value.kernel
+    assert all(F.is_zero(c) for c in relation_mul(d, D.element(kernel)).coords)
+    assert all(F.is_zero(c) for c in constants_mul(d.coords, kernel, constants, F))
+
+
+@st.composite
+def exact_term_systems(draw):
+    """Exact n x n systems over F_7((t)) or F_11((t)), n <= 4, some made
+    singular by a column that is a combination of the others."""
+    domain = draw(st.sampled_from([FP7, FP11]))
+    n = draw(st.integers(1, 4))
+    entry = st.builds(domain.series, st.dictionaries(st.integers(-3, 6),
+                                                     st.integers(1, domain.coeff.p - 1),
+                                                     max_size=3))
+    matrix = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        weights = {i: draw(entry) for i in range(n) if i != j}
+        for row in matrix:
+            row[j] = sum((w * row[i] for i, w in weights.items()), domain.zero)
+    return domain, matrix, [draw(entry) for _ in range(n)]
+
+
+@given(exact_term_systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_exact_decides_singularity_exactly(system):
+    """A solution solves the system to the precision asked for; a kernel is
+    exact, within Cramer's bound (r x r minors, r < n, of entries with
+    exponents in [lo, hi] span at most r*(hi - lo)), and found exactly when
+    ``kernel_vector`` finds one."""
+    domain, matrix, rhs = system
+    n = len(matrix)
+    try:
+        x = solve_exact(domain, matrix, rhs, 20)
+    except ZeroDivisorError as exc:
+        kernel = exc.kernel
+        assert kernel_vector(domain, matrix) is not None
+        assert not all(domain.is_zero(c) for c in kernel)
+        assert all(domain.is_zero(sum((a * c for a, c in zip(row, kernel)), domain.zero))
+                   for row in matrix)
+        exps = [e for row in matrix for c in row for e in c.terms] or [0]
+        assert max(u_span(c) for c in kernel) <= (n - 1) * (max(exps) - min(exps))
+        return
+    assert kernel_vector(domain, matrix) is None
+    assert all(c.precision == 20 or c.is_exact_zero() for c in x)
+    for row, b in zip(matrix, rhs):
+        assert sum((a * c for a, c in zip(row, x)), domain.zero).agrees_to_precision(b)
+
+
+def k_system(d):
+    """The q x q matrix over K that ``invert`` hands to ``solve_exact``."""
+    seen = []
+
+    def spy(domain, matrix, rhs, precision):
+        seen.append(matrix)
+        return solve_exact(domain, matrix, rhs, precision)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra_module, "solve_exact", spy)
+        with pytest.raises(ZeroDivisorError):
+            invert(d)
+    return seen[0]
+
+
+def u_span(s):
+    return max(s.terms) - min(s.terms) if s.terms else 0
+
+
+def test_q5_zero_divisor_kernel_within_the_cramer_bound():
+    """The matrix over K of ``_q5_zero_divisor`` has entries of u-degree at
+    most 4 and rank 4, so its Cramer kernel, 4 x 4 minors, has entries of
+    u-degree span at most 16: t-degree at most 3.  The never-reduced
+    fractions of ``kernel_vector`` gave u-degree 1080 (t-degree 216)."""
+    d = _q5_zero_divisor()
+    D, _ = k_algebra(11, 5, "10")
+    U, q = D.kummer._u_field, D.q
+    assert max(u_span(e) for row in k_system(d) for e in row) <= 4
+    with pytest.raises(ZeroDivisorError) as caught:
+        invert(d)
+    kernel = caught.value.kernel
+    assert max(u_span(_to_u_series(U, kernel[q * l:q * (l + 1)], q)) for l in range(q)) <= 16
+    assert all(0 <= e <= 3 for c in kernel for e in c.terms)
+
+
+def test_zero_divisor_of_rank_one_over_k():
+    """d = g*(X^2 + 3X + 2)*h with alpha = 3^3 over F_7((t)): X^2 + 3X + 2 is
+    (X^3 - 27)/(X - 3), of rank 1 as a matrix over K, so every 2 x 2 minor of
+    its system over K, every entry of the adjugate, is 0.  The kernel is read
+    off the one pivot, a 1 x 1 minor, not off an adjugate column."""
+    D, constants = k_algebra(7, 3, "6")
+    F = D.F
+    _, right = zero_divisor_witness(D, F.from_int(3))
+    g = D.element([F.parse(s) for s in ["1 + t", "2*t^2", "0", "3", "t^(-1)", "0", "0",
+                                        "5*t^3 + t", "0"]])
+    d = g * right * g
+    matrix = k_system(d)
+    U = D.kummer._u_field
+    assert all(U.is_zero(matrix[i][j] * matrix[k][l] - matrix[i][l] * matrix[k][j])
+               for i in range(3) for k in range(i + 1, 3) for j in range(3) for l in range(j + 1, 3))
+    with pytest.raises(ZeroDivisorError) as caught:
+        solve_exact(U, matrix, [U.one, U.zero, U.zero], 30)
+    over_k = caught.value.kernel
+    assert sum(not U.is_zero(c) for c in over_k) == 2
+    assert max(u_span(c) for c in over_k) <= max(u_span(e) for row in matrix for e in row)
+    assert all(U.is_zero(sum((a * x for a, x in zip(row, over_k)), U.zero)) for row in matrix)
+    got, domains = invert_outcome(d)
+    assert got[0] == "kernel" and domains == [U]
+    kernel = got[1]
+    assert not all(F.is_zero(c) for c in kernel)
     assert all(F.is_zero(c) for c in relation_mul(d, D.element(kernel)).coords)
     assert all(F.is_zero(c) for c in constants_mul(d.coords, kernel, constants, F))

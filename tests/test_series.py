@@ -119,6 +119,18 @@ def test_invert_precision_budget():
     assert (s * inv).agrees_to_precision(R.one)
 
 
+def test_tower_inverse_of_a_leading_coefficient_known_to_no_term():
+    """Over F_7((x))((t)) with inner precision 3, 1/(x^-3 + x^-1) is
+    x^3 - x^5 + ..., known to no term below O(x^3): a PrecisionError, not
+    a Newton loop that does not converge."""
+    X = laurent(F7, "x", 3)
+    T = laurent(X, "t", 13)
+    lead = T.constant(X.parse("x^(-3) + x^(-1)"))
+    for s in (lead.truncate(13), lead, lead + T.parse("(1)*t")):
+        with pytest.raises(PrecisionError, match="known to no term"):
+            s.invert(13)
+
+
 def test_zero_inverse_raises():
     with pytest.raises(ZeroDivisionError):
         R.zero.invert()

@@ -65,6 +65,8 @@ def ref_invert(s, target_precision=None):
         raise ZeroDivisionError("inverse of the zero series")
     domain = s.domain
     lead_inv = domain.coeff.invert(s.coeffs[v])
+    if isinstance(domain.coeff, SeriesDomain) and lead_inv.is_known_zero():
+        raise PrecisionError("the inverse of the leading coefficient is known to no term")
     if s.precision is None and len(s.coeffs) == 1:
         return Series(domain, {-v: lead_inv}, None, _validate=False)
     achievable = INFINITY if s.precision is None else s.precision - 2 * v
