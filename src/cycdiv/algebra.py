@@ -42,13 +42,14 @@ Which route of :func:`invert` serves which input:
   a X^m = X^m sigma^-m(a), the coefficient of X^k in d X^l b is
   sigma^-k(a_(k-l mod q)) alpha^[l > k] b; sigma^m multiplies the coefficient
   of u^e by xi^(m*e).  The entries are EXACT Laurent polynomials in u, and
-  ``linalg.solve_exact`` solves the system for the right coordinates b_l
-  of the inverse by fraction-free elimination: b_l = N_l * det^-1, cut at
-  the working precision q*(target + slack) in u, plus 2q|v| when v, the
-  least valuation of an entry, is negative (an EXACT 0 when N_l is).  That
-  extra was found by trial: without it some coordinates came out 1 to 3
-  terms less precise than over F; with it none did, for coordinates with
-  exponents down to -10 and alpha down to t^-5 (``tests/test_linalg.py``).
+  ``solve_linear(..., fraction_free=True)`` solves the system for the right
+  coordinates b_l of the inverse by fraction-free (Bareiss) elimination:
+  b_l = N_l * det^-1, cut at the working precision q*(target + slack) in
+  u, plus 2q|v| when v, the least valuation of an entry, is negative (an
+  EXACT 0 when N_l is).  That extra was found by trial: without it some
+  coordinates came out 1 to 3 terms less precise than over F; with it none
+  did, for coordinates with exponents down to -10 and alpha down to t^-5
+  (``tests/test_linalg.py``).
   The left coordinates are x_l = sigma^l(b_l), split by exponent mod q
   (``kummer._from_u_series``).  Singularity is decided exactly, so no
   exact input is a PrecisionError here.  A singular system gives its
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 from .element import Element, FiniteAlgebra, monomial_label
 from .errors import CycdivError, DomainMismatchError, ZeroDivisorError
 from .kummer import KummerContext, _from_u_series, _to_u_series, _u_sigma, is_norm
-from .linalg import _SLACK, _is_term_field, solve_exact, solve_linear
+from .linalg import _SLACK, _is_term_field, solve_linear
 from .series import _flat_bounds, _flat_levels, _flatten, _is_exactly, _unflatten
 
 # The flat product packs exponents only into keys below 2**62 in absolute
@@ -427,7 +428,7 @@ def _invert_over_k(d, target_precision):
     low = min((s.valuation() for row in matrix for s in row if s.terms), default=0)
     work = q * (target + _SLACK) + (2 * q * -low if low < 0 else 0)
     try:
-        b = solve_exact(U, matrix, [U.one] + [U.zero] * (q - 1), work)
+        b = solve_linear(U, matrix, [U.one] + [U.zero] * (q - 1), work, fraction_free=True)
     except ZeroDivisorError as exc:
         # scaled so that its last nonzero coordinate has lowest coefficient 1:
         # the map is F_p-linear, so scaling the powers of xi scales its result

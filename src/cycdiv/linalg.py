@@ -1,7 +1,7 @@
 """Dense linear algebra over field domains: solves and exact kernel vectors.
 
-``solve_linear``, ``solve_exact`` and ``kernel_vector`` run one Gauss–Jordan
-core, ``_eliminate``, on the augmented rows ``[M | rhs]`` (a kernel has no
+``solve_linear`` and ``kernel_vector`` run one Gauss–Jordan core,
+``_eliminate``, on the augmented rows ``[M | rhs]`` (a kernel has no
 right-hand side).  The core owns the pivot search, the row swaps and the
 live columns; a *route* brings the entry representation and two row
 operations, ``scale_row`` (invert the pivot, scale the pivot row) and
@@ -30,14 +30,15 @@ Which route serves which domain:
   of such maps.  Products of EXACT series have one canonical result, and
   the truncated steps follow the rule of ``Series.__mul__`` and
   ``Series.__sub__``, so both give the same stored series as the loop.
-  ``solve_exact`` runs fraction-free (Bareiss) elimination on EXACT term
-  maps, with exact division by long division on the lowest terms: every
-  entry stays a minor of [M | rhs], so nothing swells past Cramer's bound,
-  the determinant decides singularity exactly, and x_l = N_l * det^-1
-  takes one ``Series.invert``, cut at the requested precision.
-  ``algebra.invert`` in a cyclic algebra over F_p((t)) with EXACT inputs
-  solves a q x q system over K = F_p((u)) with it instead of the
-  q^2 x q^2 one over F (see the ``cycdiv.algebra`` module docstring).
+  With ``fraction_free=True`` both run fraction-free (Bareiss)
+  elimination on EXACT term maps instead, with exact division by long
+  division on the lowest terms: every entry stays a minor of [M | rhs], so
+  nothing swells past Cramer's bound, the determinant decides singularity
+  exactly, and x_l = N_l * det^-1 takes one ``Series.invert``, cut at the
+  requested precision.  ``algebra.invert`` in a cyclic algebra over
+  F_p((t)) with EXACT inputs solves a q x q system over K = F_p((u)) so
+  instead of the q^2 x q^2 one over F (see the ``cycdiv.algebra`` module
+  docstring).
 * The loop, in the arithmetic of the domain itself: Hahn fields, towers,
   Q((t)) and base fields such as Q.  ``kernel_vector`` there, and on a
   truncated F_p((t)) matrix, runs on ``FractionField``.
@@ -405,12 +406,11 @@ def _exact_quotient(a, b, p):
 
 
 class _Bareiss:
-    """The fraction-free route of ``solve_exact`` over F_p((t)) (Bareiss
-    1968): an entry is an EXACT ``_Terms``.  A step on the pivot ``piv``,
-    after the step on ``prev``, sets row[j] = (piv*row[j] - f*prow[j]) / prev
-    on every other row, f = row[col]; the division is exact, as every entry
-    is then a minor of [M | rhs], and every pivot row's own pivot becomes
-    ``piv``."""
+    """The fraction-free route over F_p((t)) (Bareiss 1968): an entry is
+    an EXACT ``_Terms``.  A step on the pivot ``piv``, after the step on
+    ``prev``, sets row[j] = (piv*row[j] - f*prow[j]) / prev on every other
+    row, f = row[col]; the division is exact, as every entry is then a
+    minor of [M | rhs], and every pivot row's own pivot becomes ``piv``."""
 
     is_known_zero = staticmethod(_TermSolve.is_known_zero)
     pivot_key = staticmethod(_TermKernel.pivot_key)
@@ -438,41 +438,7 @@ class _Bareiss:
             row[j] = _Terms(_exact_quotient(out, prev, p) if out else out)
 
 
-def solve_exact(domain, matrix, rhs, precision):
-    """Solve M x = rhs for EXACT M and rhs over F_p((t)) by fraction-free
-    Gauss–Jordan elimination (``_Bareiss``), which decides singularity
-    exactly.  Each pivot row ends as det*x_l = N_l (det up to sign), so
-    x_l = N_l * det^-1 takes one ``Series.invert`` of det; each x_l is cut
-    at t^precision, and is an EXACT 0 when N_l is.  A singular M raises
-    ZeroDivisorError with the Cramer kernel: r x r minors, r the rank, read
-    off the first column without a pivot.  Never a PrecisionError."""
-    n = _square(matrix, rhs)
-    if not (_is_term_field(domain) and all(e.is_exact for row in [*matrix, rhs] for e in row)):
-        raise CycdivError("solve_exact needs EXACT entries over F_p((t))")
-    p = domain.ring.p
-    route = _Bareiss(p)
-    rows = [[_Terms(e.terms) for e in row] + [_Terms(b.terms)] for row, b in zip(matrix, rhs)]
-    pivots, free = _eliminate(rows, route, kernel=True)
-
-    def series(terms):
-        return _stored(domain, terms, 1, None)
-
-    if free is not None:
-        kernel = [domain.zero] * n
-        kernel[free] = series(route.piv.terms)
-        for col, r in pivots.items():
-            kernel[col] = series({e: p - c for e, c in rows[r][free].terms.items()})
-        raise ZeroDivisorError("singular linear system", kernel=kernel)
-    nums = [row[n] for row in rows]  # the pivot of column l is in row l
-    lows = [x.low for x in nums if x.terms]
-    if not lows:
-        return [domain.zero] * n
-    inv = series(route.piv.terms).invert(precision - min(lows))
-    return [(series(x.terms) * inv).truncate(precision) if x.terms else domain.zero
-            for x in nums]
-
-
-def solve_linear(domain, matrix, rhs, precision=None):
+def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
     """Solve M x = rhs over a field domain by Gauss–Jordan elimination.
 
     ``matrix`` is a list of rows; ``rhs`` a list.  For series domains,
@@ -481,9 +447,30 @@ def solve_linear(domain, matrix, rhs, precision=None):
     kernel vector.  A column without a pivot at the working precision raises
     PrecisionError when some entry is truncated (it may be a unit known to
     too few terms) or when the exact matrix has no kernel.
+
+    ``fraction_free`` is for EXACT M and rhs over F_p((t)): the ``_Bareiss``
+    route, which decides singularity exactly and never raises
+    PrecisionError.  Each pivot row ends as det*x_l = N_l (det up to sign),
+    so x_l = N_l * det^-1 takes one ``Series.invert`` of det; each x_l is
+    cut at t^precision, and is an EXACT 0 when N_l is.  A singular M raises
+    ZeroDivisorError with the kernel ``kernel_vector`` gives on that route,
+    which eliminates M again.
     """
     n = _square(matrix, rhs)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    if fraction_free:
+        route = _Bareiss(domain.ring.p)
+        rows = [[_Terms(e.terms) for e in row] for row in rows]
+        if _eliminate(rows, route)[1] is not None:
+            raise ZeroDivisorError("singular linear system",
+                                   kernel=kernel_vector(domain, matrix, fraction_free=True))
+        nums = [row[n] for row in rows]  # the pivot of column l is in row l
+        lows = [x.low for x in nums if x.terms]
+        if not lows:
+            return [domain.zero] * n
+        inv = _stored(domain, route.piv.terms, 1, None).invert(precision - min(lows))
+        return [(_stored(domain, x.terms, 1, None) * inv).truncate(precision) if x.terms
+                else domain.zero for x in nums]
     work = None
     if isinstance(domain, SeriesDomain):
         work = (precision if precision is not None else domain.default_precision) + _SLACK
@@ -512,11 +499,29 @@ def _first(value):
     return 0
 
 
-def kernel_vector(domain, matrix):
+def kernel_vector(domain, matrix, fraction_free=False):
     """An exact nonzero vector in the right kernel of M, or None: fraction
     elimination (exact over EXACT series and exact base fields), then
-    denominators cleared so the result lives in the original domain."""
+    denominators cleared so the result lives in the original domain.
+
+    ``fraction_free`` is for EXACT M over F_p((t)): the ``_Bareiss`` route
+    gives the Cramer kernel, r x r minors with r the rank, read off the
+    first column without a pivot.
+    """
     n = _square(matrix)
+    if fraction_free:
+        route = _Bareiss(domain.ring.p)
+        rows = [[_Terms(e.terms) for e in row] for row in matrix]
+        pivots, free = _eliminate(rows, route, kernel=True)
+        if free is None:
+            return None
+        p = route.p
+        kernel = [domain.zero] * n
+        kernel[free] = _stored(domain, route.piv.terms, 1, None)
+        for col, r in pivots.items():
+            kernel[col] = _stored(domain, {e: p - c for e, c in rows[r][free].terms.items()},
+                                  1, None)
+        return kernel
     if _is_term_field(domain) and all(e.is_exact for row in matrix for e in row):
         route = base = _TermKernel(domain)
         one = _Terms(domain.one.terms)

@@ -33,7 +33,7 @@ from cycdiv.basefields import Domain
 from cycdiv.cli import main
 from cycdiv.errors import CycdivError, PrecisionError, ZeroDivisorError
 from cycdiv.kummer import _to_u_series
-from cycdiv.linalg import kernel_vector, solve_exact, solve_linear
+from cycdiv.linalg import kernel_vector, solve_linear
 from cycdiv.series import INFINITY, SeriesDomain
 from cycdiv.verify import albert_setup, hahn_tower_context
 
@@ -554,19 +554,16 @@ def k_route_elements(draw):
 
 def invert_outcome(d):
     """("x", coordinates), ("kernel", kernel) or the library error's class, and
-    the domains of the ``solve_linear`` and ``solve_exact`` calls ``invert``
-    made."""
+    the domains of the ``solve_linear`` calls ``invert`` made, with or
+    without ``fraction_free``."""
     domains = []
 
-    def spy(solve):
-        def call(domain, matrix, rhs, precision=None):
-            domains.append(domain)
-            return solve(domain, matrix, rhs, precision)
-        return call
+    def spy(domain, matrix, rhs, precision=None, **kwargs):
+        domains.append(domain)
+        return solve_linear(domain, matrix, rhs, precision, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebra_module, "solve_linear", spy(solve_linear))
-        mp.setattr(algebra_module, "solve_exact", spy(solve_exact))
+        mp.setattr(algebra_module, "solve_linear", spy)
         try:
             return ("x", list(invert(d).coords)), domains
         except ZeroDivisorError as exc:
@@ -713,15 +710,15 @@ def exact_term_systems(draw):
 
 @given(exact_term_systems())
 @settings(max_examples=200, deadline=None)
-def test_solve_exact_decides_singularity_exactly(system):
+def test_fraction_free_solve_decides_singularity_exactly(system):
     """A solution solves the system to the precision asked for; a kernel is
     exact, within Cramer's bound (r x r minors, r < n, of entries with
     exponents in [lo, hi] span at most r*(hi - lo)), and found exactly when
-    ``kernel_vector`` finds one."""
+    the fraction route of ``kernel_vector`` finds one."""
     domain, matrix, rhs = system
     n = len(matrix)
     try:
-        x = solve_exact(domain, matrix, rhs, 20)
+        x = solve_linear(domain, matrix, rhs, 20, fraction_free=True)
     except ZeroDivisorError as exc:
         kernel = exc.kernel
         assert kernel_vector(domain, matrix) is not None
@@ -732,21 +729,22 @@ def test_solve_exact_decides_singularity_exactly(system):
         assert max(u_span(c) for c in kernel) <= (n - 1) * (max(exps) - min(exps))
         return
     assert kernel_vector(domain, matrix) is None
+    assert kernel_vector(domain, matrix, fraction_free=True) is None
     assert all(c.precision == 20 or c.is_exact_zero() for c in x)
     for row, b in zip(matrix, rhs):
         assert sum((a * c for a, c in zip(row, x)), domain.zero).agrees_to_precision(b)
 
 
 def k_system(d):
-    """The q x q matrix over K that ``invert`` hands to ``solve_exact``."""
+    """The q x q matrix over K that ``invert`` hands to ``solve_linear``."""
     seen = []
 
-    def spy(domain, matrix, rhs, precision):
+    def spy(domain, matrix, rhs, precision=None, **kwargs):
         seen.append(matrix)
-        return solve_exact(domain, matrix, rhs, precision)
+        return solve_linear(domain, matrix, rhs, precision, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebra_module, "solve_exact", spy)
+        mp.setattr(algebra_module, "solve_linear", spy)
         with pytest.raises(ZeroDivisorError):
             invert(d)
     return seen[0]
@@ -788,7 +786,7 @@ def test_zero_divisor_of_rank_one_over_k():
     assert all(U.is_zero(matrix[i][j] * matrix[k][l] - matrix[i][l] * matrix[k][j])
                for i in range(3) for k in range(i + 1, 3) for j in range(3) for l in range(j + 1, 3))
     with pytest.raises(ZeroDivisorError) as caught:
-        solve_exact(U, matrix, [U.one, U.zero, U.zero], 30)
+        solve_linear(U, matrix, [U.one, U.zero, U.zero], 30, fraction_free=True)
     over_k = caught.value.kernel
     assert sum(not U.is_zero(c) for c in over_k) == 2
     assert max(u_span(c) for c in over_k) <= max(u_span(e) for row in matrix for e in row)
