@@ -9,45 +9,47 @@ operations, ``scale_row`` (invert the pivot, scale the pivot row) and
 ``solve_linear`` works in the domain: series entries are truncated to the
 working precision plus a slack, the pivot is an entry of least valuation,
 and it is inverted to the precision its O-term allows.  ``kernel_vector``
-works in fractions (num, den) of the domain, never reduced, and pivots on
-the first nonzero entry.
+pivots on the first nonzero entry.
 
-Which route serves which domain:
+Which route serves which call:
 
 * Term maps, over F_p((t)): a ``SeriesDomain`` whose ``ring`` is a
   ``PrimeField`` and whose value group is Z.  Each entry is a ``_Terms``,
-  an ``{exponent: int}`` map with its precision and valuation bound, and
-  ``row[j] -= f*prow[j]`` adds the term products straight into ``row[j]``'s
-  map, reduces mod p once, and cuts at the precision
-  ``series.product_precision`` gives.  Dense operands are multiplied by
-  Kronecker substitution, with the density rule of
-  ``series._kronecker_mul``; each entry keeps its packed int, so a pivot
-  row entry is packed once per pivot step and a multiplier once per row,
-  not once per product.  Sparse operands take the schoolbook loop.  No
-  ``Series`` is built until the result, except the pivot, which
-  ``Series.invert`` inverts.  The truncated solve takes this route, and so
-  does ``kernel_vector`` when every entry is EXACT; its fractions are pairs
-  of such maps.  Products of EXACT series have one canonical result, and
-  the truncated steps follow the rule of ``Series.__mul__`` and
-  ``Series.__sub__``, so both give the same stored series as the loop.
-  With ``fraction_free=True`` both run fraction-free (Bareiss)
-  elimination on EXACT term maps instead, with exact division by long
-  division on the lowest terms: every entry stays a minor of [M | rhs], so
-  nothing swells past Cramer's bound, the determinant decides singularity
-  exactly, and x_l = N_l * det^-1 takes one ``Series.invert``, cut at the
-  requested precision.  ``algebra.invert`` in a cyclic algebra over
-  F_p((t)) with EXACT inputs solves a q x q system over K = F_p((u)) so
-  instead of the q^2 x q^2 one over F (see the ``cycdiv.algebra`` module
-  docstring).
+  an ``{exponent: int}`` map with its precision and valuation bound.
+  Dense operands are multiplied by Kronecker substitution, with the density
+  rule of ``series._kronecker_mul``; each entry keeps its packed int, so a
+  pivot row entry is packed once per pivot step and a multiplier once per
+  row, not once per product.  Sparse operands take the schoolbook loop.
+  No ``Series`` is built until the result.
+
+  - The truncated solve (``_TermSolve``): ``row[j] -= f*prow[j]`` adds the
+    term products straight into ``row[j]``'s map, reduces mod p once, and
+    cuts at the precision ``series.product_precision`` gives; the pivot is
+    inverted by ``Series.invert``.  The steps follow the rule of
+    ``Series.__mul__`` and ``Series.__sub__``, so they give the same stored
+    series as the loop.
+  - Every kernel of an EXACT matrix, and the solve with
+    ``fraction_free=True`` (``_Bareiss``): fraction-free elimination on
+    EXACT term maps, with exact division by long division on the lowest
+    terms.  Every entry stays a minor of [M | rhs], so nothing swells past
+    Cramer's bound, and the determinant decides singularity exactly.  A
+    kernel is the Cramer kernel, r x r minors with r the rank; a solution
+    is x_l = N_l * det^-1, one ``Series.invert``, cut at the requested
+    precision.  ``algebra.invert`` in a cyclic algebra over F_p((t)) with
+    EXACT inputs solves a q x q system over K = F_p((u)) so instead of the
+    q^2 x q^2 one over F (see the ``cycdiv.algebra`` module docstring).
 * The loop, in the arithmetic of the domain itself: Hahn fields, towers,
   Q((t)) and base fields such as Q.  ``kernel_vector`` there, and on a
-  truncated F_p((t)) matrix, runs on ``FractionField``.
+  truncated F_p((t)) matrix, runs on ``FractionField``: fractions
+  (num, den) of the domain, never reduced, whose denominators are cleared
+  by products at the end.
 
 A multiplier f known only to an O-term is no zero: ``f*prow[j]`` is known to
 no term, but it is known only to ``product_precision(f, prow[j])``, which
-bounds what is known of ``row[j]`` after the step.  Both routes apply that
-bound without a product; they skip only exact zeros.  (The fractions of a
-kernel skip known zeros: a kernel is only certified from EXACT entries.)
+bounds what is known of ``row[j]`` after the step.  Both truncated routes
+apply that bound without a product; they skip only exact zeros.  (The
+fractions of a kernel skip known zeros: a kernel is only certified from
+EXACT entries.)
 
 A pivot step on column c reads column c and then writes only the live
 columns: those right of c (the right-hand side with them) and, for a kernel,
@@ -55,13 +57,14 @@ the first column found without a pivot, whose entries in the pivot rows give
 the kernel vector.  No later step reads any other column, so skipping them
 changes no result and saves about half of the products.
 
-Kernel extraction is exact because nothing in it is truncated or divided:
-over EXACT series or an exact base field a fraction is zero exactly when its
-numerator is, so a column without a pivot proves the matrix singular, and the
-vector read off the reduced rows, denominators cleared by products,
-annihilates M exactly.  Truncated entries cannot decide this (``O(t^k)`` may
-be nonzero), so ``solve_linear`` asks for a kernel only when M is exact, and
-a truncated M without a pivot is a PrecisionError.
+Kernel extraction is exact because nothing in it is truncated and every
+division in it is exact: over EXACT series or an exact base field a fraction
+is zero exactly when its numerator is, and a fraction-free entry exactly
+when its term map is empty, so a column without a pivot proves the matrix
+singular, and the vector read off the reduced rows annihilates M exactly.
+Truncated entries cannot decide this (``O(t^k)`` may be nonzero), so
+``solve_linear`` asks for a kernel only when M is exact, and a truncated M
+without a pivot is a PrecisionError.
 """
 
 from .basefields import PrimeField
@@ -107,6 +110,10 @@ def _square(matrix, rhs=None):
                           f"{n} rows of lengths {sorted({len(row) for row in matrix})}"
                           + ("" if rhs is None else f" and {len(rhs)} right-hand sides"))
     return n
+
+
+def _first(value):
+    return 0
 
 
 def _eliminate(rows, route, kernel=False):
@@ -319,68 +326,6 @@ class _TermSolve:
             row[j] = _Terms(t, prec)
 
 
-class _TermKernel:
-    """The term-map route of the exact kernel over F_p((t)): an entry is a
-    fraction (num, den) of EXACT ``_Terms``, never reduced, as in
-    ``FractionField``; ``zero``, ``mul``, ``neg`` and ``series`` are the
-    arithmetic of the ``_Terms`` themselves."""
-
-    def __init__(self, domain):
-        self.domain, self.p, self.zero = domain, domain.ring.p, _Terms({})
-
-    @staticmethod
-    def is_known_zero(x):
-        return not x[0].terms
-
-    is_zero = is_known_zero
-
-    @staticmethod
-    def pivot_key(x):
-        return 0
-
-    def mul(self, a, b):
-        ta, tb = a.terms, b.terms
-        if not (ta and tb):
-            return self.zero
-        p = self.p
-        if len(ta) == 1 or len(tb) == 1:
-            # nonzero values mod a prime p: no product vanishes
-            (e1, c1), = (ta if len(ta) == 1 else tb).items()
-            return _Terms({e1 + e: c1 * c % p for e, c in (tb if len(ta) == 1 else ta).items()})
-        out = {}
-        _add_products(out, a, b, p, INFINITY, 1)
-        return _Terms(_reduced(out, p))
-
-    def neg(self, a):
-        p = self.p
-        return _Terms({e: p - c for e, c in a.terms.items()})
-
-    def series(self, a):
-        return _stored(self.domain, a.terms, 1, None)
-
-    def scale_row(self, row, col, live):
-        num, den = row[col]
-        mul = self.mul
-        for j in live:
-            a, b = row[j]
-            row[j] = mul(den, a), mul(num, b)
-
-    def reduce_row(self, row, f, prow, live):
-        f0, f1 = f
-        p, mul = self.p, self.mul
-        for j in live:
-            r0, r1 = row[j]
-            p0, p1 = prow[j]
-            # row - f*prow = (r0*b - a*r1, r1*b) with (a, b) = f*prow
-            a, b = mul(f0, p0), mul(f1, p1)
-            num = {}
-            if r0.terms and b.terms:
-                _add_products(num, r0, b, p, INFINITY, 1)
-            if a.terms and r1.terms:
-                _add_products(num, a, r1, p, INFINITY, -1)
-            row[j] = _Terms(_reduced(num, p)), mul(r1, b)
-
-
 def _exact_quotient(a, b, p):
     """a / b for term maps (Laurent polynomials over F_p) where b divides a:
     long division on the lowest terms, with a check that nothing remains."""
@@ -413,7 +358,7 @@ class _Bareiss:
     minor of [M | rhs], and every pivot row's own pivot becomes ``piv``."""
 
     is_known_zero = staticmethod(_TermSolve.is_known_zero)
-    pivot_key = staticmethod(_TermKernel.pivot_key)
+    pivot_key = staticmethod(_first)
 
     def __init__(self, p):
         self.p, self.piv, self.prev = p, _Terms({0: 1}), None
@@ -438,6 +383,12 @@ class _Bareiss:
             row[j] = _Terms(_exact_quotient(out, prev, p) if out else out)
 
 
+def _exact_term_rows(domain, rows):
+    """Whether ``rows`` hold only EXACT entries of F_p((t)), which the
+    ``_Bareiss`` route serves."""
+    return _is_term_field(domain) and all(e.is_exact for row in rows for e in row)
+
+
 def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
     """Solve M x = rhs over a field domain by Gauss–Jordan elimination.
 
@@ -448,22 +399,25 @@ def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
     PrecisionError when some entry is truncated (it may be a unit known to
     too few terms) or when the exact matrix has no kernel.
 
-    ``fraction_free`` is for EXACT M and rhs over F_p((t)): the ``_Bareiss``
-    route, which decides singularity exactly and never raises
-    PrecisionError.  Each pivot row ends as det*x_l = N_l (det up to sign),
-    so x_l = N_l * det^-1 takes one ``Series.invert`` of det; each x_l is
-    cut at t^precision, and is an EXACT 0 when N_l is.  A singular M raises
-    ZeroDivisorError with the kernel ``kernel_vector`` gives on that route,
-    which eliminates M again.
+    ``fraction_free`` is for EXACT M and rhs over F_p((t)), and raises
+    CycdivError on any other input: the ``_Bareiss`` route, which decides
+    singularity exactly and never raises PrecisionError.  Each pivot row
+    ends as det*x_l = N_l (det up to sign), so x_l = N_l * det^-1 takes one
+    ``Series.invert`` of det; each x_l is cut at t^precision, and is an
+    EXACT 0 when N_l is.  A singular M raises ZeroDivisorError with the
+    kernel of ``kernel_vector``, which eliminates M again.
     """
     n = _square(matrix, rhs)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
     if fraction_free:
+        if not _exact_term_rows(domain, rows):
+            raise CycdivError("a fraction-free solve needs EXACT entries over F_p((t))")
+        if precision is None:
+            precision = domain.default_precision
         route = _Bareiss(domain.ring.p)
         rows = [[_Terms(e.terms) for e in row] for row in rows]
         if _eliminate(rows, route)[1] is not None:
-            raise ZeroDivisorError("singular linear system",
-                                   kernel=kernel_vector(domain, matrix, fraction_free=True))
+            raise ZeroDivisorError("singular linear system", kernel=kernel_vector(domain, matrix))
         nums = [row[n] for row in rows]  # the pivot of column l is in row l
         lows = [x.low for x in nums if x.terms]
         if not lows:
@@ -495,21 +449,17 @@ def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
     raise ZeroDivisorError("singular linear system", kernel=kernel)
 
 
-def _first(value):
-    return 0
+def kernel_vector(domain, matrix):
+    """An exact nonzero vector in the right kernel of M, or None.
 
-
-def kernel_vector(domain, matrix, fraction_free=False):
-    """An exact nonzero vector in the right kernel of M, or None: fraction
-    elimination (exact over EXACT series and exact base fields), then
-    denominators cleared so the result lives in the original domain.
-
-    ``fraction_free`` is for EXACT M over F_p((t)): the ``_Bareiss`` route
-    gives the Cramer kernel, r x r minors with r the rank, read off the
-    first column without a pivot.
+    Over F_p((t)) with every entry EXACT, the ``_Bareiss`` route gives the
+    Cramer kernel, r x r minors with r the rank, read off the first column
+    without a pivot.  Elsewhere, fraction elimination (exact over EXACT
+    series and exact base fields), then denominators cleared so the result
+    lives in the original domain.
     """
     n = _square(matrix)
-    if fraction_free:
+    if _exact_term_rows(domain, matrix):
         route = _Bareiss(domain.ring.p)
         rows = [[_Terms(e.terms) for e in row] for row in matrix]
         pivots, free = _eliminate(rows, route, kernel=True)
@@ -522,33 +472,25 @@ def kernel_vector(domain, matrix, fraction_free=False):
             kernel[col] = _stored(domain, {e: p - c for e, c in rows[r][free].terms.items()},
                                   1, None)
         return kernel
-    if _is_term_field(domain) and all(e.is_exact for row in matrix for e in row):
-        route = base = _TermKernel(domain)
-        one = _Terms(domain.one.terms)
-        rows = [[(_Terms(e.terms), one) for e in row] for row in matrix]
-    else:
-        base, one = domain, domain.one
-        ff = FractionField(domain)
-        route = _Loop(ff, _first, ff.invert)
-        rows = [[(e, one) for e in row] for row in matrix]
-    pivots, fc = _eliminate(rows, route, kernel=True)
+    one = domain.one
+    ff = FractionField(domain)
+    rows = [[(e, one) for e in row] for row in matrix]
+    pivots, fc = _eliminate(rows, _Loop(ff, _first, ff.invert), kernel=True)
     if fc is None:
         return None
-    x = [(base.zero, one)] * n
+    x = [(domain.zero, one)] * n
     x[fc] = (one, one)
     for col, r in pivots.items():
         num, den = rows[r][fc]
-        x[col] = (base.neg(num), den)
+        x[col] = (domain.neg(num), den)
     # clear denominators: x_i = num_i/den_i -> num_i * prod_{j != i} den_j
     cleared = []
     for i, (num, den) in enumerate(x):
         scale = one
         for j, (_, dj) in enumerate(x):
             if j != i:
-                scale = base.mul(scale, dj)
-        cleared.append(base.mul(num, scale))
-    if base is not domain:
-        cleared = [base.series(c) for c in cleared]
+                scale = domain.mul(scale, dj)
+        cleared.append(domain.mul(num, scale))
     if all(domain.is_known_zero(c) for c in cleared):
         raise CycdivError("kernel clearing produced the zero vector")
     return cleared

@@ -2,14 +2,19 @@
 
 ``ref_solve_linear`` and ``ref_kernel_vector`` are the Gauss–Jordan solve and
 the fraction-field kernel in plain ``Series`` (or base-field) arithmetic over
-every column.  The core, on either route (term maps over F_p((t)), the loop
-elsewhere), must give structurally identical results: the same inverse
-coordinates with the same O-terms, the same kernel vectors, and the same
-errors, except that a matrix the truncated solve finds singular but that has
-no kernel is now a PrecisionError: an exact one that is singular only at the
-working precision, or one with truncated entries.  The reference solve skips
-only exact zeros: a multiplier known only to an O-term bounds the precision
-of the row it reduces.
+every column.  The truncated solve, on either route (term maps over
+F_p((t)), the loop elsewhere), must give structurally identical results: the
+same inverse coordinates with the same O-terms and the same errors, except
+that a matrix the truncated solve finds singular but that has no kernel is
+now a PrecisionError: an exact one that is singular only at the working
+precision, or one with truncated entries.  The reference solve skips only
+exact zeros: a multiplier known only to an O-term bounds the precision of
+the row it reduces.
+
+A kernel of a matrix on the loop route is the reference's, structurally.  An
+exact F_p((t)) matrix gets its Cramer kernel from fraction-free elimination
+instead: nonzero and exactly proportional to the reference's, since both are
+read off the first column without a pivot of the same reduced echelon form.
 
 ``invert`` over K = F_p((u)) is checked against the solve over F that it
 replaces for exact inputs (``left_mul_matrix`` and ``solve_linear``): the same
@@ -185,6 +190,17 @@ def same_vector(got, want):
         identical(a, b) if isinstance(a, Series) else a == b for a, b in zip(got, want))
 
 
+def same_kernel(domain, matrix, got, want):
+    """``got`` is the kernel ``want`` of the references: the same vector on
+    the loop route, a nonzero exact multiple of it for an exact F_p((t))
+    matrix, whose kernel is the Cramer kernel."""
+    if got is None or want is None or not (linalg._is_term_field(domain) and exact(matrix)):
+        return same_vector(got, want)
+    return (len(got) == len(want) and not all(domain.is_zero(k) for k in got)
+            and all(domain.is_zero(ki * rj - kj * ri)
+                    for ki, ri in zip(got, want) for kj, rj in zip(got, want)))
+
+
 def solve_outcome(solve, domain, matrix, rhs):
     """("x", solution), ("kernel", kernel or None) or the library error's class."""
     try:
@@ -207,10 +223,13 @@ def check_against_references(domain, matrix, rhs, kernels=True):
         want = PrecisionError  # singular only at the working precision, or truncated
     if isinstance(want, type) or isinstance(got, type):
         assert got is want
+    elif got[0] == "kernel":
+        assert want[0] == "kernel" and same_kernel(domain, matrix, got[1], want[1])
     else:
-        assert got[0] == want[0] and same_vector(got[1], want[1])
+        assert want[0] == "x" and same_vector(got[1], want[1])
     if kernels:
-        assert same_vector(kernel_vector(domain, matrix), ref_kernel_vector(domain, matrix))
+        assert same_kernel(domain, matrix, kernel_vector(domain, matrix),
+                           ref_kernel_vector(domain, matrix))
     return got
 
 
@@ -254,7 +273,7 @@ def algebra_elements(draw):
 @settings(max_examples=40, deadline=None)
 def test_algebra_solves_and_kernels_match_full_width(d):
     # a singular exact matrix reaches kernel_vector through the solve; the
-    # unreduced fractions of a unit's exact kernel elimination grow too fast
+    # reference's unreduced fractions of a unit's exact kernel grow too fast
     got = check_against_references(d.algebra.F, left_mul_matrix(d), list(d.algebra.one.coords),
                                    kernels=False)
     if not isinstance(got, type) and got[0] == "kernel":
@@ -360,11 +379,15 @@ def test_f_p_laurent_systems_take_the_term_maps(monkeypatch):
     unit = D.one + D.element([F.parse("t + 2*t^3")] * D.n)
     zero_divisor = D.element([F.from_int(2)] + [F.zero] * (D.n - 1)) * (
         D.X - D.from_base(F.from_int(3)))
-    for d, routes in ((unit, ["_TermSolve"]), (zero_divisor, ["_TermSolve", "_TermKernel"])):
+    for d, routes in ((unit, ["_TermSolve"]), (zero_divisor, ["_TermSolve", "_Bareiss"])):
         matrix, rhs = left_mul_matrix(d), list(D.one.coords)
         check_against_references(F, matrix, rhs, kernels=False)
         assert spy.take() == routes  # the references make no _eliminate call
-    # a truncated matrix has no certified kernel: its fractions take the loop
+    # an exact matrix gets its Cramer kernel; a truncated one has no
+    # certified kernel, and its fractions take the loop
+    matrix = left_mul_matrix(zero_divisor)
+    assert same_kernel(F, matrix, kernel_vector(F, matrix), ref_kernel_vector(F, matrix))
+    assert spy.take() == ["_Bareiss"]
     matrix = [[F.parse("1 + O(t^3)"), F.one], [F.one, F.one]]
     assert same_vector(kernel_vector(F, matrix), ref_kernel_vector(F, matrix))
     assert spy.take() == ["_Loop"]
@@ -713,26 +736,81 @@ def exact_term_systems(draw):
 def test_fraction_free_solve_decides_singularity_exactly(system):
     """A solution solves the system to the precision asked for; a kernel is
     exact, within Cramer's bound (r x r minors, r < n, of entries with
-    exponents in [lo, hi] span at most r*(hi - lo)), and found exactly when
-    the fraction route of ``kernel_vector`` finds one."""
+    exponents in [lo, hi] span at most r*(hi - lo)), found exactly when the
+    reference ``ref_kernel_vector`` finds one, and a multiple of it."""
     domain, matrix, rhs = system
     n = len(matrix)
     try:
         x = solve_linear(domain, matrix, rhs, 20, fraction_free=True)
     except ZeroDivisorError as exc:
         kernel = exc.kernel
-        assert kernel_vector(domain, matrix) is not None
-        assert not all(domain.is_zero(c) for c in kernel)
+        assert same_kernel(domain, matrix, kernel, ref_kernel_vector(domain, matrix))
         assert all(domain.is_zero(sum((a * c for a, c in zip(row, kernel)), domain.zero))
                    for row in matrix)
         exps = [e for row in matrix for c in row for e in c.terms] or [0]
         assert max(u_span(c) for c in kernel) <= (n - 1) * (max(exps) - min(exps))
         return
+    assert ref_kernel_vector(domain, matrix) is None
     assert kernel_vector(domain, matrix) is None
-    assert kernel_vector(domain, matrix, fraction_free=True) is None
     assert all(c.precision == 20 or c.is_exact_zero() for c in x)
     for row, b in zip(matrix, rhs):
         assert sum((a * c for a, c in zip(row, x)), domain.zero).agrees_to_precision(b)
+
+
+FP7_DEFAULT = laurent(PrimeField(7), "t")
+
+
+def test_fraction_free_solve_defaults_to_the_domain_precision():
+    """Without ``precision`` the fraction-free solve cuts at the domain's
+    default precision, as the truncated solve does; it raised TypeError."""
+    F = FP7_DEFAULT
+    x, = solve_linear(F, [[F.parse("1 + t")]], [F.one], fraction_free=True)
+    assert x.precision == F.default_precision
+    assert identical(x, F.parse("1 + t").invert(F.default_precision))
+
+
+@pytest.mark.parametrize("domain, matrix, rhs", [
+    # a truncated entry was read as EXACT: 1 + 6*t + ... + 6*t^9 + O(t^10)
+    (FP7_DEFAULT, ["1 + t + O(t^2)"], ["1"]),
+    # a truncated right-hand side was read as EXACT: 1 + O(t^10)
+    (FP7_DEFAULT, ["1"], ["1 + O(t)"]),
+    # Q((t)) has no term maps: an AttributeError traceback
+    (laurent(QQ, "t"), ["1 + t"], ["1"]),
+], ids=["truncated entry", "truncated rhs", "Q((t))"])
+def test_fraction_free_solve_refuses_input_it_cannot_serve(domain, matrix, rhs):
+    with pytest.raises(CycdivError, match="EXACT entries over F_p"):
+        solve_linear(domain, [[domain.parse(e) for e in matrix]], [domain.parse(e) for e in rhs],
+                     10, fraction_free=True)
+
+
+def test_exact_f_p_laurent_kernel_within_the_cramer_bound():
+    """q = 5 over F_11((t)), alpha = 1, d = g*(X - 1) with g = 4*e14 + 5*e22:
+    never-reduced term-map fractions took 91 s for a kernel of
+    ``left_mul_matrix(d)`` with entries of 61 979 terms.  The matrix has
+    one-term entries of t-degree 0 or 1, so its r x r minors have t-degree
+    at most r < 25; its Cramer kernel has entries of 5 terms, from
+    ``kernel_vector`` and from the solve over F that reaches it."""
+    ctx = laurent_context(11, 5)
+    D = CyclicAlgebra(ctx, ctx.F.one)
+    F = D.F
+    g = [F.zero] * D.n
+    g[14], g[22] = F.from_int(4), F.from_int(5)
+    d = D.element(g) * (D.X - D.one)
+    assert ";".join(map(repr, d.coords)) == "0;0;5;0;0;0;0;0;0;0;0;0;0;0;7;0;0;0;0;4;0;0;6;0;0"
+    matrix = left_mul_matrix(d)
+
+    def solve_kernel(F, matrix):
+        with pytest.raises(ZeroDivisorError) as caught:
+            solve_linear(F, matrix, list(D.one.coords))
+        return caught.value.kernel
+
+    for find in (kernel_vector, solve_kernel):
+        start = time.perf_counter()
+        kernel = find(F, matrix)
+        assert time.perf_counter() - start < 1
+        assert not all(F.is_zero(c) for c in kernel)
+        assert max(len(c.terms) for c in kernel) <= 5
+        assert all(F.is_zero(c) for c in relation_mul(d, D.element(kernel)).coords)
 
 
 def k_system(d):
