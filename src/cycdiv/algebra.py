@@ -51,10 +51,11 @@ Which route of :func:`invert` serves which input:
   did, for coordinates with exponents down to -10 and alpha down to t^-5
   (``tests/test_linalg.py``).
   The left coordinates are x_l = sigma^l(b_l), split by exponent mod q
-  (``kummer._from_u_series``).  Singularity is decided exactly, so no
-  exact input is a PrecisionError here.  A singular system gives its
-  Cramer kernel over K mapped back the same way, scaled so that the lowest
-  coefficient of its last nonzero coordinate is 1.
+  in one pass: sigma^l scales the slice of exponents i mod q by xi^(l*i).
+  Singularity is decided exactly, so no exact input is a PrecisionError
+  here.  A singular system gives its Cramer kernel over K, mapped back once
+  with xi's powers scaled so that the lowest coefficient of its last
+  nonzero coordinate is 1.
 * The q^2 x q^2 system over F, ``solve_linear`` on ``left_mul_matrix``:
   everything else (a truncated coordinate or alpha, Hahn fields, towers,
   Q((t)), a coefficient field such as Q, and ``ConstantsAlgebra``).
@@ -67,7 +68,7 @@ from .element import Element, FiniteAlgebra, monomial_label
 from .errors import CycdivError, DomainMismatchError, ZeroDivisorError
 from .kummer import KummerContext, _from_u_series, _to_u_series, _u_sigma, is_norm
 from .linalg import _SLACK, _is_term_field, solve_linear
-from .series import _flat_bounds, _flat_levels, _flatten, _is_exactly, _unflatten
+from .series import _flat_bounds, _flat_levels, _flatten, _is_exactly, _stored, _unflatten
 
 # The flat product packs exponents only into keys below 2**62 in absolute
 # value (at most three 30-bit digits of a CPython int); wider ones take the loop.
@@ -430,19 +431,26 @@ def _invert_over_k(d, target_precision):
     try:
         b = solve_linear(U, matrix, [U.one] + [U.zero] * (q - 1), work, fraction_free=True)
     except ZeroDivisorError as exc:
-        # scaled so that its last nonzero coordinate has lowest coefficient 1:
-        # the map is F_p-linear, so scaling the powers of xi scales its result
-        last = next(c for c in reversed(_left_coords(A, exc.kernel, xi_pows)) if c.terms)
-        inv = pow(last.terms[min(last.terms)], -1, p)
+        # scaled so that its last nonzero coordinate, u^i X^l with i = e mod q
+        # greatest in the last nonzero b_l, has lowest coefficient 1: the map
+        # is F_p-linear, so scaling the powers of xi scales its result
+        l = max(l for l, s in enumerate(exc.kernel) if s.terms)
+        terms = exc.kernel[l].terms
+        low = min(terms, key=lambda e: (-(e % q), e))
+        inv = pow(terms[low] * xi_pows[l * low % q], -1, p)
         kernel = _left_coords(A, exc.kernel, [x * inv % p for x in xi_pows])
         raise ZeroDivisorError(str(exc), kernel=kernel) from None
     return A.element(_left_coords(A, b, xi_pows))
 
 
 def _left_coords(A, b, xi_pows):
-    """The F-coordinates of x = sum_l X^l b_l = sum_l sigma^l(b_l) X^l: the
-    u-series sigma^l(b_l) split into the coordinates of u^i X^l."""
-    return [c for l, s in enumerate(b) for c in _from_u_series(A.F, _u_sigma(s, l, xi_pows), A.q)]
+    """The F-coordinates of x = sum_l X^l b_l = sum_l sigma^l(b_l) X^l in one
+    pass: sigma^l scales the slice of b_l at exponents i mod q, the
+    coordinate of u^i X^l, by the one constant xi^(l*i)."""
+    F, q, p = A.F, A.q, A.F.coeff.p
+    return [c if (x := xi_pows[l * i % q]) == 1
+            else _stored(F, {e: v * x % p for e, v in c.terms.items()}, 1, c.precision)
+            for l, s in enumerate(b) for i, c in enumerate(_from_u_series(F, s, q))]
 
 
 def zero_divisor_witness(algebra, beta):

@@ -1,9 +1,10 @@
 """Dense linear algebra over field domains: solves and exact kernel vectors.
 
-``solve_linear`` and ``kernel_vector`` run one Gauss–Jordan core,
+``solve_linear`` and ``kernel_vector`` run one elimination core,
 ``_eliminate``, on the augmented rows ``[M | rhs]`` (a kernel has no
 right-hand side).  The core owns the pivot search, the row swaps and the
-live columns; a *route* brings the entry representation and two row
+live columns; a *route* brings the entry representation, ``forward``
+(reduce only the rows below the pivot, not every other row) and two row
 operations, ``scale_row`` (invert the pivot, scale the pivot row) and
 ``reduce_row`` (``row[j] -= f * prow[j]`` on the live columns).
 ``solve_linear`` works in the domain: series entries are truncated to the
@@ -29,13 +30,15 @@ Which route serves which call:
     ``Series.__mul__`` and ``Series.__sub__``, so they give the same stored
     series as the loop.
   - Every kernel of an EXACT matrix, and the solve with
-    ``fraction_free=True`` (``_Bareiss``): fraction-free elimination on
-    EXACT term maps, with exact division by long division on the lowest
-    terms.  Every entry stays a minor of [M | rhs], so nothing swells past
-    Cramer's bound, and the determinant decides singularity exactly.  A
-    kernel is the Cramer kernel, r x r minors with r the rank; a solution
-    is x_l = N_l * det^-1, one ``Series.invert``, cut at the requested
-    precision.  ``algebra.invert`` in a cyclic algebra over F_p((t)) with
+    ``fraction_free=True`` (``_Bareiss``): forward fraction-free
+    elimination on EXACT term maps, then fraction-free back-substitution,
+    every division exact, by long division on the lowest terms.  Every
+    entry stays a minor of [M | rhs], so nothing swells past Cramer's
+    bound, and the determinant decides singularity exactly.  A kernel is
+    the Cramer kernel, r x r minors with r the rank; a solution is
+    x_l = N_l * det^-1, one ``Series.invert``, cut at the requested
+    precision.  [M | rhs] is eliminated once: a singular M's kernel is read
+    off the same rows.  ``algebra.invert`` in a cyclic algebra over F_p((t)) with
     EXACT inputs solves a q x q system over K = F_p((u)) so instead of the
     q^2 x q^2 one over F (see the ``cycdiv.algebra`` module docstring).
 * The loop, in the arithmetic of the domain itself: Hahn fields, towers,
@@ -52,10 +55,11 @@ fractions of a kernel skip known zeros: a kernel is only certified from
 EXACT entries.)
 
 A pivot step on column c reads column c and then writes only the live
-columns: those right of c (the right-hand side with them) and, for a kernel,
-the first column found without a pivot, whose entries in the pivot rows give
-the kernel vector.  No later step reads any other column, so skipping them
-changes no result and saves about half of the products.
+columns: those right of c (the right-hand side with them, until a column
+without a pivot) and, for a Gauss–Jordan kernel, the first such column,
+whose entries in the pivot rows give the kernel vector.  No later step
+reads any other column, so skipping them changes no result and saves about
+half of the products.
 
 Kernel extraction is exact because nothing in it is truncated and every
 division in it is exact: over EXACT series or an exact base field a fraction
@@ -117,19 +121,20 @@ def _first(value):
 
 
 def _eliminate(rows, route, kernel=False):
-    """Gauss–Jordan on the n augmented ``rows`` in place; returns the pivot
-    row of each pivot column, and the first column without a pivot (None if
-    every column has one).  Without ``kernel`` it stops at that column.
+    """Gauss–Jordan (forward with ``route.forward``) on the n augmented
+    ``rows`` in place; returns the pivot row of each pivot column, and the
+    first column without a pivot (None if every column has one).  Without
+    ``kernel`` it stops at that column.
 
     Among the entries of a column in the rows not yet used that are not
     ``route.is_known_zero``, the first one of least ``route.pivot_key`` is
-    the pivot.  Every other row whose entry f in the pivot column is not
-    ``route.is_zero`` is reduced by f times the pivot row.
+    the pivot.  Every other row (forward: below it) whose entry f in the
+    pivot column is not ``route.is_zero`` is reduced by f times the pivot row.
     """
     n = len(rows)
     width = len(rows[0]) if rows else 0
     is_known_zero, is_zero, pivot_key = route.is_known_zero, route.is_zero, route.pivot_key
-    scale_row, reduce_row = route.scale_row, route.reduce_row
+    scale_row, reduce_row, forward = route.scale_row, route.reduce_row, route.forward
     pivots, free, top = {}, None, 0
     for col in range(n):
         nonzero = [r for r in range(top, n) if not is_known_zero(rows[r][col])]
@@ -141,13 +146,16 @@ def _eliminate(rows, route, kernel=False):
             continue
         pr = min(nonzero, key=lambda r: pivot_key(rows[r][col]))
         rows[top], rows[pr] = rows[pr], rows[top]
-        live = range(col + 1, width) if free is None else [free, *range(col + 1, width)]
+        # past a column without a pivot only a kernel is read: the rhs is dead,
+        # and forward, the free column is 0 in the rows below, and stays 0
+        live = range(col + 1, width if free is None else n)
+        if free is not None and not forward:
+            live = [free, *live]
         prow = rows[top]
         scale_row(prow, col, live)
-        for r, row in enumerate(rows):
-            f = row[col]
-            if r != top and not is_zero(f):
-                reduce_row(row, f, prow, live)
+        for r in range(top + 1 if forward else 0, n):
+            if r != top and not is_zero(f := rows[r][col]):
+                reduce_row(rows[r], f, prow, live)
         pivots[col] = top
         top += 1
     return pivots, free
@@ -156,6 +164,8 @@ def _eliminate(rows, route, kernel=False):
 class _Loop:
     """The loop route: entries are elements of ``domain`` (a field domain or
     a ``FractionField``), combined with its own operations."""
+
+    forward = False
 
     def __init__(self, domain, pivot_key, invert):
         self.domain, self.pivot_key, self.invert = domain, pivot_key, invert
@@ -223,9 +233,9 @@ class _Terms:
 
 def _add_products(out, a, b, p, prec, sign):
     """Add ``sign`` times the terms of a*b below ``prec`` into the map ``out``,
-    unreduced mod p; a and b are nonzero ``_Terms``.  Dense operands (the
-    density rule of ``series._kronecker_mul``) are multiplied by Kronecker
-    substitution, the others term by term."""
+    unreduced mod p, and return it; a and b are nonzero ``_Terms``.  Dense
+    operands (the density rule of ``series._kronecker_mul``) are multiplied
+    by Kronecker substitution, the others term by term."""
     ta, tb = a.terms, b.terms
     la, lb = len(ta), len(tb)
     get = out.get
@@ -247,7 +257,7 @@ def _add_products(out, a, b, p, prec, sign):
                     for e, c in slots:
                         if c:
                             out[e] = get(e, 0) - c
-            return
+            return out
     if la > lb:
         ta, tb = tb, ta
     for e1, c1 in ta.items():
@@ -256,6 +266,7 @@ def _add_products(out, a, b, p, prec, sign):
             e = e1 + e2
             if e < prec:
                 out[e] = get(e, 0) + c1 * c2
+    return out
 
 
 def _reduced(terms, p, prec=INFINITY):
@@ -273,6 +284,8 @@ def _invert_pivot(v, work):
 class _TermSolve:
     """The term-map route of the truncated solve over F_p((t)); an entry is
     a ``_Terms``."""
+
+    forward = False
 
     def __init__(self, domain, work):
         self.domain, self.p, self.work = domain, domain.ring.p, work
@@ -351,17 +364,21 @@ def _exact_quotient(a, b, p):
 
 
 class _Bareiss:
-    """The fraction-free route over F_p((t)) (Bareiss 1968): an entry is
-    an EXACT ``_Terms``.  A step on the pivot ``piv``, after the step on
-    ``prev``, sets row[j] = (piv*row[j] - f*prow[j]) / prev on every other
-    row, f = row[col]; the division is exact, as every entry is then a
-    minor of [M | rhs], and every pivot row's own pivot becomes ``piv``."""
+    """The fraction-free route over F_p((t)) (Bareiss 1968), made with the
+    forward elimination of its EXACT ``rows`` (``pivots``, ``free``: what
+    ``_eliminate`` returns).  A step on the pivot ``piv``, after the step on
+    ``prev``, sets row[j] = (piv*row[j] - f*prow[j]) / prev on every row
+    below, f = row[col]; the division is exact, as every entry is then a
+    minor of [M | rhs]."""
 
     is_known_zero = staticmethod(_TermSolve.is_known_zero)
     pivot_key = staticmethod(_first)
+    forward = True
 
-    def __init__(self, p):
+    def __init__(self, p, rows):
         self.p, self.piv, self.prev = p, _Terms({0: 1}), None
+        self.rows = [[_Terms(e.terms) for e in row] for row in rows]
+        self.pivots, self.free = _eliminate(self.rows, self, kernel=True)
 
     @staticmethod
     def is_zero(x):
@@ -382,6 +399,24 @@ class _Bareiss:
             out = _reduced(out, p)
             row[j] = _Terms(_exact_quotient(out, prev, p) if out else out)
 
+    def back_substitute(self, col, value):
+        """The x (a list over the columns of M) with x[col] = ``value``, 0 at
+        the other columns without a pivot, that the pivot rows annihilate:
+        from the last row up, x[c] = -(sum of row[j]*x[j]) / row[c], exact
+        when ``value`` is the last pivot, as x[c] is then a minor of [M | rhs]."""
+        p, x = self.p, {col: value}
+        for c, r in sorted(((c, r) for c, r in self.pivots.items() if c < col), reverse=True):
+            row, out = self.rows[r], {}
+            if row[c] is value and len(x) == 1:  # row[c]*x[c] + row[col]*value = 0
+                x[c] = _Terms({e: p - v for e, v in row[col].terms.items()})
+                continue
+            for j, xj in x.items():
+                if row[j].terms and xj.terms:
+                    _add_products(out, row[j], xj, p, INFINITY, -1)
+            out = _reduced(out, p)
+            x[c] = _Terms(_exact_quotient(out, row[c].terms, p) if out else out)
+        return [x.get(c) or _Terms({}) for c in range(len(self.rows))]
+
 
 def _exact_term_rows(domain, rows):
     """Whether ``rows`` hold only EXACT entries of F_p((t)), which the
@@ -390,7 +425,7 @@ def _exact_term_rows(domain, rows):
 
 
 def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
-    """Solve M x = rhs over a field domain by Gauss–Jordan elimination.
+    """Solve M x = rhs over a field domain by elimination.
 
     ``matrix`` is a list of rows; ``rhs`` a list.  For series domains,
     ``precision`` bounds the working precision (default: the domain's).
@@ -401,11 +436,11 @@ def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
 
     ``fraction_free`` is for EXACT M and rhs over F_p((t)), and raises
     CycdivError on any other input: the ``_Bareiss`` route, which decides
-    singularity exactly and never raises PrecisionError.  Each pivot row
-    ends as det*x_l = N_l (det up to sign), so x_l = N_l * det^-1 takes one
-    ``Series.invert`` of det; each x_l is cut at t^precision, and is an
-    EXACT 0 when N_l is.  A singular M raises ZeroDivisorError with the
-    kernel of ``kernel_vector``, which eliminates M again.
+    singularity exactly and never raises PrecisionError.  Back-substitution
+    on [M | rhs], eliminated once, gives det*x_l = N_l (det up to sign), so
+    x_l = N_l * det^-1 takes one ``Series.invert`` of det; each x_l is cut
+    at t^precision, and is an EXACT 0 when N_l is.  A singular M raises
+    ZeroDivisorError with the kernel ``kernel_vector`` reads off those rows.
     """
     n = _square(matrix, rhs)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
@@ -414,17 +449,19 @@ def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
             raise CycdivError("a fraction-free solve needs EXACT entries over F_p((t))")
         if precision is None:
             precision = domain.default_precision
-        route = _Bareiss(domain.ring.p)
-        rows = [[_Terms(e.terms) for e in row] for row in rows]
-        if _eliminate(rows, route)[1] is not None:
-            raise ZeroDivisorError("singular linear system", kernel=kernel_vector(domain, matrix))
-        nums = [row[n] for row in rows]  # the pivot of column l is in row l
+        route = _Bareiss(domain.ring.p, rows)
+        if route.free is not None:
+            raise ZeroDivisorError("singular linear system",
+                                   kernel=kernel_vector(domain, matrix, _eliminated=route))
+        # [M | rhs] annihilates (-N, det): x_l = -nums[l] * det^-1, known past t^precision
+        nums = route.back_substitute(n, route.piv)
         lows = [x.low for x in nums if x.terms]
         if not lows:
             return [domain.zero] * n
-        inv = _stored(domain, route.piv.terms, 1, None).invert(precision - min(lows))
-        return [(_stored(domain, x.terms, 1, None) * inv).truncate(precision) if x.terms
-                else domain.zero for x in nums]
+        inv, p = _Terms(_stored(domain, route.piv.terms, 1, None).invert(
+            precision - min(lows)).terms), route.p
+        return [_stored(domain, _reduced(_add_products({}, x, inv, p, precision, -1), p), 1,
+                        precision) if x.terms else domain.zero for x in nums]
     work = None
     if isinstance(domain, SeriesDomain):
         work = (precision if precision is not None else domain.default_precision) + _SLACK
@@ -449,29 +486,23 @@ def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
     raise ZeroDivisorError("singular linear system", kernel=kernel)
 
 
-def kernel_vector(domain, matrix):
+def kernel_vector(domain, matrix, _eliminated=None):
     """An exact nonzero vector in the right kernel of M, or None.
 
     Over F_p((t)) with every entry EXACT, the ``_Bareiss`` route gives the
-    Cramer kernel, r x r minors with r the rank, read off the first column
-    without a pivot.  Elsewhere, fraction elimination (exact over EXACT
-    series and exact base fields), then denominators cleared so the result
-    lives in the original domain.
+    Cramer kernel, r x r minors with r the rank: the last pivot at the first
+    column without a pivot, by back-substitution on the rows of
+    ``_eliminated`` when ``solve_linear`` has eliminated them.  Elsewhere,
+    fraction elimination (exact over EXACT series and exact base fields),
+    then denominators cleared so the result lives in the original domain.
     """
     n = _square(matrix)
-    if _exact_term_rows(domain, matrix):
-        route = _Bareiss(domain.ring.p)
-        rows = [[_Terms(e.terms) for e in row] for row in matrix]
-        pivots, free = _eliminate(rows, route, kernel=True)
-        if free is None:
+    if _eliminated is not None or _exact_term_rows(domain, matrix):
+        route = _eliminated or _Bareiss(domain.ring.p, matrix)
+        if route.free is None:
             return None
-        p = route.p
-        kernel = [domain.zero] * n
-        kernel[free] = _stored(domain, route.piv.terms, 1, None)
-        for col, r in pivots.items():
-            kernel[col] = _stored(domain, {e: p - c for e, c in rows[r][free].terms.items()},
-                                  1, None)
-        return kernel
+        x = route.back_substitute(route.free, route.piv)
+        return [_stored(domain, e.terms, 1, None) for e in x]
     one = domain.one
     ff = FractionField(domain)
     rows = [[(e, one) for e in row] for row in matrix]

@@ -12,8 +12,9 @@ from cycdiv import (QQ, BiquaternionElement, CyclicAlgebra, KummerContext, Prime
                     constants_from_json, constants_mul, constants_to_json, galois_sigma, invert,
                     is_division, laurent, relation_mul, structure_constants, tensor,
                     zero_divisor_witness)
-from cycdiv.algebra import _flat_constants_mul, left_mul_matrix
+from cycdiv.algebra import _flat_constants_mul, _left_coords, left_mul_matrix
 from cycdiv.errors import CycdivError, DomainMismatchError, ZeroDivisorError
+from cycdiv.kummer import _from_u_series, _u_sigma
 from cycdiv.verify import albert_setup, hahn_tower_context, hamilton_algebra, laurent_context
 from test_series_kernels import canonical, identical
 
@@ -144,6 +145,41 @@ def test_invert_zero_divisor_gives_kernel():
     kern = D6.element(exc_info.value.kernel)
     assert not kern.is_known_zero()
     assert (left * kern).is_known_zero()
+
+
+LEFT_COORDS_ALGEBRAS = [CyclicAlgebra(ctx, ctx.F.from_int(2))
+                        for ctx in (laurent_context(7, 3), laurent_context(11, 5))]
+
+
+@st.composite
+def right_k_coordinates(draw):
+    """An algebra over F_7((t)) (q = 3) or F_11((t)) (q = 5), its powers of
+    xi times a constant (1, or the scale of a kernel's normalisation), and
+    q u-series b_l, exact or truncated, with exponents from -12 on."""
+    A = draw(st.sampled_from(LEFT_COORDS_ALGEBRAS))
+    U, p = A.kummer._u_field, A.F.coeff.p
+    xi, scale = A.kummer.xi.terms[0], draw(st.integers(1, p - 1))
+    b = []
+    for _ in range(A.q):
+        precision = draw(st.one_of(st.none(), st.integers(-12, 14)))
+        top = 13 if precision is None else precision
+        terms = draw(st.dictionaries(st.integers(-12, 12).filter(lambda e: e < top),
+                                     st.integers(1, p - 1), max_size=8))
+        b.append(U.series(terms, precision))
+    return A, [pow(xi, m, p) * scale % p for m in range(A.q)], b
+
+
+@given(right_k_coordinates())
+@settings(max_examples=200, deadline=None)
+def test_left_coords_split_and_scale_in_one_pass(case):
+    """The one-pass map back from K is sigma^l of each b_l split by exponent
+    mod q, coefficient for coefficient and O-term for O-term."""
+    A, xi_pows, b = case
+    want = [c for l, s in enumerate(b)
+            for c in _from_u_series(A.F, _u_sigma(s, l, xi_pows), A.q)]
+    got = _left_coords(A, b, xi_pows)
+    assert len(got) == len(want) == A.n
+    assert all(identical(x, y) for x, y in zip(got, want))
 
 
 def test_structure_constants_match_relations():

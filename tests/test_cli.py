@@ -169,6 +169,33 @@ def test_algebra_invert_golden_stdout(capsys, d, alpha, code, stdout):
     assert run(capsys, "algebra", "invert", "--alpha", alpha, "--d", d)[:2] == (code, stdout)
 
 
+# stdout of `algebra invert` over K for q = 5, recorded before the solve over
+# K read its solution and kernel off one forward elimination; it must stay
+# byte-identical.  The unit is pinned by its sha256 (2277 bytes).
+Q5_UNIT = "1;0;0;2*t;0;0;0;0;0;0;0;0;0;0;0;0;3*t^2 + t^4;0;0;0;0;0;0;0;0"
+Q5_UNIT_INVERSE_SHA256 = "f87968becbdb86e41e1a916d297f7278bf7012d2290244f8f49d3279a4adce94"
+Q5_README_ZERO_DIVISOR = "9;5;4;10;2;2;4;2;0;8;10;10;9;2;7;4;0;0;4;9;5;7;0;1;5"
+GOLDEN_Q5_KERNEL = (
+    '{"error": "zero divisor", "kernel": "(3 + 8*t + 3*t^2 + 3*t^3) + (7 + 7*t + 4*t^2 + '
+    '8*t^3)*u + (1 + t + 9*t^2)*u^2 + (9 + t + t^2)*u^3 + (9 + 8*t + 9*t^2)*u^4 + (7 + '
+    '4*t + 7*t^2 + 7*t^3)*X + (5 + 5*t + 6*t^2 + t^3)*u*X + (10 + 10*t + 2*t^2)*u^2*X + '
+    '(6 + 8*t + 8*t^2)*u^3*X + (7 + 5*t + 7*t^2)*u^4*X + (9 + 2*t + 9*t^2 + 9*t^3)*X^2 + '
+    '(2 + 2*t + 9*t^2 + 7*t^3)*u*X^2 + (1 + t + 9*t^2)*u^2*X^2 + (4 + 9*t + '
+    '9*t^2)*u^3*X^2 + (3 + 10*t + 3*t^2)*u^4*X^2 + (10 + t + 10*t^2 + 10*t^3)*X^3 + (3 + '
+    '3*t + 8*t^2 + 5*t^3)*u*X^3 + (10 + 10*t + 2*t^2)*u^2*X^3 + (10 + 6*t + '
+    '6*t^2)*u^3*X^3 + (6 + 9*t + 6*t^2)*u^4*X^3 + (5 + 6*t + 5*t^2 + 5*t^3)*X^4 + (10 + '
+    '10*t + t^2 + 2*t^3)*u*X^4 + (1 + t + 9*t^2)*u^2*X^4 + (3 + 4*t + 4*t^2)*u^3*X^4 + (1 + '
+    '7*t + t^2)*u^4*X^4"}'
+    "\n")
+
+
+def test_algebra_invert_over_k_golden_stdout(capsys):
+    argv = ["algebra", "invert", "--p", "11", "--q", "5", "--alpha", "10", "--d"]
+    code, out, _ = run(capsys, *argv, Q5_UNIT)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == Q5_UNIT_INVERSE_SHA256
+    assert run(capsys, *argv, Q5_README_ZERO_DIVISOR)[:2] == (1, GOLDEN_Q5_KERNEL)
+
+
 def test_algebra_constants_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "constants.json"
     code, out, _ = run(capsys, "algebra", "constants", "--alpha", "2",

@@ -15,6 +15,9 @@ A kernel of a matrix on the loop route is the reference's, structurally.  An
 exact F_p((t)) matrix gets its Cramer kernel from fraction-free elimination
 instead: nonzero and exactly proportional to the reference's, since both are
 read off the first column without a pivot of the same reduced echelon form.
+``ref_bareiss`` is that fraction-free elimination as Gauss–Jordan over every
+column, in ``Series`` arithmetic: the forward elimination and back-substitution
+of the library must give its solutions and kernels structurally.
 
 ``invert`` over K = F_p((u)) is checked against the solve over F that it
 replaces for exact inputs (``left_mul_matrix`` and ``solve_linear``): the same
@@ -178,6 +181,66 @@ def ref_kernel_vector(domain, matrix):
     if all(domain.is_known_zero(c) for c in cleared):
         raise CycdivError("kernel clearing produced the zero vector")
     return cleared
+
+
+def _ref_divide(domain, a, b):
+    """a / b for EXACT Laurent polynomials over F_p where b divides a: long
+    division from the lowest terms."""
+    p = domain.coeff.p
+    rest, bc = dict(a.coeffs), b.coeffs
+    lb, hb = min(bc), max(bc)
+    inv = pow(bc[lb], -1, p)
+    out = {}
+    while rest:
+        e = min(rest)
+        assert e - lb <= max(rest) - hb, "inexact division"
+        c = out[e - lb] = rest[e] * inv % p
+        for eb, cb in bc.items():
+            k = e - lb + eb
+            if v := (rest.get(k, 0) - c * cb) % p:
+                rest[k] = v
+            else:
+                rest.pop(k, None)
+    return domain.series(out)
+
+
+def ref_bareiss(domain, matrix, rhs, precision):
+    """The fraction-free solve over F_p((t)) as it was before forward
+    elimination and back-substitution: Gauss–Jordan Bareiss (1968) over
+    every column of every row of [M | rhs], in EXACT ``Series`` arithmetic.
+    ("x", solution): x_l = N_l * det^-1 cut at t^precision, N_l the pivot
+    row's right-hand side; ("kernel", the Cramer kernel): the last pivot at
+    the first column without a pivot and -row[free] at each pivot column."""
+    n = len(matrix)
+    M = [[*row, b] for row, b in zip(matrix, rhs)]
+    piv = domain.one
+    pivots, free, top = {}, None, 0
+    for col in range(n):
+        pr = next((r for r in range(top, n) if not domain.is_zero(M[r][col])), None)
+        if pr is None:
+            free = col if free is None else free
+            continue
+        M[top], M[pr] = M[pr], M[top]
+        prev, piv = piv, M[top][col]
+        for r in range(n):
+            if r != top:
+                f = M[r][col]
+                M[r] = [_ref_divide(domain, piv * x - f * y, prev) for x, y in zip(M[r], M[top])]
+        pivots[col] = top
+        top += 1
+    if free is not None:
+        kernel = [domain.zero] * n
+        kernel[free] = piv
+        for col, r in pivots.items():
+            kernel[col] = domain.neg(M[r][free])
+        return "kernel", kernel
+    nums = [row[n] for row in M]
+    lows = [x.valuation() for x in nums if not x.is_exact_zero()]
+    if not lows:
+        return "x", [domain.zero] * n
+    inv = piv.invert(precision - min(lows))
+    return "x", [domain.zero if x.is_exact_zero() else (x * inv).truncate(precision)
+                 for x in nums]
 
 
 # -- comparison -----------------------------------------------------------------
@@ -622,6 +685,9 @@ def check_k_route(d):
         assert not all(F.is_zero(c) for c in kernel)
         assert all(F.is_zero(c) for c in relation_mul(d, D.element(kernel)).coords)
         assert all(F.is_zero(c) for c in constants_mul(d.coords, kernel, constants_of(D), F))
+        # normalised: the lowest coefficient of the last nonzero coordinate is 1
+        last = next(c for c in reversed(kernel) if c.terms)
+        assert last.terms[min(last.terms)] == 1
     return got
 
 
@@ -715,10 +781,11 @@ def test_q5_zero_divisor_with_25_constant_coordinates():
 
 @st.composite
 def exact_term_systems(draw):
-    """Exact n x n systems over F_7((t)) or F_11((t)), n <= 4, some made
-    singular by a column that is a combination of the others."""
+    """Exact n x n systems over F_7((t)) or F_11((t)), n <= 5 (q = 5 solves
+    5 x 5 systems over K), some made singular by a column that is a
+    combination of the others."""
     domain = draw(st.sampled_from([FP7, FP11]))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
     entry = st.builds(domain.series, st.dictionaries(st.integers(-3, 6),
                                                      st.integers(1, domain.coeff.p - 1),
                                                      max_size=3))
@@ -734,24 +801,26 @@ def exact_term_systems(draw):
 @given(exact_term_systems())
 @settings(max_examples=200, deadline=None)
 def test_fraction_free_solve_decides_singularity_exactly(system):
-    """A solution solves the system to the precision asked for; a kernel is
-    exact, within Cramer's bound (r x r minors, r < n, of entries with
-    exponents in [lo, hi] span at most r*(hi - lo)), found exactly when the
-    reference ``ref_kernel_vector`` finds one, and a multiple of it."""
+    """The solution or the kernel is structurally the one of ``ref_bareiss``,
+    the Gauss–Jordan form of the same elimination, and ``kernel_vector``
+    gives the same kernel.  A solution solves the system to the precision
+    asked for; a kernel is exact and within Cramer's bound (r x r minors,
+    r < n, of entries with exponents in [lo, hi] span at most r*(hi - lo))."""
     domain, matrix, rhs = system
     n = len(matrix)
-    try:
-        x = solve_linear(domain, matrix, rhs, 20, fraction_free=True)
-    except ZeroDivisorError as exc:
-        kernel = exc.kernel
-        assert same_kernel(domain, matrix, kernel, ref_kernel_vector(domain, matrix))
+    want = ref_bareiss(domain, matrix, rhs, 20)
+    got = solve_outcome(lambda *args: solve_linear(*args, 20, fraction_free=True),
+                        domain, matrix, rhs)
+    assert got[0] == want[0] and same_vector(got[1], want[1])
+    assert same_vector(kernel_vector(domain, matrix), want[1] if want[0] == "kernel" else None)
+    if got[0] == "kernel":
+        kernel = got[1]
         assert all(domain.is_zero(sum((a * c for a, c in zip(row, kernel)), domain.zero))
                    for row in matrix)
         exps = [e for row in matrix for c in row for e in c.terms] or [0]
         assert max(u_span(c) for c in kernel) <= (n - 1) * (max(exps) - min(exps))
         return
-    assert ref_kernel_vector(domain, matrix) is None
-    assert kernel_vector(domain, matrix) is None
+    x = got[1]
     assert all(c.precision == 20 or c.is_exact_zero() for c in x)
     for row, b in zip(matrix, rhs):
         assert sum((a * c for a, c in zip(row, x)), domain.zero).agrees_to_precision(b)
@@ -875,3 +944,44 @@ def test_zero_divisor_of_rank_one_over_k():
     assert not all(F.is_zero(c) for c in kernel)
     assert all(F.is_zero(c) for c in relation_mul(d, D.element(kernel)).coords)
     assert all(F.is_zero(c) for c in constants_mul(d.coords, kernel, constants, F))
+
+
+def test_one_elimination_per_invert_over_k(monkeypatch):
+    """``invert`` over K eliminates its q x q system once: a zero divisor's
+    kernel is read off the rows the solve eliminated, by the one
+    ``kernel_vector`` call per zero divisor.  Before, ``kernel_vector``
+    eliminated M again."""
+    eliminations, kernels = [], []
+    eliminate, kernel_of = linalg._eliminate, linalg.kernel_vector
+
+    def spy_eliminate(rows, route, kernel=False):
+        eliminations.append(type(route).__name__)
+        return eliminate(rows, route, kernel)
+
+    def spy_kernel(*args, **kwargs):
+        kernels.append(args[1])
+        return kernel_of(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(linalg, "kernel_vector", spy_kernel)
+    D3, _ = k_algebra(7, 3, "6")
+    F3 = D3.F
+    g3 = D3.element([F3.parse(s) for s in ["2", "t", "0", "3*t^2", "0", "0", "1", "0", "5"]])
+    D5, _ = k_algebra(11, 5, "10")
+    F5 = D5.F
+    readme = D5.element([F5.from_int(int(c)) for c in
+                         "9;5;4;10;2;2;4;2;0;8;10;10;9;2;7;4;0;0;4;9;5;7;0;1;5".split(";")])
+    cli_unit = D5.element([F5.parse(c) for c in
+                           "1;0;0;2*t;0;0;0;0;0;0;0;0;0;0;0;0;3*t^2 + t^4;0;0;0;0;0;0;0;0"
+                           .split(";")])
+    for d, zero_divisor in ((D3.one + D3.element([F3.variable] * D3.n), False),
+                            (g3 * (D3.X - D3.from_base(F3.from_int(3))), True),
+                            (cli_unit, False),
+                            (readme, True)):
+        got, domains = invert_outcome(d)
+        assert got[0] == ("kernel" if zero_divisor else "x")
+        assert domains == [d.algebra.kummer._u_field]
+        assert eliminations == ["_Bareiss"]
+        assert len(kernels) == (1 if zero_divisor else 0)
+        eliminations.clear()
+        kernels.clear()
