@@ -11,7 +11,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .basefields import is_prime
 from .errors import CycdivError
 
 SUPPORTED_Q = (2, 3, 5, 7)
@@ -165,14 +164,3 @@ def verify_level_count_laws(q):
                         "checks": checks, "info": info})
     return results
 
-
-def multiplicative_reindex(q, d, nu):
-    """d^{sigma_nu}: position i reads d at position nu*i (mod q)."""
-    if not is_prime(q) or nu % q == 0:
-        raise CycdivError("nu must be a unit mod a prime q")
-    return tuple(d[(nu * i) % q] for i in range(q))
-
-
-def cyclic_shift(d):
-    """(d_1, ..., d_{q-1}, d_0)."""
-    return d[1:] + d[:1]

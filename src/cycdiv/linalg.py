@@ -4,72 +4,76 @@
 ``_eliminate``, on the augmented rows ``[M | rhs]`` (a kernel has no
 right-hand side).  The core owns the pivot search, the row swaps and the
 live columns; a *route* brings the entry representation, ``forward``
-(reduce only the rows below the pivot, not every other row) and two row
-operations, ``scale_row`` (invert the pivot, scale the pivot row) and
-``reduce_row`` (``row[j] -= f * prow[j]`` on the live columns).
-``solve_linear`` works in the domain: series entries are truncated to the
-working precision plus a slack, the pivot is an entry of least valuation,
-and it is inverted to the precision its O-term allows.  ``kernel_vector``
-pivots on the first nonzero entry.
+(reduce only the rows below the pivot, not every other row, and go on past
+a column without a pivot) and two row operations, ``scale_row`` (invert the
+pivot, scale the pivot row) and ``reduce_row`` (``row[j] -= f * prow[j]``
+on the live columns).
 
 Which route serves which call:
 
-* Term maps, over F_p((t)): a ``SeriesDomain`` whose ``ring`` is a
-  ``PrimeField`` and whose value group is Z.  Each entry is a ``_Terms``,
-  an ``{exponent: int}`` map with its precision and valuation bound.
-  Dense operands are multiplied by Kronecker substitution, with the density
-  rule of ``series._kronecker_mul``; each entry keeps its packed int, so a
-  pivot row entry is packed once per pivot step and a multiplier once per
-  row, not once per product.  Sparse operands take the schoolbook loop.
-  No ``Series`` is built until the result.
+* The truncated solve, Gauss–Jordan in the domain: series entries are
+  truncated to the working precision plus a slack, the pivot is an entry of
+  least valuation, and it is inverted to the precision its O-term allows.
 
-  - The truncated solve (``_TermSolve``): ``row[j] -= f*prow[j]`` adds the
-    term products straight into ``row[j]``'s map, reduces mod p once, and
-    cuts at the precision ``series.product_precision`` gives; the pivot is
-    inverted by ``Series.invert``.  The steps follow the rule of
-    ``Series.__mul__`` and ``Series.__sub__``, so they give the same stored
-    series as the loop.
-  - Every kernel of an EXACT matrix, and the solve with
-    ``fraction_free=True`` (``_Bareiss``): forward fraction-free
-    elimination on EXACT term maps, then fraction-free back-substitution,
-    every division exact, by long division on the lowest terms.  Every
-    entry stays a minor of [M | rhs], so nothing swells past Cramer's
-    bound, and the determinant decides singularity exactly.  A kernel is
-    the Cramer kernel, r x r minors with r the rank; a solution is
-    x_l = N_l * det^-1, one ``Series.invert``, cut at the requested
-    precision.  [M | rhs] is eliminated once: a singular M's kernel is read
-    off the same rows.  ``algebra.invert`` in a cyclic algebra over F_p((t)) with
-    EXACT inputs solves a q x q system over K = F_p((u)) so instead of the
-    q^2 x q^2 one over F (see the ``cycdiv.algebra`` module docstring).
-* The loop, in the arithmetic of the domain itself: Hahn fields, towers,
-  Q((t)) and base fields such as Q.  ``kernel_vector`` there, and on a
-  truncated F_p((t)) matrix, runs on ``FractionField``: fractions
-  (num, den) of the domain, never reduced, whose denominators are cleared
-  by products at the end.
+  - Term maps, over F_p((t)): a ``SeriesDomain`` whose ``ring`` is a
+    ``PrimeField`` and whose value group is Z (``_TermSolve``).  Each entry
+    is a ``_Terms``, an ``{exponent: int}`` map with its precision and
+    valuation bound.  Dense operands are multiplied by Kronecker
+    substitution, with the density rule of ``series._kronecker_mul``; each
+    entry keeps its packed int, so a pivot row entry is packed once per
+    pivot step and a multiplier once per row, not once per product.  Sparse
+    operands take the schoolbook loop.  No ``Series`` is built until the
+    result.  ``row[j] -= f*prow[j]`` adds the term products straight into
+    ``row[j]``'s map, reduces mod p once, and cuts at the precision
+    ``series.product_precision`` gives; the pivot is inverted by
+    ``Series.invert``.  The steps follow the rule of ``Series.__mul__`` and
+    ``Series.__sub__``, so they give the same stored series as the loop.
+  - The loop (``_Loop``), in the arithmetic of the domain itself: Hahn
+    fields, towers, Q((t)) and base fields such as Q.
+
+* Every kernel, and the solve with ``fraction_free=True`` (``_Bareiss``):
+  forward fraction-free elimination (Bareiss 1968) on entries EXACT at
+  every level, then fraction-free back-substitution, every division exact.
+  Every entry stays a minor of [M | rhs], so nothing swells past Cramer's
+  bound, and the determinant decides singularity exactly.  A kernel is the
+  Cramer kernel, r x r minors with r the rank.  The entry arithmetic comes
+  from the domain: over F_p((t)) the term maps above (``_TermBareiss``),
+  divided by long division on their lowest terms; elsewhere the domain's
+  own products and sums, divided by ``_divide``: long division on the
+  lowest terms in a series domain, the coefficients divided one level down
+  in a tower, and a * b^-1 in a base field.  The solve serves EXACT
+  F_p((t)) systems: x_l = N_l * det^-1, one ``Series.invert``, cut at the
+  requested precision.  [M | rhs] is eliminated once: a singular M's
+  kernel is read off the same rows.  ``algebra.invert`` in a cyclic algebra
+  over F_p((t)) with EXACT inputs solves a q x q system over K = F_p((u))
+  so instead of the q^2 x q^2 one over F (see the ``cycdiv.algebra``
+  module docstring).
 
 A multiplier f known only to an O-term is no zero: ``f*prow[j]`` is known to
 no term, but it is known only to ``product_precision(f, prow[j])``, which
 bounds what is known of ``row[j]`` after the step.  Both truncated routes
-apply that bound without a product; they skip only exact zeros.  (The
-fractions of a kernel skip known zeros: a kernel is only certified from
-EXACT entries.)
+apply that bound without a product; they skip only exact zeros.
 
 A pivot step on column c reads column c and then writes only the live
 columns: those right of c (the right-hand side with them, until a column
-without a pivot) and, for a Gauss–Jordan kernel, the first such column,
-whose entries in the pivot rows give the kernel vector.  No later step
-reads any other column, so skipping them changes no result and saves about
-half of the products.
+without a pivot; past it only a kernel is read).  No later step reads any
+other column, so skipping them changes no result and saves about half of
+the products.  In forward elimination a column without a pivot is 0 in
+every row below, and stays 0.
 
 Kernel extraction is exact because nothing in it is truncated and every
-division in it is exact: over EXACT series or an exact base field a fraction
-is zero exactly when its numerator is, and a fraction-free entry exactly
-when its term map is empty, so a column without a pivot proves the matrix
-singular, and the vector read off the reduced rows annihilates M exactly.
-Truncated entries cannot decide this (``O(t^k)`` may be nonzero), so
-``solve_linear`` asks for a kernel only when M is exact, and a truncated M
-without a pivot is a PrecisionError.
+division in it is exact: an entry EXACT at every level is zero exactly when
+no term of it is known, so a column without a pivot proves the matrix
+singular, and the vector read off the eliminated rows annihilates M
+exactly.  Truncated entries cannot decide this: ``O(t^k)`` may be nonzero,
+and so may ``(1 + O(x^2)) - 1`` in a tower.  So ``kernel_vector`` raises
+PrecisionError on a matrix with an entry truncated at any level, and
+``solve_linear`` raises it when such a matrix has no pivot.
 """
+
+from bisect import insort
+from functools import reduce
+from operator import attrgetter
 
 from .basefields import PrimeField
 from .errors import CycdivError, PrecisionError, ZeroDivisorError
@@ -78,32 +82,6 @@ from .series import (_KRONECKER_DENSITY, INFINITY, Series, SeriesDomain, _pack, 
 
 # precision beyond the requested one that a series solve works at
 _SLACK = 10
-
-
-class FractionField:
-    """Fractions (num, den) over an integral domain: the operations of the
-    loop route, with no reduction and no division in the base."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def mul(self, x, y):
-        b = self.base
-        return (b.mul(x[0], y[0]), b.mul(x[1], y[1]))
-
-    def sub(self, x, y):
-        b = self.base
-        return (b.sub(b.mul(x[0], y[1]), b.mul(y[0], x[1])), b.mul(x[1], y[1]))
-
-    def invert(self, x):
-        if self.base.is_known_zero(x[0]):
-            raise ZeroDivisionError("inverse of zero fraction")
-        return (x[1], x[0])
-
-    def is_known_zero(self, x):
-        return self.base.is_known_zero(x[0])
-
-    is_zero = is_known_zero
 
 
 def _square(matrix, rhs=None):
@@ -120,37 +98,46 @@ def _first(value):
     return 0
 
 
-def _eliminate(rows, route, kernel=False):
-    """Gauss–Jordan (forward with ``route.forward``) on the n augmented
-    ``rows`` in place; returns the pivot row of each pivot column, and the
-    first column without a pivot (None if every column has one).  Without
-    ``kernel`` it stops at that column.
+def _same(value):
+    return value
+
+
+def _exact(rows):
+    """Whether every entry of ``rows`` is EXACT at every level: a base-field
+    element, or an EXACT series whose coefficients (as one row) are."""
+    return all(not isinstance(e, Series) or e.precision is None and (
+        not isinstance(e.domain.coeff, SeriesDomain) or _exact([e.terms.values()]))
+        for row in rows for e in row)
+
+
+def _eliminate(rows, route):
+    """Gauss–Jordan, or forward elimination with ``route.forward``, on the n
+    augmented ``rows`` in place; returns the pivot row of each pivot column,
+    and the first column without a pivot (None if every column has one).
+    Gauss–Jordan stops at that column; forward elimination goes on past it,
+    as a kernel is read off its rows.
 
     Among the entries of a column in the rows not yet used that are not
     ``route.is_known_zero``, the first one of least ``route.pivot_key`` is
     the pivot.  Every other row (forward: below it) whose entry f in the
     pivot column is not ``route.is_zero`` is reduced by f times the pivot row.
     """
-    n = len(rows)
-    width = len(rows[0]) if rows else 0
+    n, width = len(rows), len(rows[0]) if rows else 0
     is_known_zero, is_zero, pivot_key = route.is_known_zero, route.is_zero, route.pivot_key
     scale_row, reduce_row, forward = route.scale_row, route.reduce_row, route.forward
     pivots, free, top = {}, None, 0
     for col in range(n):
         nonzero = [r for r in range(top, n) if not is_known_zero(rows[r][col])]
         if not nonzero:
-            if not kernel:
+            if not forward:
                 return pivots, col
-            if free is None:
-                free = col
+            free = col if free is None else free
             continue
         pr = min(nonzero, key=lambda r: pivot_key(rows[r][col]))
         rows[top], rows[pr] = rows[pr], rows[top]
         # past a column without a pivot only a kernel is read: the rhs is dead,
-        # and forward, the free column is 0 in the rows below, and stays 0
+        # and the free column is 0 in the rows below, and stays 0
         live = range(col + 1, width if free is None else n)
-        if free is not None and not forward:
-            live = [free, *live]
         prow = rows[top]
         scale_row(prow, col, live)
         for r in range(top + 1 if forward else 0, n):
@@ -162,8 +149,8 @@ def _eliminate(rows, route, kernel=False):
 
 
 class _Loop:
-    """The loop route: entries are elements of ``domain`` (a field domain or
-    a ``FractionField``), combined with its own operations."""
+    """The loop route of the truncated solve: entries are elements of the
+    field ``domain``, combined with its own operations."""
 
     forward = False
 
@@ -171,9 +158,7 @@ class _Loop:
         self.domain, self.pivot_key, self.invert = domain, pivot_key, invert
         self.is_known_zero, self.is_zero = domain.is_known_zero, domain.is_zero
 
-    @staticmethod
-    def series(x):
-        return x
+    series = staticmethod(_same)
 
     def scale_row(self, row, col, live):
         mul = self.domain.mul
@@ -184,7 +169,7 @@ class _Loop:
     def reduce_row(self, row, f, prow, live):
         if self.is_known_zero(f):
             # an O-term multiplier (is_zero skips exact zeros, and over a
-            # field or in fractions the two tests agree): only the precision
+            # base field the two tests agree): only the precision
             for j in live:
                 prec = product_precision(f, prow[j])
                 if prec != INFINITY:  # f*0 is an exact zero
@@ -306,9 +291,7 @@ class _TermSolve:
     def is_zero(x):
         return not x.terms and x.prec == INFINITY
 
-    @staticmethod
-    def pivot_key(x):
-        return x.low
+    pivot_key = staticmethod(attrgetter("low"))
 
     def scale_row(self, row, col, live):
         inv = _invert_pivot(self.series(row[col]), self.work)
@@ -363,32 +346,109 @@ def _exact_quotient(a, b, p):
     return out
 
 
-class _Bareiss:
-    """The fraction-free route over F_p((t)) (Bareiss 1968), made with the
-    forward elimination of its EXACT ``rows`` (``pivots``, ``free``: what
-    ``_eliminate`` returns).  A step on the pivot ``piv``, after the step on
-    ``prev``, sets row[j] = (piv*row[j] - f*prow[j]) / prev on every row
-    below, f = row[col]; the division is exact, as every entry is then a
-    minor of [M | rhs]."""
+def _divide(domain, a, b):
+    """a / b for elements EXACT at every level, where b divides a: a * b^-1
+    in a base field; in a series domain long division on the lowest terms,
+    whose coefficients are divided by the same rule one level down, with a
+    check that the quotient ends where an exact one must."""
+    if not isinstance(domain, SeriesDomain):
+        return domain.mul(a, domain.invert(b))
+    cd, bc, rest, out = domain.coeff, dict(b.coeffs), dict(a.coeffs), {}
+    lb, last, todo = min(bc), max(rest) - max(bc), sorted(rest)
+    for e in todo:  # ascending; an exponent met on the way is inserted past e
+        if e not in rest:
+            continue  # cancelled
+        if e - lb > last:
+            raise CycdivError("inexact division in fraction-free elimination")
+        c = out[e - lb] = _divide(cd, rest[e], bc[lb])
+        for eb, cb in bc.items():
+            if (k := e - lb + eb) not in rest:
+                insort(todo, k)
+            if not cd.is_zero(v := cd.sub(rest.pop(k, cd.zero), cd.mul(c, cb))):
+                rest[k] = v
+    return domain.series(out)
 
-    is_known_zero = staticmethod(_TermSolve.is_known_zero)
+
+class _Bareiss:
+    """Fraction-free elimination (Bareiss 1968) of ``rows``, EXACT at every
+    level, in the arithmetic of ``domain``: made with the forward elimination
+    of its rows (``pivots``, ``free``: what ``_eliminate`` returns).  A step
+    on the pivot ``piv``, after the step on ``prev``, sets
+    row[j] = (piv*row[j] - f*prow[j]) / prev on every row below,
+    f = row[col], as the quotient of -((-piv)*row[j] + f*prow[j]); the
+    division is exact, as every entry is then a minor of [M | rhs]."""
+
     pivot_key = staticmethod(_first)
     forward = True
 
-    def __init__(self, p, rows):
-        self.p, self.piv, self.prev = p, _Terms({0: 1}), None
-        self.rows = [[_Terms(e.terms) for e in row] for row in rows]
-        self.pivots, self.free = _eliminate(self.rows, self, kernel=True)
+    def __init__(self, domain, rows):
+        self.domain, self.piv, self.prev = domain, self.entry(domain.one), None
+        self.rows = [list(map(self.entry, row)) for row in rows]
+        self.pivots, self.free = _eliminate(self.rows, self)
+
+    # the entry arithmetic: the domain's own, and the exact division
+
+    entry = series = staticmethod(_same)
+
+    def is_known_zero(self, x):
+        return self.domain.is_zero(x)
+
+    def neg(self, x):
+        return self.domain.neg(x)
+
+    def quotient(self, pairs, divisor):
+        """-(the sum of a*b over ``pairs``) / ``divisor``, which divides it."""
+        d = self.domain
+        total = reduce(d.sub, (d.mul(a, b) for a, b in pairs), d.zero)
+        return total if d.is_zero(total) else _divide(d, total, divisor)
+
+    # the route
 
     @staticmethod
     def is_zero(x):
         return False  # a row with f = 0 is still scaled by piv/prev
 
     def scale_row(self, row, col, live):
-        self.prev, self.piv = self.piv.terms, row[col]
+        self.prev, self.piv = self.piv, row[col]
 
     def reduce_row(self, row, f, prow, live):
-        p, piv, prev = self.p, self.piv, self.prev
+        neg_piv, prev = self.neg(self.piv), self.prev
+        for j in live:
+            row[j] = self.quotient(((neg_piv, row[j]), (f, prow[j])), prev)
+
+    def back_substitute(self, col, value):
+        """The x (a list over the columns of M) with x[col] = ``value``, 0 at
+        the other columns without a pivot, that the pivot rows annihilate:
+        from the last row up, x[c] = -(sum of row[j]*x[j]) / row[c], exact
+        when ``value`` is the last pivot, as x[c] is then a minor of [M | rhs]."""
+        x = {col: value}
+        for c, r in sorted(((c, r) for c, r in self.pivots.items() if c < col), reverse=True):
+            row = self.rows[r]
+            if row[c] is value and len(x) == 1:  # row[c]*x[c] + row[col]*value = 0
+                x[c] = self.neg(row[col])
+            else:
+                x[c] = self.quotient([(row[j], xj) for j, xj in x.items()], row[c])
+        return [x.get(c) or self.entry(self.domain.zero) for c in range(len(self.rows))]
+
+
+class _TermBareiss(_Bareiss):
+    """``_Bareiss`` over F_p((t)) on EXACT term maps (``_Terms``): products
+    by ``_add_products``, the exact division by ``_exact_quotient``.  A
+    reduction step works on the maps themselves, with no call per entry."""
+
+    is_known_zero = staticmethod(_TermSolve.is_known_zero)
+    series = _TermSolve.series
+
+    @staticmethod
+    def entry(s):
+        return _Terms(s.terms)
+
+    def neg(self, x):
+        p = self.domain.ring.p
+        return _Terms({e: p - c for e, c in x.terms.items()})
+
+    def reduce_row(self, row, f, prow, live):
+        p, piv, prev = self.domain.ring.p, self.piv, self.prev.terms
         for j in live:
             x, b = row[j], prow[j]
             out = {}
@@ -399,29 +459,13 @@ class _Bareiss:
             out = _reduced(out, p)
             row[j] = _Terms(_exact_quotient(out, prev, p) if out else out)
 
-    def back_substitute(self, col, value):
-        """The x (a list over the columns of M) with x[col] = ``value``, 0 at
-        the other columns without a pivot, that the pivot rows annihilate:
-        from the last row up, x[c] = -(sum of row[j]*x[j]) / row[c], exact
-        when ``value`` is the last pivot, as x[c] is then a minor of [M | rhs]."""
-        p, x = self.p, {col: value}
-        for c, r in sorted(((c, r) for c, r in self.pivots.items() if c < col), reverse=True):
-            row, out = self.rows[r], {}
-            if row[c] is value and len(x) == 1:  # row[c]*x[c] + row[col]*value = 0
-                x[c] = _Terms({e: p - v for e, v in row[col].terms.items()})
-                continue
-            for j, xj in x.items():
-                if row[j].terms and xj.terms:
-                    _add_products(out, row[j], xj, p, INFINITY, -1)
-            out = _reduced(out, p)
-            x[c] = _Terms(_exact_quotient(out, row[c].terms, p) if out else out)
-        return [x.get(c) or _Terms({}) for c in range(len(self.rows))]
-
-
-def _exact_term_rows(domain, rows):
-    """Whether ``rows`` hold only EXACT entries of F_p((t)), which the
-    ``_Bareiss`` route serves."""
-    return _is_term_field(domain) and all(e.is_exact for row in rows for e in row)
+    def quotient(self, pairs, divisor):
+        p, out = self.domain.ring.p, {}
+        for a, b in pairs:
+            if a.terms and b.terms:
+                _add_products(out, a, b, p, INFINITY, -1)
+        out = _reduced(out, p)
+        return _Terms(_exact_quotient(out, divisor.terms, p) if out else out)
 
 
 def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
@@ -435,7 +479,7 @@ def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
     too few terms) or when the exact matrix has no kernel.
 
     ``fraction_free`` is for EXACT M and rhs over F_p((t)), and raises
-    CycdivError on any other input: the ``_Bareiss`` route, which decides
+    CycdivError on any other input: the ``_TermBareiss`` route, which decides
     singularity exactly and never raises PrecisionError.  Back-substitution
     on [M | rhs], eliminated once, gives det*x_l = N_l (det up to sign), so
     x_l = N_l * det^-1 takes one ``Series.invert`` of det; each x_l is cut
@@ -444,27 +488,22 @@ def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
     """
     n = _square(matrix, rhs)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    if isinstance(domain, SeriesDomain) and precision is None:
+        precision = domain.default_precision
     if fraction_free:
-        if not _exact_term_rows(domain, rows):
+        if not (_is_term_field(domain) and _exact(rows)):
             raise CycdivError("a fraction-free solve needs EXACT entries over F_p((t))")
-        if precision is None:
-            precision = domain.default_precision
-        route = _Bareiss(domain.ring.p, rows)
+        route = _TermBareiss(domain, rows)
         if route.free is not None:
             raise ZeroDivisorError("singular linear system",
                                    kernel=kernel_vector(domain, matrix, _eliminated=route))
         # [M | rhs] annihilates (-N, det): x_l = -nums[l] * det^-1, known past t^precision
         nums = route.back_substitute(n, route.piv)
-        lows = [x.low for x in nums if x.terms]
-        if not lows:
-            return [domain.zero] * n
-        inv, p = _Terms(_stored(domain, route.piv.terms, 1, None).invert(
-            precision - min(lows)).terms), route.p
+        low = min((x.low for x in nums if x.terms), default=0)
+        inv, p = _Terms(route.series(route.piv).invert(precision - low).terms), domain.ring.p
         return [_stored(domain, _reduced(_add_products({}, x, inv, p, precision, -1), p), 1,
                         precision) if x.terms else domain.zero for x in nums]
-    work = None
-    if isinstance(domain, SeriesDomain):
-        work = (precision if precision is not None else domain.default_precision) + _SLACK
+    work = precision + _SLACK if isinstance(domain, SeriesDomain) else None
     if _is_term_field(domain):
         route = _TermSolve(domain, work)
         rows = [[route.entry(e) for e in row] for row in rows]
@@ -476,7 +515,7 @@ def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
     _, free = _eliminate(rows, route)
     if free is None:
         return [route.series(row[n]) for row in rows]
-    if not all(e.is_exact for row in matrix for e in row if isinstance(e, Series)):
+    if not _exact(matrix):
         raise PrecisionError(f"no pivot in column {free} at working precision {work}, "
                              "and the truncated entries cannot decide singularity")
     kernel = kernel_vector(domain, matrix)
@@ -489,39 +528,17 @@ def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
 def kernel_vector(domain, matrix, _eliminated=None):
     """An exact nonzero vector in the right kernel of M, or None.
 
-    Over F_p((t)) with every entry EXACT, the ``_Bareiss`` route gives the
-    Cramer kernel, r x r minors with r the rank: the last pivot at the first
-    column without a pivot, by back-substitution on the rows of
-    ``_eliminated`` when ``solve_linear`` has eliminated them.  Elsewhere,
-    fraction elimination (exact over EXACT series and exact base fields),
-    then denominators cleared so the result lives in the original domain.
+    M must be EXACT at every level; any other matrix raises PrecisionError.
+    Fraction-free elimination gives the Cramer kernel, r x r minors with r
+    the rank: the last pivot at the first column without a pivot, and
+    back-substitution above it, on the rows of ``_eliminated`` when
+    ``solve_linear`` has eliminated them.
     """
-    n = _square(matrix)
-    if _eliminated is not None or _exact_term_rows(domain, matrix):
-        route = _eliminated or _Bareiss(domain.ring.p, matrix)
-        if route.free is None:
-            return None
-        x = route.back_substitute(route.free, route.piv)
-        return [_stored(domain, e.terms, 1, None) for e in x]
-    one = domain.one
-    ff = FractionField(domain)
-    rows = [[(e, one) for e in row] for row in matrix]
-    pivots, fc = _eliminate(rows, _Loop(ff, _first, ff.invert), kernel=True)
-    if fc is None:
+    _square(matrix)
+    if (route := _eliminated) is None:
+        if not _exact(matrix):
+            raise PrecisionError("a kernel needs a matrix EXACT at every level")
+        route = (_TermBareiss if _is_term_field(domain) else _Bareiss)(domain, matrix)
+    if route.free is None:
         return None
-    x = [(domain.zero, one)] * n
-    x[fc] = (one, one)
-    for col, r in pivots.items():
-        num, den = rows[r][fc]
-        x[col] = (domain.neg(num), den)
-    # clear denominators: x_i = num_i/den_i -> num_i * prod_{j != i} den_j
-    cleared = []
-    for i, (num, den) in enumerate(x):
-        scale = one
-        for j, (_, dj) in enumerate(x):
-            if j != i:
-                scale = domain.mul(scale, dj)
-        cleared.append(domain.mul(num, scale))
-    if all(domain.is_known_zero(c) for c in cleared):
-        raise CycdivError("kernel clearing produced the zero vector")
-    return cleared
+    return [route.series(x) for x in route.back_substitute(route.free, route.piv)]

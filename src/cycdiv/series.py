@@ -45,9 +45,13 @@ Which kernel serves which domain:
   ``algebra.constants_mul`` does them on the flat form (``_flatten``,
   ``_unflatten``): one int map per element, packed exponent keys, no
   ``Series`` arithmetic until the result is built.
-* Linear systems over F_p((t)).  ``linalg`` eliminates on the term maps
+* Linear systems.  Over F_p((t)) ``linalg`` eliminates on the term maps
   themselves, packed with ``_pack`` and unpacked with ``_slots`` when dense,
   and builds each result once, at the precision ``product_precision`` gives.
+  Over every other domain it uses the series operators.  Over every domain
+  a kernel vector comes from fraction-free elimination of a matrix EXACT at
+  every level: its divisions are exact, long divisions on the lowest terms
+  that divide the coefficients of a tower one level down.
 
 Q coefficients are kept in content form.  A series over Q stores integer
 numerators in ``terms`` over one positive denominator ``den``, with

@@ -7,8 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from cycdiv import (all_classes, c0_classes, class_of, tilde_sigma,
                     verify_level_count_laws)
-from cycdiv.anagram import SUPPORTED_Q, cyclic_shift, multiplicative_reindex, norm_terms
+from cycdiv.anagram import SUPPORTED_Q, norm_terms
 from cycdiv.errors import CycdivError
+
+
+def multiplicative_reindex(q, d, nu):
+    """d^{sigma_nu}: position i reads d at position nu*i (mod q)."""
+    assert nu % q, "nu must be a unit mod a prime q"
+    return tuple(d[(nu * i) % q] for i in range(q))
+
+
+def cyclic_shift(d):
+    """(d_1, ..., d_{q-1}, d_0)."""
+    return d[1:] + d[:1]
 
 
 def brute_level_counts(q, rep):

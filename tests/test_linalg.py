@@ -1,23 +1,25 @@
 """The live-column elimination core against the full-width loops it replaced.
 
-``ref_solve_linear`` and ``ref_kernel_vector`` are the Gauss–Jordan solve and
-the fraction-field kernel in plain ``Series`` (or base-field) arithmetic over
-every column.  The truncated solve, on either route (term maps over
-F_p((t)), the loop elsewhere), must give structurally identical results: the
-same inverse coordinates with the same O-terms and the same errors, except
-that a matrix the truncated solve finds singular but that has no kernel is
-now a PrecisionError: an exact one that is singular only at the working
-precision, or one with truncated entries.  The reference solve skips only
-exact zeros: a multiplier known only to an O-term bounds the precision of
-the row it reduces.
+``ref_solve_linear`` is the Gauss–Jordan solve in plain ``Series`` (or
+base-field) arithmetic over every column.  The truncated solve, on either
+route (term maps over F_p((t)), the loop elsewhere), must give structurally
+identical results: the same inverse coordinates with the same O-terms and
+the same errors, except that a matrix the truncated solve finds singular but
+that has no kernel is now a PrecisionError: an exact one that is singular
+only at the working precision, or one with an entry truncated at some level.
+The reference solve skips only exact zeros: a multiplier known only to an
+O-term bounds the precision of the row it reduces.
 
-A kernel of a matrix on the loop route is the reference's, structurally.  An
-exact F_p((t)) matrix gets its Cramer kernel from fraction-free elimination
-instead: nonzero and exactly proportional to the reference's, since both are
-read off the first column without a pivot of the same reduced echelon form.
-``ref_bareiss`` is that fraction-free elimination as Gauss–Jordan over every
-column, in ``Series`` arithmetic: the forward elimination and back-substitution
-of the library must give its solutions and kernels structurally.
+Every kernel is the Cramer kernel of fraction-free elimination, over every
+exact domain.  ``ref_bareiss`` is that elimination as Gauss–Jordan over every
+column, in plain ``Series`` (or base-field) arithmetic: the forward
+elimination and back-substitution of the library must give its solutions and
+kernels structurally.  ``ref_kernel_vector``, the fraction-field kernel with
+its denominators cleared, checks the Cramer kernel up to an exact multiple,
+since both are read off the first column without a pivot of the same reduced
+echelon form; its never-reduced fractions swell at n = 4, so only for n <= 3.
+A matrix with an entry truncated at some level has no kernel to certify:
+``kernel_vector`` raises PrecisionError.
 
 ``invert`` over K = F_p((u)) is checked against the solve over F that it
 replaces for exact inputs (``left_mul_matrix`` and ``solve_linear``): the same
@@ -28,6 +30,7 @@ less, and kernels that both products annihilate.
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -117,7 +120,7 @@ def ref_solve_linear(domain, matrix, rhs, precision=None):
         if pivot_row is None:
             kernel = None
             if all(_all_exact(row) for row in matrix):
-                kernel = ref_kernel_vector(domain, matrix)
+                kernel = ref_cramer_kernel(domain, matrix)
             raise ZeroDivisorError("singular linear system", kernel=kernel)
         M[col], M[pivot_row] = M[pivot_row], M[col]
         b[col], b[pivot_row] = b[pivot_row], b[col]
@@ -134,8 +137,14 @@ def ref_solve_linear(domain, matrix, rhs, precision=None):
     return b
 
 
+def exact_everywhere(e):
+    """A base-field element, or an EXACT series whose coefficients are."""
+    return not isinstance(e, Series) or (e.is_exact and all(map(exact_everywhere,
+                                                                e.coeffs.values())))
+
+
 def _all_exact(row):
-    return all((not isinstance(e, Series)) or e.is_exact for e in row)
+    return all(map(exact_everywhere, row))
 
 
 def ref_kernel_vector(domain, matrix):
@@ -184,30 +193,33 @@ def ref_kernel_vector(domain, matrix):
 
 
 def _ref_divide(domain, a, b):
-    """a / b for EXACT Laurent polynomials over F_p where b divides a: long
-    division from the lowest terms."""
-    p = domain.coeff.p
-    rest, bc = dict(a.coeffs), b.coeffs
+    """a / b where b divides a: in a base field a * b^-1; for EXACT series
+    (Laurent, Hahn or towers), long division from the lowest terms, each
+    coefficient divided one level down."""
+    if not isinstance(domain, SeriesDomain):
+        return domain.mul(a, domain.invert(b))
+    cd = domain.coeff
+    rest, bc = dict(a.coeffs), dict(b.coeffs)
     lb, hb = min(bc), max(bc)
-    inv = pow(bc[lb], -1, p)
     out = {}
     while rest:
         e = min(rest)
         assert e - lb <= max(rest) - hb, "inexact division"
-        c = out[e - lb] = rest[e] * inv % p
+        c = out[e - lb] = _ref_divide(cd, rest[e], bc[lb])
         for eb, cb in bc.items():
             k = e - lb + eb
-            if v := (rest.get(k, 0) - c * cb) % p:
-                rest[k] = v
-            else:
+            v = cd.sub(rest.get(k, cd.zero), cd.mul(c, cb))
+            if cd.is_zero(v):
                 rest.pop(k, None)
+            else:
+                rest[k] = v
     return domain.series(out)
 
 
 def ref_bareiss(domain, matrix, rhs, precision):
-    """The fraction-free solve over F_p((t)) as it was before forward
-    elimination and back-substitution: Gauss–Jordan Bareiss (1968) over
-    every column of every row of [M | rhs], in EXACT ``Series`` arithmetic.
+    """The fraction-free solve as it was before forward elimination and
+    back-substitution: Gauss–Jordan Bareiss (1968) over every column of every
+    row of [M | rhs], in EXACT ``Series`` (or base-field) arithmetic.
     ("x", solution): x_l = N_l * det^-1 cut at t^precision, N_l the pivot
     row's right-hand side; ("kernel", the Cramer kernel): the last pivot at
     the first column without a pivot and -row[free] at each pivot column."""
@@ -235,12 +247,18 @@ def ref_bareiss(domain, matrix, rhs, precision):
             kernel[col] = domain.neg(M[r][free])
         return "kernel", kernel
     nums = [row[n] for row in M]
-    lows = [x.valuation() for x in nums if not x.is_exact_zero()]
+    lows = [x.valuation() for x in nums if not domain.is_zero(x)]
     if not lows:
         return "x", [domain.zero] * n
     inv = piv.invert(precision - min(lows))
     return "x", [domain.zero if x.is_exact_zero() else (x * inv).truncate(precision)
                  for x in nums]
+
+
+def ref_cramer_kernel(domain, matrix):
+    """The Cramer kernel of ``ref_bareiss``, or None for a nonsingular M."""
+    kind, value = ref_bareiss(domain, matrix, [domain.zero] * len(matrix), None)
+    return value if kind == "kernel" else None
 
 
 # -- comparison -----------------------------------------------------------------
@@ -254,14 +272,21 @@ def same_vector(got, want):
 
 
 def same_kernel(domain, matrix, got, want):
-    """``got`` is the kernel ``want`` of the references: the same vector on
-    the loop route, a nonzero exact multiple of it for an exact F_p((t))
-    matrix, whose kernel is the Cramer kernel."""
-    if got is None or want is None or not (linalg._is_term_field(domain) and exact(matrix)):
-        return same_vector(got, want)
-    return (len(got) == len(want) and not all(domain.is_zero(k) for k in got)
-            and all(domain.is_zero(ki * rj - kj * ri)
-                    for ki, ri in zip(got, want) for kj, rj in zip(got, want)))
+    """``got`` is ``want``, the Cramer kernel of ``ref_bareiss``,
+    structurally, nonzero and annihilated by M exactly; for n <= 3 also an
+    exact multiple of the kernel of ``ref_kernel_vector``."""
+    if not same_vector(got, want):
+        return False
+    if got is None:
+        return True
+    add, sub, mul, zero = domain.add, domain.sub, domain.mul, domain.is_zero
+    if all(map(zero, got)) or not all(zero(reduce(add, map(mul, row, got))) for row in matrix):
+        return False
+    if len(matrix) > 3:
+        return True
+    ref = ref_kernel_vector(domain, matrix)
+    return all(zero(sub(mul(ki, rj), mul(kj, ri)))
+               for ki, ri in zip(got, ref) for kj, rj in zip(got, ref))
 
 
 def solve_outcome(solve, domain, matrix, rhs):
@@ -290,9 +315,12 @@ def check_against_references(domain, matrix, rhs, kernels=True):
         assert want[0] == "kernel" and same_kernel(domain, matrix, got[1], want[1])
     else:
         assert want[0] == "x" and same_vector(got[1], want[1])
-    if kernels:
+    if kernels and exact(matrix):
         assert same_kernel(domain, matrix, kernel_vector(domain, matrix),
-                           ref_kernel_vector(domain, matrix))
+                           ref_cramer_kernel(domain, matrix))
+    elif kernels:
+        with pytest.raises(PrecisionError, match="EXACT at every level"):
+            kernel_vector(domain, matrix)
     return got
 
 
@@ -387,12 +415,10 @@ def entries(draw, domain, terms=3):
 
 @st.composite
 def small_systems(draw):
-    """n x n systems, n <= 3 over series and 4 over Q, and some made
-    singular: a zero column, or a column that is a combination of the others.
-    (The fractions of a kernel are never reduced, so their supports can
-    multiply at every step: a 4 x 4 Hahn kernel can take minutes.)"""
+    """n x n systems, n <= 4, and some made singular: a zero column, or a
+    column that is a combination of the others."""
     domain = draw(st.sampled_from([QT, H7, QQ, FP7, FP11]))
-    n = draw(st.integers(1, 4 if domain is QQ else 3))
+    n = draw(st.integers(1, 4))
     matrix = [[draw(entries(domain)) for _ in range(n)] for _ in range(n)]
     rhs = [draw(entries(domain)) for _ in range(n)]
     how = draw(st.sampled_from(["any", "zero column", "combination"]))
@@ -424,9 +450,9 @@ class RouteSpy:
         self.seen = []
         eliminate = linalg._eliminate
 
-        def spy(rows, route, kernel=False):
+        def spy(rows, route):
             self.seen.append(type(route).__name__)
-            return eliminate(rows, route, kernel)
+            return eliminate(rows, route)
 
         monkeypatch.setattr(linalg, "_eliminate", spy)
 
@@ -442,18 +468,19 @@ def test_f_p_laurent_systems_take_the_term_maps(monkeypatch):
     unit = D.one + D.element([F.parse("t + 2*t^3")] * D.n)
     zero_divisor = D.element([F.from_int(2)] + [F.zero] * (D.n - 1)) * (
         D.X - D.from_base(F.from_int(3)))
-    for d, routes in ((unit, ["_TermSolve"]), (zero_divisor, ["_TermSolve", "_Bareiss"])):
+    for d, routes in ((unit, ["_TermSolve"]), (zero_divisor, ["_TermSolve", "_TermBareiss"])):
         matrix, rhs = left_mul_matrix(d), list(D.one.coords)
         check_against_references(F, matrix, rhs, kernels=False)
         assert spy.take() == routes  # the references make no _eliminate call
     # an exact matrix gets its Cramer kernel; a truncated one has no
-    # certified kernel, and its fractions take the loop
+    # certified kernel and is eliminated by no route
     matrix = left_mul_matrix(zero_divisor)
-    assert same_kernel(F, matrix, kernel_vector(F, matrix), ref_kernel_vector(F, matrix))
-    assert spy.take() == ["_Bareiss"]
+    assert same_kernel(F, matrix, kernel_vector(F, matrix), ref_cramer_kernel(F, matrix))
+    assert spy.take() == ["_TermBareiss"]
     matrix = [[F.parse("1 + O(t^3)"), F.one], [F.one, F.one]]
-    assert same_vector(kernel_vector(F, matrix), ref_kernel_vector(F, matrix))
-    assert spy.take() == ["_Loop"]
+    with pytest.raises(PrecisionError, match="EXACT at every level"):
+        kernel_vector(F, matrix)
+    assert spy.take() == []
 
 
 def test_other_domains_take_the_loop(monkeypatch, capsys):
@@ -467,7 +494,7 @@ def test_other_domains_take_the_loop(monkeypatch, capsys):
     qt_rows = [[QT.parse("1 + t"), QT.parse("2*t")], [QT.parse("1/2"), QT.parse("3 + t^2")]]
     for domain, matrix in ((Y2, tower), (H, hahn_rows), (QT, qt_rows)):
         check_against_references(domain, matrix, [domain.one, domain.zero])
-        assert spy.take() == ["_Loop", "_Loop"]
+        assert spy.take() == ["_Loop", "_Bareiss"]  # the truncated solve, then the kernel
     code = main(["algebra", "invert", "--rationals", "--q", "2", "--alpha", "-1",
                  "--d", "1;1;1;1"])
     assert code == 0 and spy.take() == ["_Loop"]
@@ -475,18 +502,90 @@ def test_other_domains_take_the_loop(monkeypatch, capsys):
 
 
 def test_free_column_before_pivots_is_kept():
-    """The first free column comes before later pivot columns, so every
-    later pivot step must still update it: the kernel is read off it."""
+    """The first free column comes before later pivot columns, so the
+    elimination must go on past it: the kernel is read off the rows below."""
     t = QT.variable
     two, three, six = QT.from_int(2), QT.from_int(3), QT.from_int(6)
     zero_column = [[QT.zero, QT.one + t, t], [QT.zero, t * t, three], [QT.zero, two, QT.one - t]]
     doubled_column = [[QT.one, two, t], [t, t + t, QT.one], [three, six, t * t]]
     for matrix in (zero_column, doubled_column):
         kernel = kernel_vector(QT, matrix)
-        assert same_vector(kernel, ref_kernel_vector(QT, matrix))
+        assert same_kernel(QT, matrix, kernel, ref_cramer_kernel(QT, matrix))
         assert not all(QT.is_zero(c) for c in kernel)
         for row in matrix:
             assert QT.is_zero(sum((a * x for a, x in zip(row, kernel)), QT.zero))
+
+
+def test_readme_zero_divisors_over_q_and_a_hahn_tower(monkeypatch, capsys):
+    """``algebra invert`` on a zero divisor over Q and over the Hahn tower
+    F_7((x^G))((t^G)): the truncated solve meets a column without a pivot,
+    and the kernel comes from fraction-free elimination in the arithmetic of
+    the domain.  The rewriting-rule product annihilates it."""
+    spy = RouteSpy(monkeypatch)
+    cases = [(KummerContext(QQ, 2, Fraction(-1), Fraction(-1)), "1", "1;0;1;0",
+              ["--rationals", "--q", "2"], "-1 + X"),
+             (hahn_tower_context(7, 3, precision=20), "6", "4;0;0;1;0;0;0;0;0",
+              ["--hahn", "7"], "((2)) + ((3))*X + ((1))*X^2")]
+    for ctx, alpha, coords, flags, printed in cases:
+        D = CyclicAlgebra(ctx, ctx.F.parse(alpha))
+        d = D.element([D.F.parse(c) for c in coords.split(";")])
+        with pytest.raises(ZeroDivisorError) as caught:
+            invert(d)
+        assert spy.take() == ["_Loop", "_Bareiss"]
+        kernel = D.element(caught.value.kernel)
+        assert not kernel.is_known_zero()
+        assert all(D.F.is_zero(c) for c in relation_mul(d, kernel).coords)
+        assert main(["algebra", "invert", *flags, "--alpha", alpha, "--d", coords]) == 1
+        assert capsys.readouterr().out == f'{{"error": "zero divisor", "kernel": "{printed}"}}\n'
+        assert spy.take() == ["_Loop", "_Bareiss"]
+
+
+def test_seeded_4x4_hahn_kernel_within_a_second():
+    """A singular 4 x 4 system over the Z[1/7] Hahn field, entries of 2 or 3
+    terms with exponents in (1/49)Z, the last column a combination of the
+    others with one-term weights.  Never-reduced fractions took more than
+    8 s on it, fraction-free elimination 0.2 s (Python 3.11, 2 vCPUs)."""
+    rng = random.Random(3)
+
+    def entry(terms):
+        return H7.series({Fraction(rng.randint(-21, 42), 49): rng.randint(1, 6)
+                          for _ in range(terms)})
+
+    matrix = [[entry(rng.randint(2, 3)) for _ in range(4)] for _ in range(4)]
+    weights = [entry(1) for _ in range(3)]
+    for row in matrix:
+        row[3] = weights[0] * row[0] + weights[1] * row[1] + weights[2] * row[2]
+    start = time.perf_counter()
+    kernel = kernel_vector(H7, matrix)
+    assert time.perf_counter() - start < 1
+    assert not all(H7.is_zero(c) for c in kernel)
+    assert all(H7.is_zero(sum((a * x for a, x in zip(row, kernel)), H7.zero)) for row in matrix)
+    assert same_vector(kernel, ref_cramer_kernel(H7, matrix))
+
+
+@pytest.mark.parametrize("inner", [QQ, PrimeField(7)], ids=["Q((x))((t))", "F_7((x))((t))"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_tower_kernels_match_the_reference(inner, n):
+    """Singular n x n systems over a tower whose entries have coefficients of
+    two terms: every exact division divides those coefficients one level
+    down, by leading coefficients that are no monomials."""
+    X = laurent(inner, "x")
+    T = laurent(X, "t")
+    rng = random.Random(7)
+
+    def coeff():
+        return X.series({e: inner.from_int(rng.randint(1, 6)) for e in rng.sample(range(-2, 4), 2)})
+
+    def entry(terms):
+        return T.series({rng.randint(-1, 3): coeff() for _ in range(terms)})
+
+    matrix = [[entry(2) for _ in range(n)] for _ in range(n)]
+    weights = [entry(1) for _ in range(n - 1)]
+    for row in matrix:
+        row[n - 1] = sum((w * a for w, a in zip(weights, row)), T.zero)
+    kernel = kernel_vector(T, matrix)
+    assert same_kernel(T, matrix, kernel, ref_cramer_kernel(T, matrix))
+    assert all(T.is_zero(sum((a * x for a, x in zip(row, kernel)), T.zero)) for row in matrix)
 
 
 # -- the bugs -------------------------------------------------------------------------
@@ -545,6 +644,24 @@ def test_tower_pivot_known_to_no_term_is_a_precision_error():
               [T.zero, T.zero]]
     with pytest.raises(PrecisionError, match="known to no term"):
         solve_linear(T, matrix, [T.one, T.zero])
+
+
+def test_tower_entry_exact_only_at_the_outer_level_has_no_kernel():
+    """Over Q((x))((t)), 1 + O(x^2) stands for 1 + x^2 among others, with
+    which M is nonsingular.  Only the outer level of that entry is EXACT, so
+    no kernel is certified: ``kernel_vector`` returned [(-1), (1 + O(x^2))]
+    and ``solve_linear`` raised ZeroDivisorError with it."""
+    T = laurent(laurent(QQ, "x"), "t")
+    matrix = [[T.parse("(1 + O(x^2))"), T.one], [T.one, T.one]]
+    with pytest.raises(PrecisionError, match="EXACT at every level"):
+        kernel_vector(T, matrix)
+    with pytest.raises(PrecisionError, match="cannot decide singularity"):
+        solve_linear(T, matrix, [T.one, T.zero])
+    one_it_stands_for = [[T.parse("(1 + x^2)"), T.one], [T.one, T.one]]
+    assert kernel_vector(T, one_it_stands_for) is None
+    x = solve_linear(T, one_it_stands_for, [T.one, T.zero])
+    for row, b in zip(one_it_stands_for, [T.one, T.zero]):
+        assert sum((a * c for a, c in zip(row, x)), T.zero).agrees_to_precision(b)
 
 
 @given(small_systems())
@@ -954,9 +1071,9 @@ def test_one_elimination_per_invert_over_k(monkeypatch):
     eliminations, kernels = [], []
     eliminate, kernel_of = linalg._eliminate, linalg.kernel_vector
 
-    def spy_eliminate(rows, route, kernel=False):
+    def spy_eliminate(rows, route):
         eliminations.append(type(route).__name__)
-        return eliminate(rows, route, kernel)
+        return eliminate(rows, route)
 
     def spy_kernel(*args, **kwargs):
         kernels.append(args[1])
@@ -981,7 +1098,7 @@ def test_one_elimination_per_invert_over_k(monkeypatch):
         got, domains = invert_outcome(d)
         assert got[0] == ("kernel" if zero_divisor else "x")
         assert domains == [d.algebra.kummer._u_field]
-        assert eliminations == ["_Bareiss"]
+        assert eliminations == ["_TermBareiss"]
         assert len(kernels) == (1 if zero_divisor else 0)
         eliminations.clear()
         kernels.clear()
