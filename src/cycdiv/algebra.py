@@ -17,11 +17,11 @@ Which path of :func:`constants_mul` serves which input:
 * The flat product.  When F is a Laurent tower over Q or F_p (value group Z
   at every level, one level or more) and every coordinate of both operands
   and every structure constant is EXACT at every level, each coordinate is
-  flattened once to one map {packed exponent key: int} over one common
-  denominator (see ``cycdiv.series``), the structure constants once per
-  :class:`StructureConstants`, and all +-lam*a_i*b_j terms are accumulated
-  in one int map per output coordinate, which is turned back into a series
-  once.  Such inputs have one canonical exact result, so this path gives the
+  flattened once to (packed exponent key, int) pairs over one common
+  denominator, the structure constants once per :class:`StructureConstants`,
+  and all +-lam*a_i*b_j terms are accumulated in one int map per output
+  coordinate by the sum-of-products accumulator of ``cycdiv.series``
+  (``_FlatSum``), which is turned back into a series once.  Such inputs have one canonical exact result, so this path gives the
   same stored series as the loop.  This is the Albert biquaternion product
   over Q((X))((Y)).
 * The loop.  Everything else (a truncated coordinate or an inner O-term,
@@ -68,11 +68,7 @@ from .element import Element, FiniteAlgebra, monomial_label
 from .errors import CycdivError, DomainMismatchError, ZeroDivisorError
 from .kummer import KummerContext, _from_u_series, _to_u_series, _u_sigma, is_norm
 from .linalg import _SLACK, _is_term_field, solve_linear
-from .series import _flat_bounds, _flat_levels, _flatten, _is_exactly, _stored, _unflatten
-
-# The flat product packs exponents only into keys below 2**62 in absolute
-# value (at most three 30-bit digits of a CPython int); wider ones take the loop.
-_FLAT_KEY_BITS = 62
+from .series import _flat_bounds, _flat_levels, _flat_sum, _is_exactly, _stored
 
 
 class CyclicAlgebra(FiniteAlgebra):
@@ -187,15 +183,15 @@ class StructureConstants:
                 [lam for entries in self.sparse(F).values() for _, lam, _ in entries], depth)
         return self._flat["bounds"]
 
-    def _flat_table(self, F, shift):
-        """(i, j) -> [(k, flat form of lam as (key, value) pairs)] at ``shift``,
-        over the denominator of ``_entry_bounds``."""
-        table = self._flat.get(shift)
+    def _flat_table(self, F, acc):
+        """(i, j) -> [(k, flat form of lam)] at the shift of the ``_FlatSum``
+        ``acc``, over the denominator of ``_entry_bounds``."""
+        table = self._flat.get(acc.shift)
         if table is None:
             den = self._flat["bounds"][2]
-            table = {ij: [(k, tuple(_flatten(lam, shift, den).items())) for k, lam, _ in entries]
+            table = {ij: [(k, acc.flat(lam, den)) for k, lam, _ in entries]
                      for ij, entries in self.sparse(F).items()}
-            self._flat[shift] = table
+            self._flat[acc.shift] = table
         return table
 
 
@@ -244,30 +240,23 @@ def constants_mul(a, b, constants, F):
 
 
 def _flat_constants_mul(a, b, constants, F):
-    """``constants_mul`` on the flat forms of the coordinates and the structure
-    constants (see ``cycdiv.series``), or None when F is no Laurent tower over
-    Q or F_p, an input is truncated at some level, or the exponents of the
-    result would not pack into ``_FLAT_KEY_BITS``."""
+    """``constants_mul`` as sums of products lam*a_i*b_j on the flat form (see
+    ``cycdiv.series``), or None when F is no Laurent tower over Q or F_p, an
+    input is truncated at some level, or the keys of the result would not
+    pack into ``_FLAT_KEY_BITS``."""
     levels = _flat_levels(F)
     if levels is None:
         return None
     depth = len(levels)
     bounds = [constants._entry_bounds(F, depth), _flat_bounds(a, depth), _flat_bounds(b, depth)]
-    if None in bounds:
+    acc = _flat_sum(levels, bounds, 3)
+    if acc is None:
         return None
-    lows = [sum(lo) for lo in zip(*[bound[0] for bound in bounds])]
-    highs = [sum(hi) for hi in zip(*[bound[1] for bound in bounds])]
-    shift = max([hi - lo for lo, hi in zip(lows[1:], highs[1:])], default=0).bit_length()
-    # every key, of an operand's term or of a product of three, is below
-    # 3 * widest * 2**(shift * (depth - 1) + 1) in absolute value
-    widest = max(max(-lo, hi) for bound in bounds for lo, hi in zip(bound[0], bound[1]))
-    if shift * (depth - 1) + (3 * widest).bit_length() >= _FLAT_KEY_BITS:
-        return None
-    table = constants._flat_table(F, shift)
+    table = constants._flat_table(F, acc)
     den_c, den_a, den_b = (bound[2] for bound in bounds)
-    flat_a = [_flatten(c, shift, den_a).items() for c in a]
-    flat_b = [_flatten(c, shift, den_b).items() for c in b]
-    acc = [{} for _ in range(constants.n)]
+    flat_a = [acc.flat(c, den_a) for c in a]
+    flat_b = [acc.flat(c, den_b) for c in b]
+    products = [[] for _ in range(constants.n)]
     for i, fa in enumerate(flat_a):
         if not fa:
             continue
@@ -277,15 +266,14 @@ def _flat_constants_mul(a, b, constants, F):
             # the longer operand in the innermost loop
             short, long = (fa, fb) if len(fa) <= len(fb) else (fb, fa)
             for k, lam in table.get((i, j), ()):
-                out = acc[k]
-                for kc, vc in lam:
-                    for ks, vs in short:
-                        ksc, vsc = ks + kc, vs * vc
-                        for kl, vl in long:
-                            key = ksc + kl
-                            out[key] = out.get(key, 0) + vsc * vl
+                products[k].append((1, lam, short, long))
     den = den_a * den_b * den_c
-    return [_unflatten(levels, out, shift, lows, den) for out in acc]
+    out = []
+    for terms in products:
+        flat = {}
+        acc.add(flat, terms)
+        out.append(acc.series(flat, den))
+    return out
 
 
 class ConstantsAlgebra(FiniteAlgebra):

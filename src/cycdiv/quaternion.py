@@ -4,16 +4,30 @@ Everything is exact: the base field is a Q-rooted series tower (the
 ordered-field arguments go through verbatim over Q), anisotropy is tested
 on EXACT inputs where nonvanishing is decidable, and the square-sum
 leading-term invariants mirror the structural steps of the anisotropy
-argument.
+argument; they need a tower over Q, which is ordered.
+
+The Albert form phi = <c_1, ..., c_6> is evaluated on the flat form of
+``cycdiv.series`` (the accumulator ``_FlatSum``) when F is a Laurent tower
+over Q or F_p and every input is EXACT at every level.  Over F, phi(a) is
+the one sum sum c_i a_i^2.  Over a quadratic extension K = F(gamma), with
+the coefficients injected (the default embedding there) and a_i = (b_i, c'_i),
+it is the pair (sum c_i (b_i^2 + gamma^2 c'_i^2), sum 2 c_i b_i c'_i), with
+one product by gamma^2 per point.  Such inputs have one canonical exact
+value, so ``evaluate`` returns the same stored series as the ``Series``
+loop, and ``anisotropy_sample_test`` reads the exact zero test off the
+sums without building a series.  Truncated inputs, Hahn levels, a
+coefficient field as F, exponents too wide to pack and any other
+``embed`` take the ``Series`` loop.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import ConstantsAlgebra, StructureConstants
-from .basefields import Domain
+from .basefields import Domain, RationalField
 from .element import Element
 from .errors import CycdivError, DomainMismatchError
-from .series import SeriesDomain, is_square_in_tower
+from .series import (_FLAT_ONE, SeriesDomain, _flat_bounds, _flat_levels, _flat_sum,
+                     is_square_in_tower, root_domain)
 
 
 class QuaternionAlgebra(ConstantsAlgebra):
@@ -73,17 +87,90 @@ class AlbertForm:
 
     coefficients: tuple  # (u, v, -uv, -u', -v', u'v') over F
     F: object
+    # "levels": _flat_levels(F), "bounds": the coefficients' _flat_bounds,
+    # and shift -> their flat forms
+    _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def evaluate(self, a, domain=None, embed=None):
-        """phi(a_1..a_6); optionally over an extension via ``embed``."""
-        if len(a) != 6:
-            raise CycdivError("Albert form takes 6 arguments")
-        dom = domain if domain is not None else self.F
-        emb = embed if embed is not None else (lambda c: c)
+        """phi(a_1..a_6) over F, or over ``domain`` with the coefficients
+        mapped by ``embed``.  Without ``embed``, ``domain`` must be F or a
+        quadratic extension of F, into which the coefficients are injected;
+        any other domain is a DomainMismatchError."""
+        dom, emb, flat = self._sums(a, domain, embed)
+        if flat is None:
+            return self._loop(a, dom, emb)
+        acc, sums = flat
+        values = tuple(acc.series(out, den) for out, den in sums)
+        return values if len(values) == 2 else values[0]
+
+    def _is_zero_at(self, a, domain=None, embed=None):
+        """Whether ``evaluate`` gives a value known to be zero, read off the
+        flat sums when there are any."""
+        dom, emb, flat = self._sums(a, domain, embed)
+        if flat is None:
+            return dom.is_known_zero(self._loop(a, dom, emb))
+        acc, sums = flat
+        return all(acc.is_zero(out) for out, _ in sums)
+
+    def _loop(self, a, dom, emb):
         total = dom.zero
         for coeff, ai in zip(self.coefficients, a):
-            total = dom.add(total, dom.mul(emb(coeff), dom.mul(ai, ai)))
+            total = dom.add(total, dom.mul(coeff if emb is None else emb(coeff), dom.mul(ai, ai)))
         return total
+
+    def _sums(self, a, domain, embed):
+        """(domain, embed, flat), ``embed`` None for the identity.  ``flat`` is
+        a ``_FlatSum`` with the [(map, den)] of phi(a) when one can serve:
+        over F one sum, and over K = F(gamma) with K's injection the pair
+        (sum c_i (b_i^2 + gamma^2 c'_i^2), sum 2 c_i b_i c'_i) for
+        a_i = (b_i, c'_i), with one product by gamma^2.  Else it is None."""
+        if len(a) != 6:
+            raise CycdivError("Albert form takes 6 arguments")
+        F = self.F
+        dom = F if domain is None else domain
+        over_k = isinstance(dom, QuadraticExtension) and (dom.base is F or dom.base == F)
+        if embed is None and not (dom is F or dom == F):
+            if not over_k:
+                raise DomainMismatchError(f"{dom!r} is neither {F!r} nor a quadratic extension of it")
+            embed = dom.inject
+        if over_k and embed == dom.inject:
+            xs = [x for pair in a for x in pair]
+            groups = [[dom.gamma_sq], xs]
+        elif embed is None:
+            xs = a
+            groups = [xs]
+        else:
+            return dom, embed, None
+        cache = self._flat
+        if "levels" not in cache:
+            levels = cache["levels"] = _flat_levels(F)
+            cache["bounds"] = levels and _flat_bounds(self.coefficients, len(levels))
+        levels = cache["levels"]
+        if levels is None or not all(getattr(x, "domain", None) is F for x in xs):
+            return dom, embed, None
+        bounds = [cache["bounds"]] + [_flat_bounds(group, len(levels)) for group in groups]
+        # at most c * x * x over F, and gamma^2 * c * x * x over K
+        acc = _flat_sum(levels, bounds, 4 if over_k else 3)
+        if acc is None:
+            return dom, embed, None
+        den_c, den_x = bounds[0][2], bounds[-1][2]
+        cs = cache.get(acc.shift)
+        if cs is None:
+            cs = cache[acc.shift] = [acc.flat(c, den_c) for c in self.coefficients]
+        fx = [acc.flat(x, den_x) for x in xs]
+        den = den_c * den_x * den_x
+        if not over_k:
+            out = {}
+            acc.add(out, [(1, c, x, x) for c, x in zip(cs, fx)])
+            return dom, embed, (acc, [(out, den)])
+        den_g = bounds[1][2]
+        bs, b2s = fx[0::2], fx[1::2]
+        first, scaled, second = {}, {}, {}
+        acc.add(first, [(den_g, c, b, b) for c, b in zip(cs, bs)])
+        acc.add(scaled, [(1, c, b2, b2) for c, b2 in zip(cs, b2s)])
+        acc.add(first, [(1, _FLAT_ONE, acc.flat(dom.gamma_sq, den_g), tuple(scaled.items()))])
+        acc.add(second, [(2, c, b, b2) for c, b, b2 in zip(cs, bs, b2s)])
+        return dom, embed, (acc, [(first, den * den_g), (second, den)])
 
 
 def albert_form(D1, D2):
@@ -166,7 +253,8 @@ def anisotropy_sample_test(form, domain, trials, seed_rng, embed=None, sample_op
     """Evaluate the form on random nonzero EXACT tuples; count zeros.
 
     Any exact zero of the form on a nonzero tuple is a counterexample and
-    is returned in the report.
+    is returned in the report.  Where the flat sums serve (see the module
+    docstring), the zero test is read off them and no series is built.
     """
     opts = dict(n_terms=2, exp_lo=-2, exp_hi=4)
     if sample_opts:
@@ -177,8 +265,7 @@ def anisotropy_sample_test(form, domain, trials, seed_rng, embed=None, sample_op
             a = tuple(domain.random_element(seed_rng, **opts) for _ in range(6))
             if not all(domain.is_known_zero(ai) for ai in a):
                 break
-        value = form.evaluate(a, domain=domain, embed=embed)
-        if domain.is_known_zero(value):
+        if form._is_zero_at(a, domain, embed):
             failures.append(a)
     return {"trials": trials, "failures": len(failures), "counterexamples": failures}
 
@@ -195,6 +282,8 @@ def sos_leading_data(summands):
     domain = summands[0].domain
     if not isinstance(domain, SeriesDomain) or not isinstance(domain.coeff, SeriesDomain):
         raise CycdivError("expected elements of a two-level series tower")
+    if not isinstance(root_domain(domain), RationalField):
+        raise CycdivError("square-sum invariants need a tower over Q, which is ordered")
     for s in summands:
         if not s.is_exact:
             raise CycdivError("square-sum invariants need EXACT inputs")

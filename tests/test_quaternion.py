@@ -1,15 +1,18 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cycdiv import (AlbertForm, BiquaternionElement, QQ, QuadraticExtension,
-                    QuaternionAlgebra, StructureConstants, albert_form,
+from cycdiv import (AlbertForm, BiquaternionElement, PrimeField, QQ, QuadraticExtension,
+                    QuaternionAlgebra, Series, StructureConstants, albert_form,
                     anisotropy_sample_test, constants_to_json, invert, is_square_in_tower,
                     laurent, nonsquare_witness, sos_leading_data, tensor)
 from cycdiv.errors import CycdivError, DomainMismatchError, PrecisionError
-from cycdiv.verify import albert_setup
-from test_series_kernels import identical
+from cycdiv.verify import albert_setup, hahn_tower_context
+from test_algebra import exact_element, with_o_term
+from test_series_kernels import canonical, identical
 
 R, F, D1, D2, PHI = albert_setup(precision=10)
 
@@ -196,6 +199,159 @@ def test_albert_form_evaluate():
         PHI.evaluate([F.one] * 5)
 
 
+# -- the Albert form on the flat form against the Series loop ------------------
+
+def reference_evaluate(form, a, dom, emb=None):
+    """phi(a) as evaluate computed it before the flat sums: the Series loop."""
+    total = dom.zero
+    for coeff, ai in zip(form.coefficients, a):
+        total = dom.add(total, dom.mul(coeff if emb is None else emb(coeff), dom.mul(ai, ai)))
+    return total
+
+
+def stored(x):
+    """The stored form of a series, through every level of a tower (precision,
+    den and terms), or the pair of stored forms of an element of K."""
+    if isinstance(x, tuple):
+        return tuple(stored(y) for y in x)
+    return (x.precision, x.den,
+            {e: stored(c) if isinstance(c, Series) else c for e, c in x.terms.items()})
+
+
+@contextmanager
+def loop_calls():
+    """The list of the calls that reach the Series loop of ``AlbertForm``."""
+    calls, real = [], AlbertForm._loop
+
+    def spy(form, *args):
+        calls.append(args)
+        return real(form, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AlbertForm, "_loop", spy)
+        yield calls
+
+
+F7XT = laurent(laurent(PrimeField(7), "x", 8), "t", 8)
+FORM_FIELDS = {"Q((X))((Y))": F, "F_7((x))((t))": F7XT}
+PLANTED = (1, -1, 1, -1, 1, -1)
+
+
+def _domain(T, over_k, draw):
+    """T itself, or T(gamma) with gamma^2 drawn EXACT and nonzero, with K's injection."""
+    if not over_k:
+        return T, None
+    if T is F and draw(st.booleans()):
+        g2 = T.constant(nonsquare_witness(R)[0])  # the claim's 2 + 2X^2
+    else:
+        g2 = exact_element(draw, T)
+        if g2.is_known_zero():
+            g2 = T.from_int(3)
+    K = QuadraticExtension(T, g2)
+    return K, K.inject
+
+
+def _argument(T, over_k, draw):
+    return (exact_element(draw, T), exact_element(draw, T)) if over_k else exact_element(draw, T)
+
+
+@pytest.mark.parametrize("field", sorted(FORM_FIELDS))
+@pytest.mark.parametrize("over_k", [False, True])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_flat_evaluate_matches_the_loop(field, over_k, data):
+    T = FORM_FIELDS[field]
+    dom, emb = _domain(T, over_k, data.draw)
+    planted = data.draw(st.booleans())
+    if planted:
+        # an isotropic form at equal arguments: the value is zero, over
+        # F_7((x))((t)) only mod 7 (-1 is stored as 6)
+        form = AlbertForm(tuple(T.from_int(c) for c in PLANTED), T)
+        a = (_argument(T, over_k, data.draw),) * 6
+    else:
+        form = AlbertForm(tuple(exact_element(data.draw, T) for _ in range(6)), T)
+        a = tuple(_argument(T, over_k, data.draw) for _ in range(6))
+    want = reference_evaluate(form, a, dom, emb)
+    with loop_calls() as calls:
+        got = form.evaluate(a, domain=dom, embed=emb)
+        is_zero = form._is_zero_at(a, dom, emb)
+    assert not calls
+    assert stored(got) == stored(want)
+    assert all(canonical(g) and g == w for g, w in zip(*[x if over_k else (x,) for x in (got, want)]))
+    assert is_zero == dom.is_known_zero(want)
+    assert is_zero or not planted
+
+
+def _flat_edge_cases():
+    """(id, form, a, domain, whether phi(a) is zero) that the flat sums serve."""
+    x7 = F7XT.parse("(x^(-2) + 3)*t^(-1) + (5*x)")
+    # 13 = -1 mod 7, but 1 + 13 is no zero over Z: the sum must be reduced
+    yield ("cancels mod 7", AlbertForm((F7XT.one, F7XT.from_int(13)) + (F7XT.zero,) * 4, F7XT),
+           (x7, x7) + (F7XT.one,) * 4, F7XT, True)
+    # phi(a) = (0, 4): the first sum cancels, the second does not
+    K = QuadraticExtension(F, F.constant(nonsquare_witness(R)[0]))
+    yield ("first sum zero", AlbertForm(tuple(F.from_int(c) for c in PLANTED), F),
+           ((F.one, F.one), (F.one, F.from_int(-1))) + (K.zero,) * 4, K, False)
+    # every inner exponent is 1, so c*b*b lands on x^3 and gamma^2*c*c'*c' on x^4
+    x = F7XT.constant(F7XT.coeff.variable)
+    yield ("positive inner exponents", AlbertForm((x,) * 6, F7XT), ((x, x),) * 6,
+           QuadraticExtension(F7XT, x), False)
+
+
+@pytest.mark.parametrize("case", list(_flat_edge_cases()), ids=lambda case: case[0])
+def test_flat_evaluate_edge_cases(case):
+    _, form, a, dom, zero = case
+    want = reference_evaluate(form, a, dom, None if dom is form.F else dom.inject)
+    with loop_calls() as calls:
+        got = form.evaluate(a, domain=dom)
+        is_zero = form._is_zero_at(a, dom)
+    assert not calls
+    assert stored(got) == stored(want)
+    assert is_zero == dom.is_known_zero(want) == zero
+
+
+def _fallback_cases():
+    """(form, a, domain, embed) that the flat sums cannot serve."""
+    xo = R.series({0: Fraction(1)}, 2)  # 1 + O(X^2)
+    yield "truncated", PHI, (F.variable.truncate(3),) + (F.one,) * 5, F, None
+    yield "inner O-term", PHI, (F.series({1: xo}),) + (F.one,) * 5, F, None
+    yield "wide inner", PHI, (F.constant(R.monomial(2 ** 70)),) + (F.one,) * 5, F, None
+    yield "wide outer", PHI, (F.monomial(-2 ** 70),) + (F.one,) * 5, F, None
+    K = QuadraticExtension(F, F.constant(nonsquare_witness(R)[0]))
+    yield "truncated over K", PHI, ((F.one, F.variable.truncate(3)),) + (K.one,) * 5, K, K.inject
+    yield "another embed", PHI, (K.one,) * 6, K, lambda c: (c, F.zero)
+    H = hahn_tower_context(7, 3, precision=4).F
+    h = H.parse("(1 + x^(1/7))*t^(-1/7) + (3)")
+    yield "Hahn tower", AlbertForm((H.one, H.from_int(-1), h, H.one, H.one, h), H), (h,) * 6, H, None
+
+
+@pytest.mark.parametrize("case", list(_fallback_cases()), ids=lambda case: case[0])
+def test_flat_evaluate_falls_back_to_the_loop(case):
+    _, form, a, dom, embed = case
+    want = reference_evaluate(form, a, dom, embed)
+    with loop_calls() as calls:
+        got = form.evaluate(a, domain=dom, embed=embed)
+        is_zero = form._is_zero_at(a, dom, embed)
+    assert len(calls) == 2
+    assert stored(got) == stored(want)
+    assert is_zero == dom.is_known_zero(want)
+
+
+def test_evaluate_injects_into_a_quadratic_extension_by_default():
+    _, F20, _, _, phi = albert_setup(20)
+    K = QuadraticExtension(F20, F20.constant(nonsquare_witness(F20.coeff)[0]))
+    rng = random.Random(40)
+    a = tuple(K.random_element(rng, n_terms=2, exp_lo=-2, exp_hi=4) for _ in range(6))
+    assert stored(phi.evaluate(a, domain=K)) == stored(phi.evaluate(a, domain=K, embed=K.inject))
+    rep = anisotropy_sample_test(phi, K, 20, random.Random(41))
+    assert rep == anisotropy_sample_test(phi, K, 20, random.Random(41), embed=K.inject)
+    assert rep["trials"] == 20 and rep["failures"] == 0
+    # neither F nor a quadratic extension of F
+    other = laurent(laurent(QQ, "Z", 10), "W", 10)
+    for dom in (other, QuadraticExtension(other, other.from_int(2))):
+        with pytest.raises(DomainMismatchError):
+            phi.evaluate((dom.one,) * 6, domain=dom)
+
+
 def test_albert_form_mismatched_fields():
     other = QuaternionAlgebra(F, F.from_int(-1), F.from_int(-1))
     inner = laurent(QQ, "Z", 10)
@@ -262,6 +418,13 @@ def test_sos_leading_data_invariants():
 def test_sos_rejects_truncated():
     with pytest.raises(CycdivError):
         sos_leading_data([F.one.truncate(5)])
+
+
+def test_sos_rejects_towers_over_f_p():
+    # F_p is not ordered: 1 + 3 is 4 > 0, but 3 is also 10 mod 7
+    T = laurent(laurent(PrimeField(7), "X", 10), "Y", 10)
+    with pytest.raises(CycdivError):
+        sos_leading_data([T.one, T.from_int(3)])
 
 
 def test_sos_rejects_all_zero():
