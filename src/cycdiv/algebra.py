@@ -20,10 +20,10 @@ Which path of :func:`constants_mul` serves which input:
   flattened once to (packed exponent key, int) pairs over one common
   denominator, the structure constants once per :class:`StructureConstants`,
   and all +-lam*a_i*b_j terms are accumulated in one int map per output
-  coordinate by the sum-of-products accumulator of ``cycdiv.series``
-  (``_FlatSum``), which is turned back into a series once.  Such inputs have one canonical exact result, so this path gives the
-  same stored series as the loop.  This is the Albert biquaternion product
-  over Q((X))((Y)).
+  coordinate by the sum-of-products accumulator ``flat._FlatSum``, which
+  turns each map back into a series once.  Such inputs have one canonical
+  exact result, so this path gives the same stored series as the loop.
+  This is the Albert biquaternion product over Q((X))((Y)).
 * The loop.  Everything else (a truncated coordinate or an inner O-term,
   Z[1/p] exponents, a coefficient field as F, exponents too wide to pack)
   adds up ``F.mul(a_i, b_j)`` with ``F`` arithmetic, adding or subtracting
@@ -68,7 +68,8 @@ from .element import Element, FiniteAlgebra, monomial_label
 from .errors import CycdivError, DomainMismatchError, ZeroDivisorError
 from .kummer import KummerContext, _from_u_series, _to_u_series, _u_sigma, is_norm
 from .linalg import _SLACK, _is_term_field, solve_linear
-from .series import _flat_bounds, _flat_levels, _flat_sum, _is_exactly, _stored
+from .flat import _flat_bounds, _flat_levels, _flat_sum
+from .series import _is_exactly, _stored
 
 
 class CyclicAlgebra(FiniteAlgebra):
@@ -241,7 +242,7 @@ def constants_mul(a, b, constants, F):
 
 def _flat_constants_mul(a, b, constants, F):
     """``constants_mul`` as sums of products lam*a_i*b_j on the flat form (see
-    ``cycdiv.series``), or None when F is no Laurent tower over Q or F_p, an
+    ``cycdiv.flat``), or None when F is no Laurent tower over Q or F_p, an
     input is truncated at some level, or the keys of the result would not
     pack into ``_FLAT_KEY_BITS``."""
     levels = _flat_levels(F)

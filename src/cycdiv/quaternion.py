@@ -7,7 +7,7 @@ leading-term invariants mirror the structural steps of the anisotropy
 argument; they need a tower over Q, which is ordered.
 
 The Albert form phi = <c_1, ..., c_6> is evaluated on the flat form of
-``cycdiv.series`` (the accumulator ``_FlatSum``) when F is a Laurent tower
+``cycdiv.flat`` (the accumulator ``_FlatSum``) when F is a Laurent tower
 over Q or F_p and every input is EXACT at every level.  Over F, phi(a) is
 the one sum sum c_i a_i^2.  Over a quadratic extension K = F(gamma), with
 the coefficients injected (the default embedding there) and a_i = (b_i, c'_i),
@@ -26,8 +26,8 @@ from .algebra import ConstantsAlgebra, StructureConstants
 from .basefields import Domain, RationalField
 from .element import Element
 from .errors import CycdivError, DomainMismatchError
-from .series import (_FLAT_ONE, SeriesDomain, _flat_bounds, _flat_levels, _flat_sum,
-                     is_square_in_tower, root_domain)
+from .flat import _FLAT_ONE, _flat_bounds, _flat_levels, _flat_sum
+from .series import SeriesDomain, is_square_in_tower, root_domain
 
 
 class QuaternionAlgebra(ConstantsAlgebra):
@@ -131,7 +131,8 @@ class AlbertForm:
         over_k = isinstance(dom, QuadraticExtension) and (dom.base is F or dom.base == F)
         if embed is None and not (dom is F or dom == F):
             if not over_k:
-                raise DomainMismatchError(f"{dom!r} is neither {F!r} nor a quadratic extension of it")
+                raise DomainMismatchError(f"{dom!r} is neither {F!r} nor a quadratic "
+                                          "extension of it")
             embed = dom.inject
         if over_k and embed == dom.inject:
             xs = [x for pair in a for x in pair]

@@ -276,7 +276,8 @@ def test_flat_evaluate_matches_the_loop(field, over_k, data):
         is_zero = form._is_zero_at(a, dom, emb)
     assert not calls
     assert stored(got) == stored(want)
-    assert all(canonical(g) and g == w for g, w in zip(*[x if over_k else (x,) for x in (got, want)]))
+    pairs = zip(got, want) if over_k else [(got, want)]
+    assert all(canonical(g) and g == w for g, w in pairs)
     assert is_zero == dom.is_known_zero(want)
     assert is_zero or not planted
 
@@ -310,7 +311,7 @@ def test_flat_evaluate_edge_cases(case):
 
 
 def _fallback_cases():
-    """(form, a, domain, embed) that the flat sums cannot serve."""
+    """(id, form, a, domain, embed) that the flat sums cannot serve."""
     xo = R.series({0: Fraction(1)}, 2)  # 1 + O(X^2)
     yield "truncated", PHI, (F.variable.truncate(3),) + (F.one,) * 5, F, None
     yield "inner O-term", PHI, (F.series({1: xo}),) + (F.one,) * 5, F, None
@@ -321,7 +322,8 @@ def _fallback_cases():
     yield "another embed", PHI, (K.one,) * 6, K, lambda c: (c, F.zero)
     H = hahn_tower_context(7, 3, precision=4).F
     h = H.parse("(1 + x^(1/7))*t^(-1/7) + (3)")
-    yield "Hahn tower", AlbertForm((H.one, H.from_int(-1), h, H.one, H.one, h), H), (h,) * 6, H, None
+    form = AlbertForm((H.one, H.from_int(-1), h, H.one, H.one, h), H)
+    yield "Hahn tower", form, (h,) * 6, H, None
 
 
 @pytest.mark.parametrize("case", list(_fallback_cases()), ids=lambda case: case[0])
