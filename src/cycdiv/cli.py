@@ -180,7 +180,7 @@ def cmd_albert(args):
     if args.extension:
         witness, _ = nonsquare_witness(R)
         K = QuadraticExtension(F, F.constant(witness))
-        rep = anisotropy_sample_test(phi, K, args.trials, rng, embed=K.inject)
+        rep = anisotropy_sample_test(phi, K, args.trials, rng)
         extension = "F(sqrt(2 + 2X^2))"
     else:
         rep = anisotropy_sample_test(phi, F, args.trials, rng)

@@ -352,8 +352,7 @@ def check_albert_anisotropy(config, tally):
     witness, cert = nonsquare_witness(R)
     tally.check(not cert["is_square"], "2 + 2X^2 reported square")
     K = QuadraticExtension(F, F.constant(witness))
-    _count_sample(tally, anisotropy_sample_test(phi, K, albert_trials, tally.rng,
-                                                embed=K.inject), "K")
+    _count_sample(tally, anisotropy_sample_test(phi, K, albert_trials, tally.rng), "K")
     for _ in range(config.trials):
         tally.trials += 1
         while True:
