@@ -26,8 +26,7 @@ Which path of :func:`constants_mul` serves which input:
   This is the Albert biquaternion product over Q((X))((Y)).
 * The loop.  Everything else (a truncated coordinate or an inner O-term,
   Z[1/p] exponents, a coefficient field as F, exponents too wide to pack)
-  adds up ``F.mul(a_i, b_j)`` with ``F`` arithmetic, adding or subtracting
-  it for the entries exactly 1 or -1 and multiplying the others in.  It
+  adds up ``F.mul(a_i, b_j)`` times each entry with ``F`` arithmetic.  It
   skips exact zeros only: a coordinate or entry known only to an O-term
   bounds the precision of the products it enters, as in ``relation_mul``.
 
@@ -69,7 +68,7 @@ from .errors import CycdivError, DomainMismatchError, ZeroDivisorError
 from .kummer import KummerContext, _from_u_series, _to_u_series, _u_sigma, is_norm
 from .linalg import _SLACK, _is_term_field, solve_linear
 from .flat import _flat_bounds, _flat_levels, _flat_sum
-from .series import _is_exactly, _stored
+from .series import _stored
 
 
 class CyclicAlgebra(FiniteAlgebra):
@@ -161,19 +160,15 @@ class StructureConstants:
         self._flat = {}  # "bounds": _entry_bounds, and shift -> _flat_table
 
     def sparse(self, F):
-        """(i, j) -> [(k, lam, sign)] over the entries that are not exactly
-        zero (an O-term bounds a product's precision), where sign is 1 or -1
-        when lam is exactly F.one or -F.one and 0 otherwise."""
+        """(i, j) -> [(k, lam)] over the entries that are not exactly zero (an
+        O-term bounds a product's precision)."""
         if self._sparse is None:
-            minus_one = F.neg(F.one)
             table = {}
             for k, mat in enumerate(self.matrices):
                 for i, row in enumerate(mat):
                     for j, lam in enumerate(row):
                         if not F.is_zero(lam):
-                            sign = (1 if _is_exactly(F, lam, F.one)
-                                    else -1 if _is_exactly(F, lam, minus_one) else 0)
-                            table.setdefault((i, j), []).append((k, lam, sign))
+                            table.setdefault((i, j), []).append((k, lam))
             self._sparse = table
         return self._sparse
 
@@ -181,7 +176,7 @@ class StructureConstants:
         """``_flat_bounds`` of the nonzero entries, or None when one is truncated."""
         if "bounds" not in self._flat:
             self._flat["bounds"] = _flat_bounds(
-                [lam for entries in self.sparse(F).values() for _, lam, _ in entries], depth)
+                [lam for entries in self.sparse(F).values() for _, lam in entries], depth)
         return self._flat["bounds"]
 
     def _flat_table(self, F, acc):
@@ -190,7 +185,7 @@ class StructureConstants:
         table = self._flat.get(acc.shift)
         if table is None:
             den = self._flat["bounds"][2]
-            table = {ij: [(k, acc.flat(lam, den)) for k, lam, _ in entries]
+            table = {ij: [(k, acc.flat(lam, den)) for k, lam in entries]
                      for ij, entries in self.sparse(F).items()}
             self._flat[acc.shift] = table
         return table
@@ -230,13 +225,8 @@ def constants_mul(a, b, constants, F):
             if not entries:
                 continue
             p = F.mul(ai, bj)
-            for k, lam, sign in entries:
-                if sign > 0:
-                    out[k] = F.add(out[k], p)
-                elif sign < 0:
-                    out[k] = F.sub(out[k], p)
-                else:
-                    out[k] = F.add(out[k], F.mul(p, lam))
+            for k, lam in entries:
+                out[k] = F.add(out[k], F.mul(p, lam))
     return out
 
 
@@ -307,8 +297,8 @@ def tensor(A, B, element_type=Element):
     table_b = B.constants.sparse(F)
     for (s, s2), entries_a in A.constants.sparse(F).items():
         for (t, t2), entries_b in table_b.items():
-            for k1, c1, _ in entries_a:
-                for k2, c2, _ in entries_b:
+            for k1, c1 in entries_a:
+                for k2, c2 in entries_b:
                     matrices[k1 * m + k2][s * m + t][s2 * m + t2] = F.mul(c1, c2)
     labels = [f"{a}(x){b}" for a in A.labels for b in B.labels]
     return ConstantsAlgebra(F, StructureConstants(n, labels, matrices, field_descriptor=repr(F)),

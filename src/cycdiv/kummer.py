@@ -18,10 +18,10 @@ Which route of :func:`kummer_mul` serves which context:
   own.  Each output coordinate is then truncated to the precision the loop
   gives it: the least, over the pairs (i, j) that reach it, of
   ``product_precision(b_i, c_j)``, plus v(t) = 1 when i + j >= q.  The
-  result is the loop's, coefficient for coefficient and O-term for O-term.
-  Over a tower a coordinate with an inner O-term takes the loop: there the
-  loop drops inner coefficients known to no term after each product and
-  sum, and one accumulation would keep their O-terms.
+  result is the loop's, coefficient for coefficient and O-term for O-term,
+  inner O-terms included: over a tower both routes keep an inner
+  coefficient known to no term, so one accumulation adds up the same
+  products as the loop.
 * The loop.  Other contexts multiply the q^2 coordinate pairs with ``F``
   arithmetic, times t for i + j >= q, and add them up.  There K is not
   k((u)) with the coordinates interleaved: when t is another element than
@@ -133,14 +133,12 @@ def kummer_mul(a, b):
 
 def _u_series_mul(a, b):
     """``kummer_mul`` as one product of u-series in k((u)), or None when K is
-    not k((u)) or, over a tower, a coordinate has an inner O-term."""
+    not k((u))."""
     ctx = a.context
     U = ctx._u_field
     if U is None:
         return None
     F, q = ctx.F, ctx.q
-    if isinstance(U.coeff, SeriesDomain) and not all(map(_inner_exact, a.coords + b.coords)):
-        return None
     prec = [INFINITY] * q
     for i, ai in enumerate(a.coords):
         if F.is_zero(ai):
@@ -188,13 +186,6 @@ def _from_u_series(F, s, q, precisions=None):
             terms, den = _primitive(terms, den)
         out.append(_stored(F, terms, den, None if p == INFINITY else p))
     return out
-
-
-def _inner_exact(s):
-    """Whether every coefficient of s, at every inner level, is EXACT."""
-    return all(c.precision is None and (not isinstance(c.domain.coeff, SeriesDomain)
-                                        or _inner_exact(c))
-               for c in s.terms.values())
 
 
 def galois_sigma(a, k):

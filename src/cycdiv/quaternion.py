@@ -9,15 +9,14 @@ argument; they need a tower over Q, which is ordered.
 The Albert form phi = <c_1, ..., c_6> is evaluated on the flat form of
 ``cycdiv.flat`` (the accumulator ``_FlatSum``) when F is a Laurent tower
 over Q or F_p and every input is EXACT at every level.  Over F, phi(a) is
-the one sum sum c_i a_i^2.  Over a quadratic extension K = F(gamma), with
-the coefficients injected (the default embedding there) and a_i = (b_i, c'_i),
-it is the pair (sum c_i (b_i^2 + gamma^2 c'_i^2), sum 2 c_i b_i c'_i), with
-one product by gamma^2 per point.  Such inputs have one canonical exact
-value, so ``evaluate`` returns the same stored series as the ``Series``
-loop, and ``anisotropy_sample_test`` reads the exact zero test off the
-sums without building a series.  Truncated inputs, Hahn levels, a
-coefficient field as F, exponents too wide to pack and any other
-``embed`` take the ``Series`` loop.
+the one sum sum c_i a_i^2.  Over a quadratic extension K = F(gamma), into
+which the coefficients are injected, and a_i = (b_i, c'_i), it is the pair
+(sum c_i (b_i^2 + gamma^2 c'_i^2), sum 2 c_i b_i c'_i), with one product by
+gamma^2 per point.  Such inputs have one canonical exact value, so
+``evaluate`` returns the same stored series as the ``Series`` loop, and
+``anisotropy_sample_test`` reads the exact zero test off the sums without
+building a series.  Truncated inputs, Hahn levels, a coefficient field as F
+and exponents too wide to pack take the ``Series`` loop.
 """
 
 from dataclasses import dataclass, field
@@ -91,69 +90,65 @@ class AlbertForm:
     # and shift -> their flat forms
     _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def evaluate(self, a, domain=None, embed=None):
-        """phi(a_1..a_6) over F, or over ``domain`` with the coefficients
-        mapped by ``embed``.  Without ``embed``, ``domain`` must be F or a
-        quadratic extension of F, into which the coefficients are injected;
-        any other domain is a DomainMismatchError."""
-        dom, emb, flat = self._sums(a, domain, embed)
+    def evaluate(self, a, domain=None):
+        """phi(a_1..a_6) over F, or over ``domain``: F or a quadratic extension
+        of F, into which the coefficients are injected; any other domain is a
+        DomainMismatchError."""
+        dom, flat = self._sums(a, domain)
         if flat is None:
-            return self._loop(a, dom, emb)
+            return self._loop(a, dom)
         acc, sums = flat
         values = tuple(acc.series(out, den) for out, den in sums)
         return values if len(values) == 2 else values[0]
 
-    def _is_zero_at(self, a, domain=None, embed=None):
+    def _is_zero_at(self, a, domain=None):
         """Whether ``evaluate`` gives a value known to be zero, read off the
         flat sums when there are any."""
-        dom, emb, flat = self._sums(a, domain, embed)
+        dom, flat = self._sums(a, domain)
         if flat is None:
-            return dom.is_known_zero(self._loop(a, dom, emb))
+            return dom.is_known_zero(self._loop(a, dom))
         acc, sums = flat
         return all(acc.is_zero(out) for out, _ in sums)
 
-    def _loop(self, a, dom, emb):
+    def _loop(self, a, dom):
+        cs = self.coefficients if dom is self.F else map(dom.inject, self.coefficients)
         total = dom.zero
-        for coeff, ai in zip(self.coefficients, a):
-            total = dom.add(total, dom.mul(coeff if emb is None else emb(coeff), dom.mul(ai, ai)))
+        for coeff, ai in zip(cs, a):
+            total = dom.add(total, dom.mul(coeff, dom.mul(ai, ai)))
         return total
 
-    def _sums(self, a, domain, embed):
-        """(domain, embed, flat), ``embed`` None for the identity.  ``flat`` is
+    def _sums(self, a, domain):
+        """(domain, flat), the domain F itself when it equals F.  ``flat`` is
         a ``_FlatSum`` with the [(map, den)] of phi(a) when one can serve:
-        over F one sum, and over K = F(gamma) with K's injection the pair
+        over F one sum, and over K = F(gamma) the pair
         (sum c_i (b_i^2 + gamma^2 c'_i^2), sum 2 c_i b_i c'_i) for
         a_i = (b_i, c'_i), with one product by gamma^2.  Else it is None."""
         if len(a) != 6:
             raise CycdivError("Albert form takes 6 arguments")
         F = self.F
-        dom = F if domain is None else domain
-        over_k = isinstance(dom, QuadraticExtension) and (dom.base is F or dom.base == F)
-        if embed is None and not (dom is F or dom == F):
-            if not over_k:
+        dom = F if domain is None or domain == F else domain
+        over_k = dom is not F
+        if over_k:
+            if not (isinstance(dom, QuadraticExtension) and (dom.base is F or dom.base == F)):
                 raise DomainMismatchError(f"{dom!r} is neither {F!r} nor a quadratic "
                                           "extension of it")
-            embed = dom.inject
-        if over_k and embed == dom.inject:
             xs = [x for pair in a for x in pair]
             groups = [[dom.gamma_sq], xs]
-        elif embed is None:
+        else:
             xs = a
             groups = [xs]
-        else:
-            return dom, embed, None
         cache = self._flat
         if "levels" not in cache:
             levels = cache["levels"] = _flat_levels(F)
             cache["bounds"] = levels and _flat_bounds(self.coefficients, len(levels))
         levels = cache["levels"]
         if levels is None or not all(getattr(x, "domain", None) is F for x in xs):
-            return dom, embed, None
+            return dom, None
         bounds = [cache["bounds"]] + [_flat_bounds(group, len(levels)) for group in groups]
         # at most c * x * x over F, and gamma^2 * c * x * x over K
         acc = _flat_sum(levels, bounds, 4 if over_k else 3)
         if acc is None:
-            return dom, embed, None
+            return dom, None
         den_c, den_x = bounds[0][2], bounds[-1][2]
         cs = cache.get(acc.shift)
         if cs is None:
@@ -163,7 +158,7 @@ class AlbertForm:
         if not over_k:
             out = {}
             acc.add(out, [(1, c, x, x) for c, x in zip(cs, fx)])
-            return dom, embed, (acc, [(out, den)])
+            return dom, (acc, [(out, den)])
         den_g = bounds[1][2]
         bs, b2s = fx[0::2], fx[1::2]
         first, scaled, second = {}, {}, {}
@@ -171,7 +166,7 @@ class AlbertForm:
         acc.add(scaled, [(1, c, b2, b2) for c, b2 in zip(cs, b2s)])
         acc.add(first, [(1, _FLAT_ONE, acc.flat(dom.gamma_sq, den_g), tuple(scaled.items()))])
         acc.add(second, [(2, c, b, b2) for c, b, b2 in zip(cs, bs, b2s)])
-        return dom, embed, (acc, [(first, den * den_g), (second, den)])
+        return dom, (acc, [(first, den * den_g), (second, den)])
 
 
 def albert_form(D1, D2):
@@ -250,7 +245,7 @@ class QuadraticExtension(Domain):
         return f"({self.base.to_str(x[0])}) + ({self.base.to_str(x[1])})*sqrt"
 
 
-def anisotropy_sample_test(form, domain, trials, seed_rng, embed=None, sample_opts=None):
+def anisotropy_sample_test(form, domain, trials, seed_rng, sample_opts=None):
     """Evaluate the form on random nonzero EXACT tuples; count zeros.
 
     Any exact zero of the form on a nonzero tuple is a counterexample and
@@ -266,7 +261,7 @@ def anisotropy_sample_test(form, domain, trials, seed_rng, embed=None, sample_op
             a = tuple(domain.random_element(seed_rng, **opts) for _ in range(6))
             if not all(domain.is_known_zero(ai) for ai in a):
                 break
-        if form._is_zero_at(a, domain, embed):
+        if form._is_zero_at(a, domain):
             failures.append(a)
     return {"trials": trials, "failures": len(failures), "counterexamples": failures}
 

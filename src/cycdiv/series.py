@@ -12,7 +12,7 @@ depend on how it was computed.
 
 Which kernel serves which domain:
 
-* Products.  An operand with no known coefficients (an exact zero or a
+* Products.  An operand with no stored coefficient (an exact zero or a
   bare O-term) gives an empty product at once, at the usual precision
   ``min(pa + v(b), pb + v(a))``; a sum with one only truncates the other
   operand.  When one operand has a single term, over any coefficient
@@ -31,16 +31,14 @@ Which kernel serves which domain:
   u = t^(1/q), so one ``Series.__mul__`` (Kronecker over F_p when dense)
   replaces the q^2 coordinate products; each output coordinate is cut at
   the ``product_precision`` of the pairs that reach it.
-* Inversion and Hensel q-th roots.  Over a coefficient field (F_p or Q)
-  both are Newton iterations with precision doubling on truncated
-  approximants: ``y <- y + y(1 - s*y)`` for the inverse, and the
-  division-free inverse-root step ``y <- y + y(1 - s*y^q)/q`` followed by
-  ``r = s*y^(q-1)`` for the root.  Over a series coefficient domain (a
-  tower) every coefficient carries its own O-term, whose bound depends on
-  the path, so the full-precision Newton loops are kept there: the
-  doubling steps would print other inner O-terms and drop coefficients of
-  high inner valuation (``tests/test_series_kernels.py`` pins such
-  inputs).  Every path ends with a full-precision check of its result.
+* Inversion and Hensel q-th roots.  Over every coefficient domain both are
+  Newton iterations with precision doubling on truncated approximants:
+  ``y <- y + y(1 - s*y)`` for the inverse, and the division-free
+  inverse-root step ``y <- y + y(1 - s*y^q)/q`` followed by
+  ``r = s*y^(q-1)`` for the root.  In a tower the start value carries the
+  inner O-term of its coefficient, and the arithmetic carries it on, so a
+  result claims no coefficient its input does not determine.  Every path
+  ends with a full-precision check of its result.
 * Sums of products of EXACT elements of a Laurent tower over Q or F_p.
   ``cycdiv.flat`` has the one accumulator for them, ``_FlatSum``: it takes
   its bounds and key width once from all the factors, flattens each factor
@@ -61,6 +59,11 @@ Which kernel serves which domain:
   a kernel vector comes from fraction-free elimination of a matrix EXACT at
   every level: its divisions are exact, long divisions on the lowest terms
   that divide the coefficients of a tower one level down.
+
+Only exact zeros are dropped from ``terms``.  In a tower a coefficient
+known to no term, such as the O(x^3) of ``(x + O(x^3)) - (x)``, stays
+stored: ``is_known_zero`` holds for it and ``is_zero`` does not, and a
+series whose lowest stored coefficient is one has no known valuation.
 
 Q coefficients are kept in content form.  A series over Q stores integer
 numerators in ``terms`` over one positive denominator ``den``, with
@@ -88,8 +91,6 @@ from .basefields import Domain, PrimeField, RationalField, is_prime
 from .errors import CycdivError, DomainMismatchError, PrecisionError, ValueGroupError
 
 INFINITY = math.inf
-
-_MAX_NEWTON_ITER = 200
 
 # Kronecker substitution pays once the schoolbook loop's term products
 # (len(a) * len(b)) exceed this many times the slots it packs and unpacks
@@ -178,7 +179,7 @@ class _Integers:
     """Z, the ring of the numerators of a Q series in content form."""
 
     add, sub, mul, neg, eq = operator.add, operator.sub, operator.mul, operator.neg, operator.eq
-    is_known_zero = operator.not_
+    is_zero = operator.not_
 
 
 _ZZ = _Integers()
@@ -280,7 +281,7 @@ class Series:
                     raise ValueGroupError(f"exponent {e} not in value group {domain.group!r}")
                 if precision is not None and e >= precision:
                     continue
-                if not cd.is_known_zero(c):
+                if not cd.is_zero(c):
                     clean[e] = c
             coeffs = clean
             if precision is not None:
@@ -316,7 +317,10 @@ class Series:
         return self.precision is None
 
     def is_known_zero(self):
-        """No nonzero known coefficient (exactly zero when also EXACT)."""
+        """No coefficient is known to be nonzero: no term is stored, or in a
+        tower every stored coefficient is itself known zero (a bare O-term)."""
+        if isinstance(self.domain.coeff, SeriesDomain):
+            return all(c.is_known_zero() for c in self.terms.values())
         return not self.terms
 
     def is_exact_zero(self):
@@ -326,10 +330,15 @@ class Series:
         """Minimal support exponent; INFINITY for exact zero.
 
         Raises PrecisionError when the element truncates to zero at finite
-        precision (the valuation is then only bounded below).
+        precision, or when its lowest stored coefficient is known to no term
+        (the valuation is then only bounded below).
         """
         if self.terms:
-            return min(self.terms)
+            v = min(self.terms)
+            if isinstance(self.domain.coeff, SeriesDomain) and self.terms[v].is_known_zero():
+                raise PrecisionError(f"valuation unknown: the coefficient of {self.domain.var}^{v} "
+                                     f"is {self.terms[v]!r}")
+            return v
         if self.precision is None:
             return INFINITY
         raise PrecisionError(
@@ -348,8 +357,8 @@ class Series:
             if self.precision is None or self.precision > 0:
                 return cd.zero
             raise PrecisionError("insufficient precision to determine the residue")
-        v = min(self.terms)
-        if v < 0:
+        # below 0 the residue is 0 once the valuation is known to be negative
+        if min(self.terms) < 0 and self.valuation() < 0:
             return cd.zero
         if self.precision is not None and self.precision <= 0:
             raise PrecisionError("insufficient precision to determine the residue")
@@ -405,7 +414,7 @@ class Series:
         for e, c in tb.items():
             if e in out:
                 s = op(out[e], c)
-                if ring.is_known_zero(s):
+                if ring.is_zero(s):
                     del out[e]
                 else:
                     out[e] = s
@@ -427,19 +436,19 @@ class Series:
             out = {}  # a known-zero operand: nothing but the precision to compute
         elif len(ca) == 1 or len(cb) == 1:
             # a single-term operand: shift and scale the other one
-            cmul, ckz = ring.mul, ring.is_known_zero
+            cmul, czero = ring.mul, ring.is_zero
             out = {}
             if len(ca) == 1:
                 (e1, c1), = ca.items()
                 for e2, c2 in cb.items():
                     e = e1 + e2
-                    if e < prec and not ckz(p := cmul(c1, c2)):
+                    if e < prec and not czero(p := cmul(c1, c2)):
                         out[e] = p
             else:
                 (e2, c2), = cb.items()
                 for e1, c1 in ca.items():
                     e = e1 + e2
-                    if e < prec and not ckz(p := cmul(c1, c2)):
+                    if e < prec and not czero(p := cmul(c1, c2)):
                         out[e] = p
         # a cheap necessary condition for the density test of _kronecker_mul:
         # the exponent spans are at least len(ca) + len(cb)
@@ -447,7 +456,7 @@ class Series:
                 and type(ring) is PrimeField and self.domain.group.p is None:
             out = _kronecker_mul(ca, cb, ring.p, prec)
         if out is None:
-            cmul, cadd, ckz = ring.mul, ring.add, ring.is_known_zero
+            cmul, cadd, czero = ring.mul, ring.add, ring.is_zero
             out = {}
             for e1, c1 in ca.items():
                 for e2, c2 in cb.items():
@@ -459,7 +468,7 @@ class Series:
                         out[e] = cadd(out[e], p)
                     else:
                         out[e] = p
-            out = {e: c for e, c in out.items() if not ckz(c)}
+            out = {e: c for e, c in out.items() if not czero(c)}
         if self.domain.group.p is not None:
             out, prec = {_norm_exp(e): c for e, c in out.items()}, _norm_exp(prec)
         den = self.den * other.den
@@ -470,7 +479,7 @@ class Series:
     def scale(self, c):
         """Multiply by a coefficient-field element."""
         ring = self.domain.ring
-        if self.domain.coeff.is_known_zero(c):
+        if self.domain.coeff.is_zero(c):
             return _stored(self.domain, {}, 1, self.precision)
         den = self.den
         if ring is _ZZ:
@@ -478,7 +487,7 @@ class Series:
         out = {}
         for e, a in self.terms.items():
             p = ring.mul(c, a)
-            if not ring.is_known_zero(p):
+            if not ring.is_zero(p):
                 out[e] = p
         if den != 1:
             out, den = _primitive(out, den)
@@ -540,14 +549,6 @@ class Series:
                 raise PrecisionError(
                     f"insufficient input precision: inverse only known to O(^{achievable})")
         x = Series(domain, {-v: lead_inv}, None, _validate=False)
-        if isinstance(cd, SeriesDomain):
-            two = domain.from_int(2)
-            for _ in range(_MAX_NEWTON_ITER):
-                err = (self * x - domain.one).truncate(target + v)
-                if err.is_known_zero():
-                    return x.truncate(target)
-                x = (x * (two - self * x)).truncate(target)
-            raise CycdivError("series inversion did not converge")
         # Newton on the unit u = self * t^-v: the leading inverse is right
         # below the smallest positive exponent of u
         n = _norm_exp(target + v)
@@ -657,7 +658,7 @@ class SeriesDomain(Domain):
         return Series(self, coeffs, precision)
 
     def constant(self, c):
-        return Series(self, {0: c} if not self.coeff.is_known_zero(c) else {}, None,
+        return Series(self, {0: c} if not self.coeff.is_zero(c) else {}, None,
                       _validate=False)
 
     def monomial(self, e, c=None):
@@ -912,20 +913,17 @@ def hensel_qth_root(s, q, target_precision=None):
         target = min(target, s.precision)
     r0 = cd.qth_root(res, q)
     r = domain.constant(r0)
-    if isinstance(cd, SeriesDomain):
-        for _ in range(_MAX_NEWTON_ITER):
-            err = (r ** q - s).truncate(target)
-            if err.is_known_zero():
-                return r.truncate(target)
-            denom = (r ** (q - 1)).scale(cd.from_int(q))
-            r = (r - err * denom.invert(target)).truncate(target)
-        raise CycdivError("Hensel lifting did not converge")
     # y lifts s^(-1/q) from 1/r0, which is right below the smallest positive
-    # exponent of s; then s*y^(q-1) is the q-th root with residue r0
+    # exponent of s; then s*y^(q-1) is the q-th root with residue r0.  In a
+    # tower 1/r0 is taken as far as the O-term of r0 allows.
     k = min((e for e in s.terms if e > 0), default=INFINITY)
     if k < target:
         inv_q, one = cd.invert(cd.from_int(q)), domain.one
-        y = _newton_doubling(domain.constant(cd.invert(r0)), k, target,
+        if isinstance(cd, SeriesDomain) and r0.precision is not None:
+            y0 = r0.invert(r0.precision - 2 * r0.valuation())
+        else:
+            y0 = cd.invert(r0)
+        y = _newton_doubling(domain.constant(y0), k, target,
                              lambda y, k: y + (y * (one - s.truncate(k) * y ** q)).scale(inv_q))
         r = s.truncate(target) * y ** (q - 1)
     if not (r ** q - s).truncate(target).is_known_zero():

@@ -78,6 +78,19 @@ def test_invert_roundtrip():
         assert (x * d - D.one).is_known_zero()
 
 
+def test_hahn_tower_inverse_round_trips():
+    """The inverse that `cycdiv algebra invert --hahn 7 --prec 4` prints for
+    this d: d*x - 1 and x*d - 1 are known to be zero wherever x is known."""
+    ctx = hahn_tower_context(7, 3, precision=4)
+    F = ctx.F
+    D = CyclicAlgebra(ctx, F.parse("x"))
+    d = D.element(F.parse(c) for c in "(2 + x^(-1))*t^(-1/7) + (1);0;0;(x);0;0;0;0;(5)*t".split(";"))
+    x = invert(d)
+    assert not x.is_known_zero()
+    for residual in (relation_mul(d, x) - D.one, relation_mul(x, d) - D.one):
+        assert all(F.is_known_zero(c) and c.precision >= 4 for c in residual.coords)
+
+
 def _coordinate(F, rng):
     """An exact zero, an O-term, or a random coordinate, exact or truncated."""
     kind = rng.randrange(4)
@@ -210,27 +223,19 @@ def plain_constants_mul(a, b, constants, F):
 def _constants_cases():
     _, QXY, D1, D2, _ = albert_setup(precision=8)
     tower = hahn_tower_context(7, 3, precision=5)
-    yield D2ALG.F, structure_constants(D2ALG), D2ALG.random_element, 9
+    yield D2ALG.F, structure_constants(D2ALG), D2ALG.random_element
     H = hamilton_algebra()
-    yield H.F, structure_constants(H), H.random_element, 4
+    yield H.F, structure_constants(H), H.random_element
     T = CyclicAlgebra(tower, tower.F.constant(tower.F.coeff.variable))
-    yield T.F, structure_constants(T), T.random_element, 9
+    yield T.F, structure_constants(T), T.random_element
     B = tensor(D1, D2)
-    yield QXY, B.constants, B.random_element, 16
+    yield QXY, B.constants, B.random_element
 
 
 @pytest.mark.parametrize("case", range(4))
 def test_constants_mul_matches_plain_loop(case):
-    F, consts, sample, n = list(_constants_cases())[case]
+    F, consts, sample = list(_constants_cases())[case]
     loaded = constants_from_json(constants_to_json(consts, F), F)
-    signs = [[sign for _, _, sign in entries] for entries in consts.sparse(F).values()]
-    assert signs == [[sign for _, _, sign in entries] for entries in loaded.sparse(F).values()]
-    # the entries printed as 1 or -1 (an O-term would show) take the add/sub path
-    units = {F.to_str(F.one), F.to_str(F.neg(F.one))}
-    tagged = sum(sign != 0 for row in signs for sign in row)
-    assert tagged == sum(F.to_str(lam) in units for mat in consts.matrices
-                         for row in mat for lam in row) > 0
-    assert n != 16 or tagged == 108
     rng = random.Random(25 + case)
     opts = [{}, {"n_terms": 2, "exp_lo": -2, "exp_hi": 3}, {"precision": 4}]
     for trial in range(12):
@@ -247,8 +252,8 @@ def test_constants_mul_matches_plain_loop(case):
 
 @pytest.mark.parametrize("tower", [False, True])
 def test_truncated_unit_entries_are_multiplied(tower):
-    # 1 and -1 known only up to an O-term, at the outer or the inner level,
-    # are no +-1 entries: multiplying by them lowers the product's precision
+    # 1 and -1 known only up to an O-term, at the outer or the inner level:
+    # multiplying by them lowers the product's precision
     if tower:
         F = albert_setup(precision=8)[1]
         entries = ["(1 + O(X^3))", "(-1)*Y^0 + O(Y^4)", "(1)"]
@@ -260,7 +265,6 @@ def test_truncated_unit_entries_are_multiplied(tower):
     lams = [F.parse(text) for text in entries]
     consts = StructureConstants(3, ["e0", "e1", "e2"],
                                 [[[lam, F.zero, F.zero]] + [[F.zero] * 3] * 2 for lam in lams])
-    assert [sign for _, _, sign in consts.sparse(F)[(0, 0)]] == [0, 0, 1]
     got = constants_mul([a, F.zero, F.zero], [b, F.zero, F.zero], consts, F)
     want = plain_constants_mul([a, F.zero, F.zero], [b, F.zero, F.zero], consts, F)
     assert all(identical(x, y) for x, y in zip(got, want))

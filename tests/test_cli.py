@@ -95,6 +95,14 @@ def test_is_norm_positive(capsys):
     assert "preimage" in data
 
 
+def test_is_norm_with_inner_o_terms_over_the_hahn_tower(capsys):
+    argv = ("is-norm", "--hahn", "7", "--prec", "4", "--x")
+    code, out, err = run(capsys, *argv, "(O(x^2)) + (1)*t^(1/7)")
+    assert code == 2 and not out and "valuation unknown" in err
+    code, out, _ = run(capsys, *argv, "(6*x^(-6) + O(x^(-1))) + (4 + O(x^5))*t")
+    assert code == 0 and json.loads(out)["verdict"] is True
+
+
 def test_algebra_build_and_certify(capsys):
     code, out, _ = run(capsys, "algebra", "build", "--alpha", "2")
     assert code == 0

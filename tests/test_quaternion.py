@@ -201,11 +201,13 @@ def test_albert_form_evaluate():
 
 # -- the Albert form on the flat form against the Series loop ------------------
 
-def reference_evaluate(form, a, dom, emb=None):
-    """phi(a) as evaluate computed it before the flat sums: the Series loop."""
+def reference_evaluate(form, a, dom):
+    """phi(a) as evaluate computed it before the flat sums: the Series loop,
+    the coefficients injected when ``dom`` is a quadratic extension of F."""
     total = dom.zero
     for coeff, ai in zip(form.coefficients, a):
-        total = dom.add(total, dom.mul(coeff if emb is None else emb(coeff), dom.mul(ai, ai)))
+        coeff = coeff if dom == form.F else dom.inject(coeff)
+        total = dom.add(total, dom.mul(coeff, dom.mul(ai, ai)))
     return total
 
 
@@ -237,17 +239,16 @@ PLANTED = (1, -1, 1, -1, 1, -1)
 
 
 def _domain(T, over_k, draw):
-    """T itself, or T(gamma) with gamma^2 drawn EXACT and nonzero, with K's injection."""
+    """T itself, or T(gamma) with gamma^2 drawn EXACT and nonzero."""
     if not over_k:
-        return T, None
+        return T
     if T is F and draw(st.booleans()):
         g2 = T.constant(nonsquare_witness(R)[0])  # the claim's 2 + 2X^2
     else:
         g2 = exact_element(draw, T)
         if g2.is_known_zero():
             g2 = T.from_int(3)
-    K = QuadraticExtension(T, g2)
-    return K, K.inject
+    return QuadraticExtension(T, g2)
 
 
 def _argument(T, over_k, draw):
@@ -260,7 +261,7 @@ def _argument(T, over_k, draw):
 @settings(max_examples=60, deadline=None)
 def test_flat_evaluate_matches_the_loop(field, over_k, data):
     T = FORM_FIELDS[field]
-    dom, emb = _domain(T, over_k, data.draw)
+    dom = _domain(T, over_k, data.draw)
     planted = data.draw(st.booleans())
     if planted:
         # an isotropic form at equal arguments: the value is zero, over
@@ -270,10 +271,10 @@ def test_flat_evaluate_matches_the_loop(field, over_k, data):
     else:
         form = AlbertForm(tuple(exact_element(data.draw, T) for _ in range(6)), T)
         a = tuple(_argument(T, over_k, data.draw) for _ in range(6))
-    want = reference_evaluate(form, a, dom, emb)
+    want = reference_evaluate(form, a, dom)
     with loop_calls() as calls:
-        got = form.evaluate(a, domain=dom, embed=emb)
-        is_zero = form._is_zero_at(a, dom, emb)
+        got = form.evaluate(a, domain=dom)
+        is_zero = form._is_zero_at(a, dom)
     assert not calls
     assert stored(got) == stored(want)
     pairs = zip(got, want) if over_k else [(got, want)]
@@ -301,7 +302,7 @@ def _flat_edge_cases():
 @pytest.mark.parametrize("case", list(_flat_edge_cases()), ids=lambda case: case[0])
 def test_flat_evaluate_edge_cases(case):
     _, form, a, dom, zero = case
-    want = reference_evaluate(form, a, dom, None if dom is form.F else dom.inject)
+    want = reference_evaluate(form, a, dom)
     with loop_calls() as calls:
         got = form.evaluate(a, domain=dom)
         is_zero = form._is_zero_at(a, dom)
@@ -311,28 +312,27 @@ def test_flat_evaluate_edge_cases(case):
 
 
 def _fallback_cases():
-    """(id, form, a, domain, embed) that the flat sums cannot serve."""
+    """(id, form, a, domain) that the flat sums cannot serve."""
     xo = R.series({0: Fraction(1)}, 2)  # 1 + O(X^2)
-    yield "truncated", PHI, (F.variable.truncate(3),) + (F.one,) * 5, F, None
-    yield "inner O-term", PHI, (F.series({1: xo}),) + (F.one,) * 5, F, None
-    yield "wide inner", PHI, (F.constant(R.monomial(2 ** 70)),) + (F.one,) * 5, F, None
-    yield "wide outer", PHI, (F.monomial(-2 ** 70),) + (F.one,) * 5, F, None
+    yield "truncated", PHI, (F.variable.truncate(3),) + (F.one,) * 5, F
+    yield "inner O-term", PHI, (F.series({1: xo}),) + (F.one,) * 5, F
+    yield "wide inner", PHI, (F.constant(R.monomial(2 ** 70)),) + (F.one,) * 5, F
+    yield "wide outer", PHI, (F.monomial(-2 ** 70),) + (F.one,) * 5, F
     K = QuadraticExtension(F, F.constant(nonsquare_witness(R)[0]))
-    yield "truncated over K", PHI, ((F.one, F.variable.truncate(3)),) + (K.one,) * 5, K, K.inject
-    yield "another embed", PHI, (K.one,) * 6, K, lambda c: (c, F.zero)
+    yield "truncated over K", PHI, ((F.one, F.variable.truncate(3)),) + (K.one,) * 5, K
     H = hahn_tower_context(7, 3, precision=4).F
     h = H.parse("(1 + x^(1/7))*t^(-1/7) + (3)")
     form = AlbertForm((H.one, H.from_int(-1), h, H.one, H.one, h), H)
-    yield "Hahn tower", form, (h,) * 6, H, None
+    yield "Hahn tower", form, (h,) * 6, H
 
 
 @pytest.mark.parametrize("case", list(_fallback_cases()), ids=lambda case: case[0])
 def test_flat_evaluate_falls_back_to_the_loop(case):
-    _, form, a, dom, embed = case
-    want = reference_evaluate(form, a, dom, embed)
+    _, form, a, dom = case
+    want = reference_evaluate(form, a, dom)
     with loop_calls() as calls:
-        got = form.evaluate(a, domain=dom, embed=embed)
-        is_zero = form._is_zero_at(a, dom, embed)
+        got = form.evaluate(a, domain=dom)
+        is_zero = form._is_zero_at(a, dom)
     assert len(calls) == 2
     assert stored(got) == stored(want)
     assert is_zero == dom.is_known_zero(want)
@@ -343,9 +343,8 @@ def test_evaluate_injects_into_a_quadratic_extension_by_default():
     K = QuadraticExtension(F20, F20.constant(nonsquare_witness(F20.coeff)[0]))
     rng = random.Random(40)
     a = tuple(K.random_element(rng, n_terms=2, exp_lo=-2, exp_hi=4) for _ in range(6))
-    assert stored(phi.evaluate(a, domain=K)) == stored(phi.evaluate(a, domain=K, embed=K.inject))
+    assert stored(phi.evaluate(a, domain=K)) == stored(reference_evaluate(phi, a, K))
     rep = anisotropy_sample_test(phi, K, 20, random.Random(41))
-    assert rep == anisotropy_sample_test(phi, K, 20, random.Random(41), embed=K.inject)
     assert rep["trials"] == 20 and rep["failures"] == 0
     # neither F nor a quadratic extension of F
     other = laurent(laurent(QQ, "Z", 10), "W", 10)

@@ -131,6 +131,24 @@ def test_tower_inverse_of_a_leading_coefficient_known_to_no_term():
             s.invert(13)
 
 
+def test_tower_keeps_inner_o_terms():
+    """A coefficient known only to an inner O-term stays stored: it is known
+    to no term, but it is no exact zero, and below it the valuation is
+    unknown."""
+    T = laurent(laurent(F7, "x", 4), "t", 4)
+    bare = T.parse("(O(x^3))")
+    assert bare.is_known_zero() and not bare.is_exact_zero() and repr(bare) == "(O(x^3))"
+    diff = T.parse("(x + O(x^3))") + T.parse("(6*x)")
+    assert diff.is_known_zero() and not diff.is_exact_zero() and repr(diff) == "(O(x^3))"
+    s = T.parse("(O(x^3))") + T.variable
+    assert s != T.variable and repr(s) == "(O(x^3)) + (1)*t"
+    with pytest.raises(PrecisionError, match="valuation unknown"):
+        s.valuation()
+    # below t^0 the residue depends on whether O(x^3) stands for zero
+    with pytest.raises(PrecisionError, match="valuation unknown"):
+        T.parse("(O(x^3))*t^(-1) + (2)").residue()
+
+
 def test_zero_inverse_raises():
     with pytest.raises(ZeroDivisionError):
         R.zero.invert()

@@ -120,8 +120,8 @@ FAULTS = {
         lambda real: _raises),
     "anisotropy_sample_test-zero-form": (
         ["albert-anisotropy"], "anisotropy_sample_test",
-        lambda real: lambda form, domain, trials, rng, embed=None: real(
-            AlbertForm((form.F.zero,) * 6, form.F), domain, trials, rng, embed=embed)),
+        lambda real: lambda form, domain, trials, rng: real(
+            AlbertForm((form.F.zero,) * 6, form.F), domain, trials, rng)),
     "sos_leading_data-odd-sums": (["albert-anisotropy"], "sos_leading_data", _odd_sums_fail),
     "nonsquare_witness-square": (
         ["albert-anisotropy"], "nonsquare_witness",
