@@ -9,6 +9,7 @@ it hands out (``coeffs``, ``residue``, ``angular_component``) or takes in
 (construction, ``scale``, ``parse``) is a ``Fraction``, as here.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import CycdivError
@@ -148,7 +149,10 @@ class PrimeField(Domain):
         raise CycdivError(f"{x} is not a {q}-th power in F_{self.p}")
 
     def random_element(self, rng, nonzero=False):
-        return rng.randrange(1 if nonzero else 0, self.p)
+        """A uniform element, or unit when ``nonzero``: the int that
+        ``rng.randrange(1 if nonzero else 0, p)`` draws, from the same call
+        of ``rng._randbelow``."""
+        return rng._randbelow(self.p - 1) + 1 if nonzero else rng._randbelow(self.p)
 
     def to_str(self, a):
         return str(a % self.p)
@@ -232,10 +236,9 @@ class RationalField(Domain):
         return Fraction(sign * integer_nth_root(num, q), integer_nth_root(den, q))
 
     def random_element(self, rng, nonzero=False):
-        while True:
-            a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            if not nonzero or a != 0:
-                return a
+        """``Fraction(rng.randint(-9, 9), rng.randint(1, 9))``, drawn again
+        while zero when ``nonzero``; see :func:`_random_rational`."""
+        return Fraction(*_random_rational(rng._randbelow, nonzero))
 
     def to_str(self, a):
         return str(a)
@@ -248,6 +251,17 @@ class RationalField(Domain):
 
 
 QQ = RationalField()
+
+
+def _random_rational(below, nonzero):
+    """A random rational as reduced (numerator, denominator), from the draws
+    ``rng.randint(-9, 9)`` and ``rng.randint(1, 9)`` make, where ``below`` is
+    the generator's ``_randbelow``; drawn again while zero when ``nonzero``."""
+    while True:
+        num, den = below(19) - 9, below(9) + 1
+        if num or not nonzero:
+            g = math.gcd(num, den)
+            return num // g, den // g
 
 
 def primitive_qth_root(p, q):

@@ -245,7 +245,7 @@ class QuadraticExtension(Domain):
         return f"({self.base.to_str(x[0])}) + ({self.base.to_str(x[1])})*sqrt"
 
 
-def anisotropy_sample_test(form, domain, trials, seed_rng, sample_opts=None):
+def anisotropy_sample_test(form, domain, trials, seed_rng):
     """Evaluate the form on random nonzero EXACT tuples; count zeros.
 
     Any exact zero of the form on a nonzero tuple is a counterexample and
@@ -253,8 +253,6 @@ def anisotropy_sample_test(form, domain, trials, seed_rng, sample_opts=None):
     docstring), the zero test is read off them and no series is built.
     """
     opts = dict(n_terms=2, exp_lo=-2, exp_hi=4)
-    if sample_opts:
-        opts.update(sample_opts)
     failures = []
     for _ in range(trials):
         while True:

@@ -59,6 +59,17 @@ Which kernel serves which domain:
   a kernel vector comes from fraction-free elimination of a matrix EXACT at
   every level: its divisions are exact, long divisions on the lowest terms
   that divide the coefficients of a tower one level down.
+* Seeded draws.  ``random_element`` takes every int from ``rng._randbelow``
+  as ``lo + _randbelow(hi - lo + 1)``, which is what ``randint`` does (CPython
+  3.10 to 3.13), so a seed gives the same elements and leaves the generator
+  in the same state as draws through ``randint``.  It builds the stored form
+  directly: over Q from reduced (numerator, denominator) pairs, over their
+  lcm.  An empty range raises ``ValueError`` where ``randint`` would.
+* Equality.  ``agrees_to_precision`` returns at once when both series have
+  the same precision, ``den`` and ``terms``, with no assumption about
+  canonical forms; every other pair is compared coefficient by coefficient.
+  Over F_p and Q, where the stored form is canonical, ``==`` compares the
+  ``terms`` dicts.
 
 Only exact zeros are dropped from ``terms``.  In a tower a coefficient
 known to no term, such as the O(x^3) of ``(x + O(x^3)) - (x)``, stays
@@ -87,7 +98,7 @@ from array import array
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .basefields import Domain, PrimeField, RationalField, is_prime
+from .basefields import Domain, PrimeField, RationalField, _random_rational, is_prime
 from .errors import CycdivError, DomainMismatchError, PrecisionError, ValueGroupError
 
 INFINITY = math.inf
@@ -567,10 +578,13 @@ class Series:
     def agrees_to_precision(self, other):
         """Equality on all jointly-known coefficients."""
         self._check_domain(other)
+        ta, tb = self.terms, other.terms
+        # identical stored forms agree on every coefficient
+        if self.precision == other.precision and self.den == other.den and ta == tb:
+            return True
         pa = INFINITY if self.precision is None else self.precision
         pb = INFINITY if other.precision is None else other.precision
         joint = min(pa, pb)
-        ta, tb = self.terms, other.terms
         keys = (e for e in ta.keys() | tb.keys() if e < joint)
         if self.domain.ring is _ZZ:
             # the dropped tails can leave the two over different denominators
@@ -583,10 +597,14 @@ class Series:
         """Structural equality (same support, coefficients and precision)."""
         if not isinstance(other, Series) or other.domain != self.domain:
             return NotImplemented
-        if (self.precision != other.precision or self.den != other.den
-                or self.terms.keys() != other.terms.keys()):
+        if self.precision != other.precision or self.den != other.den:
             return False
-        eq = self.domain.ring.eq
+        ring = self.domain.ring
+        if ring is _ZZ or type(ring) is PrimeField:  # canonical stored forms
+            return self.terms == other.terms
+        if self.terms.keys() != other.terms.keys():
+            return False
+        eq = ring.eq
         return all(eq(c, other.terms[e]) for e, c in self.terms.items())
 
     def __hash__(self):
@@ -719,24 +737,47 @@ class SeriesDomain(Domain):
         """Seeded random series with sparse support.
 
         ``unit`` forces valuation 0; ``nonzero`` forces nonempty support.
-        In Z[1/p] mode exponents may pick up p-power denominators.
+        In Z[1/p] mode exponents may pick up p-power denominators.  The
+        draws are those of ``rng.randint`` (see the module docstring).
         """
+        below, cd, p = rng._randbelow, self.coeff, self.group.p
+        k_lo = 1 if (nonzero or unit) else 0
+        k_span, e_span = n_terms - k_lo + 1, exp_hi - exp_lo + 1
+        if k_span <= 0:
+            raise ValueError(f"empty range for randrange() ({k_lo}, {n_terms + 1}, {k_span})")
+        kind = None if coeff_opts else type(cd)
+        if kind is PrimeField:
+            def draw(p1=cd.p - 1):
+                return below(p1) + 1
+        elif kind is RationalField:
+            def draw():  # a reduced (numerator, denominator) pair
+                return _random_rational(below, True)
+        else:
+            def draw():
+                return cd.random_element(rng, nonzero=True, **coeff_opts)
         while True:
             coeffs = {}
-            k = rng.randint(1 if (nonzero or unit) else 0, n_terms)
+            k = k_lo + below(k_span)
+            if k and e_span <= 0:
+                raise ValueError(f"empty range for randrange() ({exp_lo}, {exp_hi + 1}, {e_span})")
             for _ in range(k):
-                e = rng.randint(exp_lo, exp_hi)
-                if self.group.p is not None and rng.random() < 0.4:
-                    e = Fraction(e, self.group.p ** rng.randint(1, 2))
-                c = self.coeff.random_element(rng, nonzero=True, **coeff_opts)
-                coeffs[_norm_exp(e)] = c
+                e = exp_lo + below(e_span)
+                if p is not None and rng.random() < 0.4:
+                    e = _norm_exp(Fraction(e, p ** (below(2) + 1)))
+                coeffs[e] = draw()
             if unit:
                 coeffs = {e: c for e, c in coeffs.items() if e > 0}
-                coeffs[0] = self.coeff.random_element(rng, nonzero=True, **coeff_opts)
+                coeffs[0] = draw()
             if precision is not None:
                 coeffs = {e: c for e, c in coeffs.items() if e < precision}
             if nonzero and not coeffs:
                 continue
+            if kind is PrimeField:
+                return _stored(self, coeffs, 1, precision)
+            if kind is RationalField:  # the content form, over the lcm of the denominators
+                den = math.lcm(*[d for _, d in coeffs.values()])
+                return _stored(self, {e: n * (den // d) for e, (n, d) in coeffs.items()}, den,
+                               precision)
             return Series(self, coeffs, precision, _validate=False)
 
     # -- text format ------------------------------------------------------

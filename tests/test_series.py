@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycdiv import (INFINITY, PrimeField, QQ, ValueGroup, hahn,
+from cycdiv import (INFINITY, PrimeField, QQ, ValueGroup, hahn, hahn_tower_context,
                     hensel_qth_root, is_square_in_tower, laurent)
 from cycdiv.errors import (CycdivError, DomainMismatchError, PrecisionError,
                            ValueGroupError)
@@ -178,6 +178,39 @@ def test_agrees_to_precision():
     assert a.agrees_to_precision(b)  # the t^5 term is beyond b's knowledge
     c = R.series({0: 2}, precision=4)
     assert not a.agrees_to_precision(c)
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: laurent(PrimeField(7), "t", 20), "3 + t^2 + 6*t^(-1) + O(t^5)"),
+    (lambda: laurent(QQ, "t", 20), "1/2 + 3/4*t + O(t^6)"),
+    (lambda: laurent(laurent(QQ, "X"), "Y"),
+     "(1/2 + X + O(X^3)) + (2/3*X^(-1))*Y + O(Y^4)"),
+    (lambda: hahn_tower_context(7, 3, precision=4).F,
+     "(1 + x^(1/7)) + (3*x + O(x^2))*t^(1/7) + (2)*t"),
+], ids=["F_7((t))", "Q((t))", "Q((X))((Y))", "hahn tower"])
+def test_identical_stored_forms_agree_at_once(make, text, monkeypatch):
+    """Two separately built series with the same stored form agree without
+    comparing a single coefficient."""
+    domain = make()
+    a, b = domain.parse(text), domain.parse(text)
+    assert a is not b and a.terms is not b.terms and a == b
+
+    def no_coefficient_comparisons(x, y):
+        raise AssertionError("compared coefficient by coefficient")
+
+    monkeypatch.setattr(domain.coeff, "eq", no_coefficient_comparisons)
+    assert a.agrees_to_precision(b) and b.agrees_to_precision(a)
+
+
+def test_different_stored_forms_take_the_general_path():
+    a, b = R.parse("1 + O(t^3)"), R.parse("1 + t^5 + O(t^6)")
+    assert a.agrees_to_precision(b) and b.agrees_to_precision(a)
+    assert a != b  # structural equality sees the different precisions
+    T = laurent(laurent(F7, "x", 4), "t", 4)
+    c, d = T.parse("(1) + (O(x^3))*t"), T.parse("(1)")
+    assert c.agrees_to_precision(d) and d.agrees_to_precision(c) and c != d
+    assert not R.parse("t").agrees_to_precision(R.parse("t + t^5"))
+    assert not T.parse("(x)").agrees_to_precision(T.parse("(x) + (1)*t^3"))
 
 
 # -- Hensel lifting -----------------------------------------------------------
