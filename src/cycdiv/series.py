@@ -68,8 +68,8 @@ Which kernel serves which domain:
 * Equality.  ``agrees_to_precision`` returns at once when both series have
   the same precision, ``den`` and ``terms``, with no assumption about
   canonical forms; every other pair is compared coefficient by coefficient.
-  Over F_p and Q, where the stored form is canonical, ``==`` compares the
-  ``terms`` dicts.
+  ``==`` is structural: it compares precision, ``den`` and the ``terms``
+  dicts, whose values compare structurally in their turn.
 
 Only exact zeros are dropped from ``terms``.  In a tower a coefficient
 known to no term, such as the O(x^3) of ``(x + O(x^3)) - (x)``, stays
@@ -594,18 +594,12 @@ class Series:
         return all(cd.eq(ta.get(e, cd.zero), tb.get(e, cd.zero)) for e in keys)
 
     def __eq__(self, other):
-        """Structural equality (same support, coefficients and precision)."""
+        """Structural equality: the same stored form (support, coefficients
+        and precision) at every level of a tower."""
         if not isinstance(other, Series) or other.domain != self.domain:
             return NotImplemented
-        if self.precision != other.precision or self.den != other.den:
-            return False
-        ring = self.domain.ring
-        if ring is _ZZ or type(ring) is PrimeField:  # canonical stored forms
-            return self.terms == other.terms
-        if self.terms.keys() != other.terms.keys():
-            return False
-        eq = ring.eq
-        return all(eq(c, other.terms[e]) for e, c in self.terms.items())
+        return (self.precision == other.precision and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
         raise TypeError("Series is not hashable; compare with agrees_to_precision")

@@ -209,6 +209,9 @@ def test_different_stored_forms_take_the_general_path():
     T = laurent(laurent(F7, "x", 4), "t", 4)
     c, d = T.parse("(1) + (O(x^3))*t"), T.parse("(1)")
     assert c.agrees_to_precision(d) and d.agrees_to_precision(c) and c != d
+    # == is structural at every level: inner coefficients that only agree differ
+    e, f = T.parse("(1 + O(x^3))"), T.parse("(1 + x^5 + O(x^6))")
+    assert e.agrees_to_precision(f) and e != f
     assert not R.parse("t").agrees_to_precision(R.parse("t + t^5"))
     assert not T.parse("(x)").agrees_to_precision(T.parse("(x) + (1)*t^3"))
 
