@@ -20,10 +20,13 @@ Which path of :func:`constants_mul` serves which input:
   flattened once to (packed exponent key, int) pairs over one common
   denominator, the structure constants once per :class:`StructureConstants`,
   and all +-lam*a_i*b_j terms are accumulated in one int map per output
-  coordinate by the sum-of-products accumulator ``flat._FlatSum``, which
-  turns each map back into a series once.  Such inputs have one canonical
-  exact result, so this path gives the same stored series as the loop.
-  This is the Albert biquaternion product over Q((X))((Y)).
+  coordinate by the sum-of-products accumulator ``flat._FlatSum``.  The
+  result is a ``flat._FlatVector``: it adds up a map when it is first
+  needed and turns it into a series when the coordinate is first read.
+  Its zero test, ``==`` with another such vector and its flat forms as an
+  operand of the next product come from the maps.  Such inputs have one
+  canonical exact result, so this path gives the same stored series as the
+  loop.  This is the Albert biquaternion product over Q((X))((Y)).
 * The loop.  Everything else (a truncated coordinate or an inner O-term,
   Z[1/p] exponents, a coefficient field as F, exponents too wide to pack)
   adds up ``F.mul(a_i, b_j)`` times each entry with ``F`` arithmetic.  It
@@ -67,7 +70,7 @@ from .element import Element, FiniteAlgebra, monomial_label
 from .errors import CycdivError, DomainMismatchError, ZeroDivisorError
 from .kummer import KummerContext, _from_u_series, _to_u_series, _u_sigma, is_norm
 from .linalg import _SLACK, _is_term_field, solve_linear
-from .flat import _flat_bounds, _flat_levels, _flat_sum
+from .flat import _flat_bounds, _flat_levels, _flat_sum, _FlatVector
 from .series import _stored
 
 
@@ -180,13 +183,15 @@ class StructureConstants:
         return self._flat["bounds"]
 
     def _flat_table(self, F, acc):
-        """(i, j) -> [(k, flat form of lam)] at the shift of the ``_FlatSum``
-        ``acc``, over the denominator of ``_entry_bounds``."""
+        """[(i, j, flat form of lam)] for each k, at the shift of the
+        ``_FlatSum`` ``acc``, over the denominator of ``_entry_bounds``."""
         table = self._flat.get(acc.shift)
         if table is None:
             den = self._flat["bounds"][2]
-            table = {ij: [(k, acc.flat(lam, den)) for k, lam in entries]
-                     for ij, entries in self.sparse(F).items()}
+            table = [[] for _ in range(self.n)]
+            for (i, j), entries in self.sparse(F).items():
+                for k, lam in entries:
+                    table[k].append((i, j, acc.flat(lam, den)))
             self._flat[acc.shift] = table
         return table
 
@@ -206,7 +211,8 @@ def structure_constants(algebra):
 
 def constants_mul(a, b, constants, F):
     """Bilinear product (a M_1 b^T, ..., a M_n b^T) from structure constants,
-    by the flat product or the loop (see the module docstring)."""
+    by the flat product, as a ``_FlatVector``, or the loop, as a list (see the
+    module docstring)."""
     n = constants.n
     if len(a) != n or len(b) != n:
         raise CycdivError("coordinate length mismatch with the structure constants")
@@ -232,9 +238,9 @@ def constants_mul(a, b, constants, F):
 
 def _flat_constants_mul(a, b, constants, F):
     """``constants_mul`` as sums of products lam*a_i*b_j on the flat form (see
-    ``cycdiv.flat``), or None when F is no Laurent tower over Q or F_p, an
-    input is truncated at some level, or the keys of the result would not
-    pack into ``_FLAT_KEY_BITS``."""
+    ``cycdiv.flat``), as a ``_FlatVector``; None when F is no Laurent tower
+    over Q or F_p, an input is truncated at some level, or the keys of the
+    result would not pack into ``_FLAT_KEY_BITS``."""
     levels = _flat_levels(F)
     if levels is None:
         return None
@@ -245,26 +251,19 @@ def _flat_constants_mul(a, b, constants, F):
         return None
     table = constants._flat_table(F, acc)
     den_c, den_a, den_b = (bound[2] for bound in bounds)
-    flat_a = [acc.flat(c, den_a) for c in a]
-    flat_b = [acc.flat(c, den_b) for c in b]
-    products = [[] for _ in range(constants.n)]
-    for i, fa in enumerate(flat_a):
-        if not fa:
-            continue
-        for j, fb in enumerate(flat_b):
-            if not fb:
-                continue
-            # the longer operand in the innermost loop
-            short, long = (fa, fb) if len(fa) <= len(fb) else (fb, fa)
-            for k, lam in table.get((i, j), ()):
-                products[k].append((1, lam, short, long))
-    den = den_a * den_b * den_c
-    out = []
-    for terms in products:
-        flat = {}
-        acc.add(flat, terms)
-        out.append(acc.series(flat, den))
-    return out
+    flat_a = acc.flat_coords(a, den_a)
+    flat_b = acc.flat_coords(b, den_b)
+
+    def terms(k):
+        """The products lam*a_i*b_j of coordinate k, the longer factor innermost."""
+        products = []
+        for i, j, lam in table[k]:
+            fa, fb = flat_a[i], flat_b[j]
+            if fa and fb:
+                products.append((1, lam, fa, fb) if len(fa) <= len(fb) else (1, lam, fb, fa))
+        return products
+
+    return _FlatVector(acc, constants.n, terms, den_a * den_b * den_c, bounds)
 
 
 class ConstantsAlgebra(FiniteAlgebra):
@@ -294,15 +293,21 @@ def tensor(A, B, element_type=Element):
     F, m = A.F, B.n
     n = A.n * m
     matrices = [[[F.zero] * n for _ in range(n)] for _ in range(n)]
+    sparse = {}  # the table StructureConstants.sparse would build
     table_b = B.constants.sparse(F)
     for (s, s2), entries_a in A.constants.sparse(F).items():
         for (t, t2), entries_b in table_b.items():
+            i, j = s * m + t, s2 * m + t2
+            entries = sparse[i, j] = []
             for k1, c1 in entries_a:
                 for k2, c2 in entries_b:
-                    matrices[k1 * m + k2][s * m + t][s2 * m + t2] = F.mul(c1, c2)
+                    # neither factor is an exact zero, so neither is their product
+                    lam = matrices[k1 * m + k2][i][j] = F.mul(c1, c2)
+                    entries.append((k1 * m + k2, lam))
     labels = [f"{a}(x){b}" for a in A.labels for b in B.labels]
-    return ConstantsAlgebra(F, StructureConstants(n, labels, matrices, field_descriptor=repr(F)),
-                            element_type)
+    constants = StructureConstants(n, labels, matrices, field_descriptor=repr(F))
+    constants._sparse = sparse
+    return ConstantsAlgebra(F, constants, element_type)
 
 
 def constants_to_json(constants, F):

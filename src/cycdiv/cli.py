@@ -221,7 +221,7 @@ def cmd_verify(args):
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
-    if args.claims:
+    if args.claims is not None:  # an empty --claims is an error, not every claim
         settings["claims"] = args.claims
     config = SuiteConfig(**settings)
     reports = run_suite(config)

@@ -1,15 +1,19 @@
 """Finite-dimensional algebras over a coefficient domain, and their elements.
 
 An algebra of dimension n over F fixes a basis with printable labels, the
-first of which is the identity; an element is its coordinate tuple in that
-basis.  The linear part (addition, negation, subtraction, scaling, the zero
-test, printing) is the same for every algebra and lives here, in the one
-element type.  Each algebra supplies only its product, ``mul``.
+first of which is the identity; an element is its sequence of coordinates
+in that basis: a tuple, or the ``flat._FlatVector`` that a structure-constant
+product returns, which builds a coordinate only when it is read and answers
+the zero test and ``==`` from its flat form.  The linear part (addition,
+negation, subtraction, scaling, the zero test, printing) is the same for
+every algebra and lives here, in the one element type.  Each algebra
+supplies only its product, ``mul``.
 """
 
 from dataclasses import dataclass
 
 from .errors import CycdivError, DomainMismatchError
+from .flat import _FlatVector
 from .series import SeriesDomain
 
 
@@ -25,7 +29,7 @@ class Element:
     """An element of a finite algebra, by its coordinates over the base field."""
 
     algebra: "FiniteAlgebra"
-    coords: tuple
+    coords: tuple  # or a _FlatVector
 
     def __post_init__(self):
         if len(self.coords) != self.algebra.n:
@@ -63,6 +67,8 @@ class Element:
         return self.algebra.element(F.mul(f, c) for c in self.coords)
 
     def is_known_zero(self):
+        if isinstance(self.coords, _FlatVector):
+            return self.coords.is_zero()
         F = self.algebra.F
         return all(F.is_known_zero(c) for c in self.coords)
 
@@ -89,7 +95,11 @@ class FiniteAlgebra:
         self.n = len(self.labels)
 
     def element(self, coords):
-        return self.element_type(self, tuple(coords))
+        """The element with these coordinates; a ``_FlatVector`` is kept as it
+        is, any other iterable becomes a tuple."""
+        if not isinstance(coords, _FlatVector):
+            coords = tuple(coords)
+        return self.element_type(self, coords)
 
     def basis(self, k):
         coords = [self.F.zero] * self.n

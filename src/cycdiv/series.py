@@ -46,10 +46,13 @@ Which kernel serves which domain:
   {key: int} map, and reads the map back by an exact zero test (mod p over
   F_p) or by one ``_unflatten``, with no ``Series`` arithmetic before a
   result is built.  Its users: ``algebra.constants_mul`` (the lam*a_i*b_j
-  of the structure constants), ``quaternion.AlbertForm.evaluate`` (sum
-  c_i a_i^2 over F, and its pair of sums over a quadratic extension
-  F(gamma)) and ``quaternion.anisotropy_sample_test``, which reads only the
-  zero test.  Truncated inputs at any level, Z[1/p] exponents, a
+  of the structure constants), which returns its maps as a
+  ``flat._FlatVector``, from which ``Element.is_known_zero``, ``==``
+  between two products and the next ``constants_mul`` read without
+  building a series; ``quaternion.AlbertForm.evaluate`` (sum c_i a_i^2
+  over F, and its pair of sums over a quadratic extension F(gamma)); and
+  ``quaternion.anisotropy_sample_test``, which reads only the zero test.
+  Truncated inputs at any level, Z[1/p] exponents, a
   coefficient field as the domain and keys that would reach
   ``_FLAT_KEY_BITS`` keep the ``Series`` arithmetic.
 * Linear systems.  Over F_p((t)) ``linalg`` eliminates on the term maps

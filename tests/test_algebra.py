@@ -12,8 +12,9 @@ from cycdiv import (QQ, BiquaternionElement, CyclicAlgebra, KummerContext, Prime
                     constants_from_json, constants_mul, constants_to_json, galois_sigma, invert,
                     is_division, laurent, relation_mul, structure_constants, tensor,
                     zero_divisor_witness)
-from cycdiv.algebra import _flat_constants_mul, _left_coords, left_mul_matrix
+from cycdiv.algebra import ConstantsAlgebra, _flat_constants_mul, _left_coords, left_mul_matrix
 from cycdiv.errors import CycdivError, DomainMismatchError, ZeroDivisorError
+from cycdiv.flat import _FlatVector
 from cycdiv.kummer import _from_u_series, _u_sigma
 from cycdiv.verify import albert_setup, hahn_tower_context, hamilton_algebra, laurent_context
 from test_series_kernels import canonical, identical
@@ -401,6 +402,144 @@ def test_flat_product_cancellations(F, x, y):
     assert got[1].is_exact_zero() and not got[0].is_known_zero()
     if F is QXY and x == "(X) + (1/3)*Y":
         assert 0 not in got[0].terms and got[0].terms
+
+
+# -- products of flat-backed elements ---------------------------------------------
+
+def _split_tensor():
+    """(X, 1) (x) (-X, Y) over Q((X))((Y)), which has zero divisors: j^2 = 1 in
+    (X, 1), so (1 + j)(1 - j) = 0."""
+    F = albert_setup(precision=8)[1]
+    x = F.parse("(X)")
+    B = tensor(QuaternionAlgebra(F, x, F.one), QuaternionAlgebra(F, F.neg(x), F.variable),
+               BiquaternionElement)
+    j = B.basis(8)  # j (x) 1, at index 2 * 4 + 0
+    return F, B, x, j
+
+
+def test_flat_zero_product_in_a_split_tensor():
+    F, B, _, j = _split_tensor()
+    prod = (B.one + j) * (B.one - j)
+    assert isinstance(prod.coords, _FlatVector)
+    assert prod.is_known_zero()
+    # the zero test read the maps and built no coordinate
+    assert prod.coords._series == [None] * B.n
+    assert all(c.is_exact_zero() for c in prod.coords)
+    assert prod == B.element([F.zero] * B.n) and prod.coords == (F.zero,) * B.n
+
+
+def test_flat_product_cancelling_at_some_keys():
+    # (X + j)(X - j) = X^2 - j^2 = X^2 - 1: X*(-j) + j*X cancels on the key of X*j
+    F, B, x, j = _split_tensor()
+    prod = (B.from_base(x) + j) * (B.from_base(x) - j)
+    assert isinstance(prod.coords, _FlatVector) and not prod.is_known_zero()
+    assert 0 in prod.coords._map(8).values()
+    assert prod.coords[8].is_exact_zero()
+    assert prod.coords[0] == F.parse("(-1 + X^2)")
+    assert all(c.is_exact_zero() for k, c in enumerate(prod.coords) if k)
+    assert prod == B.from_base(F.parse("(-1 + X^2)"))
+
+
+def innermost_monomial(domain, e):
+    """The monomial with exponent e at the innermost level and 0 above it."""
+    if isinstance(domain.coeff, SeriesDomain):
+        return domain.series({0: innermost_monomial(domain.coeff, e)})
+    return domain.series({e: domain.coeff.one})
+
+
+def _flat_operand(draw, A, mode):
+    """An element of the ConstantsAlgebra A: a coordinate tuple, or a
+    flat-backed one, the product of a tuple with 1 or with another tuple.
+    A third of the coordinates, drawn as in ``test_flat_product_matches_plain_loop``,
+    have exponents from -3 to 3 at every level, and one may have a
+    term with exponent +-60 at the innermost one, which widens the keys of
+    the products it enters.  In the modes "truncated" and "inner O-term" a
+    coordinate may be known only below a bound."""
+    F = A.F
+
+    def coords():
+        out = [exact_element(draw, F) if draw(st.integers(0, 2)) == 0 else F.zero
+               for _ in range(A.n)]
+        if mode != "exact" and draw(st.booleans()):
+            k = draw(st.integers(0, A.n - 1))
+            out[k] = with_o_term(draw, F, out[k], mode == "inner O-term")
+        if draw(st.booleans()):
+            k = draw(st.integers(0, A.n - 1))
+            out[k] = F.add(out[k], innermost_monomial(F, draw(st.sampled_from([-60, 60]))))
+        return A.element(out)
+
+    x = coords()
+    kind = draw(st.sampled_from(["tuple", "times one", "product"]))
+    return x if kind == "tuple" else x * (A.one if kind == "times one" else coords())
+
+
+@pytest.mark.parametrize("case", range(len(FLAT_CASES)))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_chained_flat_products_match_plain_loop(case, data):
+    F, consts = FLAT_CASES[case]
+    A = ConstantsAlgebra(F, consts)
+    mode = data.draw(st.sampled_from(["exact", "truncated", "inner O-term"]))
+    if mode == "inner O-term" and not isinstance(F.coeff, SeriesDomain):
+        mode = "truncated"
+    a, b, c = (_flat_operand(data.draw, A, mode) for _ in range(3))
+    flat = F.coeff.group.p is None if isinstance(F.coeff, SeriesDomain) else F.group.p is None
+    for x in (a, b, c):
+        exact = all(s.is_exact and (not isinstance(F.coeff, SeriesDomain)
+                                    or all(t.is_exact for t in s.terms.values()))
+                    for s in x.coords)
+        if isinstance(x.coords, _FlatVector):
+            assert flat and exact
+    ref = {id(x): list(x.coords) for x in (a, b, c)}
+    lhs, rhs = (a * b) * c, a * (b * c)
+    for got, want in ((lhs, plain_constants_mul(plain_constants_mul(ref[id(a)], ref[id(b)],
+                                                                    consts, F),
+                                                ref[id(c)], consts, F)),
+                      (rhs, plain_constants_mul(ref[id(a)], plain_constants_mul(
+                          ref[id(b)], ref[id(c)], consts, F), consts, F))):
+        assert len(got.coords) == A.n
+        assert all(identical(x, y) for x, y in zip(got.coords, want))
+    # == between two flat-backed products, read off their maps, agrees with
+    # F.eq coordinate by coordinate, and with == on the built coordinates
+    for x, y in ((lhs, rhs), (a * b, b * a), (a * b, a * c)):
+        if isinstance(x.coords, _FlatVector) and isinstance(y.coords, _FlatVector):
+            assert (x == y) == (y == x) == all(F.eq(s, t) for s, t in zip(x.coords, y.coords))
+            assert (x.coords == tuple(y.coords)) == (tuple(x.coords) == y.coords) == (x == y)
+
+
+def test_products_of_vectors_at_different_shifts():
+    # products with X^(+-60) in a factor pack their keys at a wider shift
+    # than a * b, so == and the product (a * b) * c re-key a * b
+    _, _, D1, D2, _ = albert_setup(precision=8)
+    B = tensor(D1, D2, BiquaternionElement)
+    F = B.F
+    a = B.element([F.parse("(1 + X^3)*Y + (2/3*X^(-2))")] + [F.zero] * 4 + [F.parse("(X)")]
+                  + [F.zero] * 10)
+    b = B.element([F.parse("(X^2)*Y^(-1)")] + [F.zero] * 8 + [F.parse("(5/7 + X)")] + [F.zero] * 6)
+    c = B.element([F.parse("(X^60)*Y + (X^(-60))")] + [F.zero] * 2 + [F.parse("(3)")]
+                  + [F.zero] * 12)
+    up, down = F.parse("(X^60)"), F.parse("(X^(-60))")
+    ab, wide = a * b, a.scale(up) * b.scale(down)  # the same value
+    assert ab.coords.acc.shift < wide.coords.acc.shift
+    assert ab == wide and wide == ab
+    halves = a.scale(F.from_int(2)) * b.scale(F.parse("(1/2)"))  # over another denominator
+    assert halves.coords.den != ab.coords.den and ab == halves and halves == ab
+    assert not ab == a.scale(F.from_int(2)) * b
+    higher = a.scale(up) * b.scale(F.parse("(X^120)"))  # X^180 * a * b
+    assert ab.coords.acc.shift < higher.coords.acc.shift and not ab == higher
+    # X^160 and X^(-96)*Y pack to the same key at shift 8, where both
+    # products are made; == compares them at a shift wide enough for both
+    v1 = B.from_base(F.parse("(X^80)")) * B.from_base(F.parse("(X^80)"))
+    v2 = B.from_base(F.parse("(X^(-48))")) * B.from_base(F.parse("(X^(-48))*Y"))
+    assert v1.coords.acc.shift == v2.coords.acc.shift == 8
+    assert not v1 == v2 and not v2 == v1
+    lhs, rhs = ab * c, a * (b * c)
+    assert lhs.coords.acc.shift > ab.coords.acc.shift
+    assert lhs == rhs
+    want = plain_constants_mul(plain_constants_mul(a.coords, b.coords, B.constants, F),
+                               c.coords, B.constants, F)
+    assert all(identical(x, y) for x, y in zip(lhs.coords, want))
+    assert all(identical(x, y) for x, y in zip(rhs.coords, want))
 
 
 def test_constants_json_roundtrip():

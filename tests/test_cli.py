@@ -371,6 +371,7 @@ def test_precision_below_1_from_env_or_biquat_exits_2(capsys, monkeypatch, tmp_p
     ('{"p": null}', "p must be an integer"),
     ('{"claims": "albert-anisotropy"}', "claims must be a list"),
     ('{"claims": [1]}', "claims must be a list"),
+    ('{"claims": []}', "at least one claim id"),
 ])
 def test_malformed_verify_config_exits_2(capsys, monkeypatch, tmp_path, text, reason):
     def claim_runs(config, tally):
@@ -382,6 +383,20 @@ def test_malformed_verify_config_exits_2(capsys, monkeypatch, tmp_path, text, re
     code, out, err = run(capsys, "verify", "--config", str(cfg))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and reason in err
+
+
+def test_verify_claims_flag_without_ids_exits_2(capsys, monkeypatch, tmp_path):
+    # an empty --claims names no claim; it used to run every claim and exit 0
+    def claim_runs(config, tally):
+        raise AssertionError("a claim ran with an empty claim list")
+
+    monkeypatch.setattr(verify, "_CLAIM_FUNCS", dict.fromkeys(verify.CLAIM_IDS, claim_runs))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"claims": ["norm-closed-forms"]}))
+    for extra in ([], ["--config", str(cfg)]):
+        code, out, err = run(capsys, "verify", "--trials", "5", *extra, "--claims")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "at least one claim id" in err
 
 
 def test_unreadable_verify_config_exits_2(capsys, tmp_path):
