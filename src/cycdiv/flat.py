@@ -311,8 +311,6 @@ class _FlatVector(Sequence):
             return len(self) == len(other) and all(x == y for x, y in zip(self, other))
         return NotImplemented
 
-    __hash__ = None
-
     def _maps_equal(self, other):
         """Whether the maps agree over the common denominator, with keys
         packed at one shift that tells the exponents of both apart."""

@@ -450,11 +450,12 @@ def innermost_monomial(domain, e):
 def _flat_operand(draw, A, mode):
     """An element of the ConstantsAlgebra A: a coordinate tuple, or a
     flat-backed one, the product of a tuple with 1 or with another tuple.
-    A third of the coordinates, drawn as in ``test_flat_product_matches_plain_loop``,
-    have exponents from -3 to 3 at every level, and one may have a
-    term with exponent +-60 at the innermost one, which widens the keys of
-    the products it enters.  In the modes "truncated" and "inner O-term" a
-    coordinate may be known only below a bound."""
+    A third of the coordinates are drawn as in
+    ``test_flat_product_matches_plain_loop``, with exponents from -3 to 3 at
+    every level, and one may get a term with exponent +-60 at the innermost
+    level, which widens the keys of the products it enters.  In the modes
+    "truncated" and "inner O-term" a coordinate may be known only below a
+    bound."""
     F = A.F
 
     def coords():
@@ -485,18 +486,15 @@ def test_chained_flat_products_match_plain_loop(case, data):
     a, b, c = (_flat_operand(data.draw, A, mode) for _ in range(3))
     flat = F.coeff.group.p is None if isinstance(F.coeff, SeriesDomain) else F.group.p is None
     for x in (a, b, c):
-        exact = all(s.is_exact and (not isinstance(F.coeff, SeriesDomain)
-                                    or all(t.is_exact for t in s.terms.values()))
-                    for s in x.coords)
-        if isinstance(x.coords, _FlatVector):
-            assert flat and exact
-    ref = {id(x): list(x.coords) for x in (a, b, c)}
+        if isinstance(x.coords, _FlatVector):  # only products over a Laurent tower
+            assert flat and all(s.is_exact for s in x.coords)
+
+    def mul(x, y):
+        return plain_constants_mul(x, y, consts, F)
+
+    ra, rb, rc = (list(x.coords) for x in (a, b, c))
     lhs, rhs = (a * b) * c, a * (b * c)
-    for got, want in ((lhs, plain_constants_mul(plain_constants_mul(ref[id(a)], ref[id(b)],
-                                                                    consts, F),
-                                                ref[id(c)], consts, F)),
-                      (rhs, plain_constants_mul(ref[id(a)], plain_constants_mul(
-                          ref[id(b)], ref[id(c)], consts, F), consts, F))):
+    for got, want in ((lhs, mul(mul(ra, rb), rc)), (rhs, mul(ra, mul(rb, rc)))):
         assert len(got.coords) == A.n
         assert all(identical(x, y) for x, y in zip(got.coords, want))
     # == between two flat-backed products, read off their maps, agrees with
