@@ -322,7 +322,14 @@ def constants_to_json(constants, F):
 
 def constants_from_json(text, F):
     data = json.loads(text)
-    matrices = [[[F.parse(s) for s in row] for row in mat] for mat in data["matrices"]]
+    parsed = {}  # each distinct entry string is parsed once; the values are immutable
+
+    def entry(s):
+        if s not in parsed:
+            parsed[s] = F.parse(s)
+        return parsed[s]
+
+    matrices = [[[entry(s) for s in row] for row in mat] for mat in data["matrices"]]
     return StructureConstants(data["n"], data["basis"], matrices,
                               field_descriptor=data.get("field", ""))
 

@@ -9,6 +9,7 @@ it hands out (``coeffs``, ``residue``, ``angular_component``) or takes in
 (construction, ``scale``, ``parse``) is a ``Fraction``, as here.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -59,6 +60,13 @@ class Domain:
     def is_known_zero(self, a):
         """Zero as far as the representation can tell (== is_zero here)."""
         return self.is_zero(a)
+
+    def drawer(self, rng, **opts):
+        """A function of no arguments that draws one element as
+        ``random_element(rng, **opts)`` does.  Domains whose draws need
+        set-up (series, quadratic extensions) do it once in their own
+        ``drawer``, so a loop builds one drawer and calls it."""
+        return functools.partial(self.random_element, rng, **opts)
 
     def pow(self, a, n):
         if n < 0:

@@ -116,5 +116,12 @@ class FiniteAlgebra:
     def one(self):
         return self.basis(0)
 
+    def drawer(self, rng, **opts):
+        """A function of no arguments that draws one element, its
+        coordinates in turn from one drawer of F."""
+        coord, n, element = self.F.drawer(rng, **opts), self.n, self.element
+        return lambda: element([coord() for _ in range(n)])
+
     def random_element(self, rng, **opts):
-        return self.element([self.F.random_element(rng, **opts) for _ in range(self.n)])
+        """One draw of :meth:`drawer`."""
+        return self.drawer(rng, **opts)()

@@ -237,9 +237,15 @@ class QuadraticExtension(Domain):
     def is_known_zero(self, x):
         return self.base.is_known_zero(x[0]) and self.base.is_known_zero(x[1])
 
+    def drawer(self, rng, **opts):
+        """A function of no arguments that draws one pair, both parts from
+        one drawer of the base field."""
+        part = self.base.drawer(rng, **opts)
+        return lambda: (part(), part())
+
     def random_element(self, rng, **opts):
-        return (self.base.random_element(rng, **opts),
-                self.base.random_element(rng, **opts))
+        """One draw of :meth:`drawer`."""
+        return self.drawer(rng, **opts)()
 
     def to_str(self, x):
         return f"({self.base.to_str(x[0])}) + ({self.base.to_str(x[1])})*sqrt"
@@ -252,11 +258,11 @@ def anisotropy_sample_test(form, domain, trials, seed_rng):
     is returned in the report.  Where the flat sums serve (see the module
     docstring), the zero test is read off them and no series is built.
     """
-    opts = dict(n_terms=2, exp_lo=-2, exp_hi=4)
+    draw = domain.drawer(seed_rng, n_terms=2, exp_lo=-2, exp_hi=4)
     failures = []
     for _ in range(trials):
         while True:
-            a = tuple(domain.random_element(seed_rng, **opts) for _ in range(6))
+            a = tuple(draw() for _ in range(6))
             if not all(domain.is_known_zero(ai) for ai in a):
                 break
         if form._is_zero_at(a, domain):

@@ -62,12 +62,20 @@ Which kernel serves which domain:
   a kernel vector comes from fraction-free elimination of a matrix EXACT at
   every level: its divisions are exact, long divisions on the lowest terms
   that divide the coefficients of a tower one level down.
-* Seeded draws.  ``random_element`` takes every int from ``rng._randbelow``
-  as ``lo + _randbelow(hi - lo + 1)``, which is what ``randint`` does (CPython
-  3.10 to 3.13), so a seed gives the same elements and leaves the generator
-  in the same state as draws through ``randint``.  It builds the stored form
-  directly: over Q from reduced (numerator, denominator) pairs, over their
-  lcm.  An empty range raises ``ValueError`` where ``randint`` would.
+* Seeded draws.  ``drawer(rng, **opts)`` checks the options, computes the
+  spans and sets up the coefficient domain's draw once (a tower's inner
+  level gets one drawer of its own), and returns a function of no arguments
+  that draws one element; ``random_element`` is one call of a new drawer,
+  and a sampling loop builds one drawer and calls it.  Every int comes from
+  ``rng._randbelow`` as ``lo + _randbelow(hi - lo + 1)``, which is what
+  ``randint`` does (CPython 3.10 to 3.13), so a seed gives the same elements
+  and leaves the generator in the same state as draws through ``randint``.
+  The draw builds the stored form directly: over Q from reduced (numerator,
+  denominator) pairs, over their lcm.  An empty range raises ``ValueError``
+  when the drawer is called, at the draw where ``randint`` would.  A
+  coefficient domain other than F_p, Q or a series domain, such as a field
+  that overrides ``random_element``, is drawn through its own ``drawer``,
+  which by default calls its ``random_element``.
 * Equality.  ``agrees_to_precision`` returns at once when both series have
   the same precision, ``den`` and ``terms``, with no assumption about
   canonical forms; every other pair is compared coefficient by coefficient.
@@ -93,6 +101,7 @@ themselves, ``den`` is 1 and ``ring`` is the coefficient domain; over F_p
 they are the representatives in [1, p) however the series was built.
 """
 
+import functools
 import math
 import operator
 import re
@@ -729,53 +738,63 @@ class SeriesDomain(Domain):
 
     # -- randomized sampling ------------------------------------------------
 
-    def random_element(self, rng, n_terms=3, exp_lo=-3, exp_hi=8, precision=None,
-                       nonzero=False, unit=False, **coeff_opts):
-        """Seeded random series with sparse support.
+    def drawer(self, rng, n_terms=3, exp_lo=-3, exp_hi=8, precision=None,
+               nonzero=False, unit=False, **coeff_opts):
+        """A function of no arguments that draws one seeded random series
+        with sparse support; ``random_element`` makes one such draw.
 
         ``unit`` forces valuation 0; ``nonzero`` forces nonempty support.
         In Z[1/p] mode exponents may pick up p-power denominators.  The
-        draws are those of ``rng.randint`` (see the module docstring).
+        draws are those of ``rng.randint`` (see the module docstring).  The
+        options, the spans and the coefficient domain's own drawer are set
+        up here, once; an empty range raises ``ValueError`` when the
+        function is called, at the draw where ``randint`` would.
         """
         below, cd, p = rng._randbelow, self.coeff, self.group.p
         k_lo = 1 if (nonzero or unit) else 0
         k_span, e_span = n_terms - k_lo + 1, exp_hi - exp_lo + 1
-        if k_span <= 0:
-            raise ValueError(f"empty range for randrange() ({k_lo}, {n_terms + 1}, {k_span})")
         kind = None if coeff_opts else type(cd)
         if kind is PrimeField:
-            def draw(p1=cd.p - 1):
+            def coeff(p1=cd.p - 1):
                 return below(p1) + 1
-        elif kind is RationalField:
-            def draw():  # a reduced (numerator, denominator) pair
-                return _random_rational(below, True)
+        elif kind is RationalField:  # a reduced (numerator, denominator) pair
+            coeff = functools.partial(_random_rational, below, True)
         else:
-            def draw():
-                return cd.random_element(rng, nonzero=True, **coeff_opts)
-        while True:
-            coeffs = {}
-            k = k_lo + below(k_span)
-            if k and e_span <= 0:
-                raise ValueError(f"empty range for randrange() ({exp_lo}, {exp_hi + 1}, {e_span})")
-            for _ in range(k):
-                e = exp_lo + below(e_span)
-                if p is not None and rng.random() < 0.4:
-                    e = _norm_exp(Fraction(e, p ** (below(2) + 1)))
-                coeffs[e] = draw()
-            if unit:
-                coeffs = {e: c for e, c in coeffs.items() if e > 0}
-                coeffs[0] = draw()
-            if precision is not None:
-                coeffs = {e: c for e, c in coeffs.items() if e < precision}
-            if nonzero and not coeffs:
-                continue
-            if kind is PrimeField:
-                return _stored(self, coeffs, 1, precision)
-            if kind is RationalField:  # the content form, over the lcm of the denominators
-                den = math.lcm(*[d for _, d in coeffs.values()])
-                return _stored(self, {e: n * (den // d) for e, (n, d) in coeffs.items()}, den,
-                               precision)
-            return Series(self, coeffs, precision, _validate=False)
+            coeff = cd.drawer(rng, nonzero=True, **coeff_opts)
+
+        def draw():
+            if k_span <= 0:
+                raise ValueError(f"empty range for randrange() ({k_lo}, {n_terms + 1}, {k_span})")
+            while True:
+                coeffs = {}
+                k = k_lo + below(k_span)
+                if k and e_span <= 0:
+                    raise ValueError(
+                        f"empty range for randrange() ({exp_lo}, {exp_hi + 1}, {e_span})")
+                for _ in range(k):
+                    e = exp_lo + below(e_span)
+                    if p is not None and rng.random() < 0.4:
+                        e = _norm_exp(Fraction(e, p ** (below(2) + 1)))
+                    coeffs[e] = coeff()
+                if unit:
+                    coeffs = {e: c for e, c in coeffs.items() if e > 0}
+                    coeffs[0] = coeff()
+                if precision is not None:
+                    coeffs = {e: c for e, c in coeffs.items() if e < precision}
+                if nonzero and not coeffs:
+                    continue
+                if kind is RationalField:  # the content form, over the lcm of the denominators
+                    den = math.lcm(*[d for _, d in coeffs.values()])
+                    return _stored(self, {e: n * (den // d) for e, (n, d) in coeffs.items()},
+                                   den, precision)
+                if kind is PrimeField or kind is SeriesDomain:  # the stored form already
+                    return _stored(self, coeffs, 1, precision)
+                return Series(self, coeffs, precision, _validate=False)
+        return draw
+
+    def random_element(self, rng, **opts):
+        """One draw of :meth:`drawer`."""
+        return self.drawer(rng, **opts)()
 
     # -- text format ------------------------------------------------------
 

@@ -162,8 +162,9 @@ def check_norm_oracle_equivalence(config, tally):
     for p, q in _ORACLE_CONTEXTS:
         ctx = laurent_context(p, q, precision=30)
         variant_diverged = q == 2  # the variants coincide for q = 2
+        draw = ctx.drawer(tally.rng, n_terms=3, exp_lo=-3, exp_hi=8, precision=30)
         for _ in range(per_context):
-            a = ctx.random_element(tally.rng, n_terms=3, exp_lo=-3, exp_hi=8, precision=30)
+            a = draw()
             oracle = norm_oracle(a)
             tally.check(norm_formula(a).agrees_to_precision(oracle), "p={} q={} a={!r}", p, q, a)
             if not variant_diverged and not norm_formula(
@@ -194,10 +195,10 @@ def check_norm_valuation(config, tally):
     """The norm valuation identity on random exact elements."""
     per_context = max(1, config.trials // 2)
     for p, q in _ORACLE_CONTEXTS:
-        ctx = laurent_context(p, q)
+        draw = laurent_context(p, q).drawer(tally.rng, n_terms=2, exp_lo=-5, exp_hi=5)
         for _ in range(per_context):
             while True:
-                a = ctx.random_element(tally.rng, n_terms=2, exp_lo=-5, exp_hi=5)
+                a = draw()
                 if not a.is_known_zero():
                     break
             predicted = norm_valuation(a)
@@ -214,8 +215,9 @@ def check_residue_of_norms(config, tally):
         ctx = laurent_context(p, q)
         fp = ctx.F.coeff
         targets = sorted({pow(x, q, p) for x in range(1, p)})
+        draw = ctx.drawer(tally.rng, n_terms=2, exp_lo=0, exp_hi=6, unit=True)
         for _ in range(per_context):
-            a = ctx.random_element(tally.rng, n_terms=2, exp_lo=0, exp_hi=6, unit=True)
+            a = draw()
             r = norm_oracle(a).residue()
             tally.check(r in targets, "p={} q={} residue {} outside {} for a={!r}",
                         p, q, r, targets, a)
@@ -235,9 +237,9 @@ def check_residue_of_norms(config, tally):
 def _check_no_zero_products(tally, D, pairs, witness, **opts):
     """``pairs`` checks that two random nonzero elements of D have a nonzero
     ``relation_mul`` product; a draw with a zero factor counts and passes."""
+    draw = D.drawer(tally.rng, **opts)
     for _ in range(pairs):
-        d1 = D.random_element(tally.rng, **opts)
-        d2 = D.random_element(tally.rng, **opts)
+        d1, d2 = draw(), draw()
         tally.check(d1.is_known_zero() or d2.is_known_zero()
                     or not relation_mul(d1, d2).is_known_zero(), witness, d1, d2)
 
@@ -266,9 +268,10 @@ def check_division_certification(config, tally):
     _check_no_zero_products(tally, D, pair_trials, "zero product of nonzero pair: {!r} * {!r}",
                             n_terms=1, exp_lo=-2, exp_hi=4)
     invert_trials = max(1, config.trials // 5)
+    draw = D.drawer(tally.rng, n_terms=1, exp_lo=0, exp_hi=3)
     for _ in range(invert_trials):
         while True:
-            d = D.random_element(tally.rng, n_terms=1, exp_lo=0, exp_hi=3)
+            d = draw()
             if not d.is_known_zero():
                 break
         x = invert(d, target_precision=config.precision)
@@ -312,9 +315,9 @@ def check_structure_constants(config, tally):
         F = D.F
         consts = structure_constants(D)
         loaded = constants_from_json(constants_to_json(consts, F), F)
+        draw = D.drawer(tally.rng, **opts)
         for _ in range(per_algebra):
-            a = D.random_element(tally.rng, **opts)
-            b = D.random_element(tally.rng, **opts)
+            a, b = draw(), draw()
             expected = relation_mul(a, b).coords
             got = constants_mul(a.coords, b.coords, consts, F)
             got_loaded = constants_mul(a.coords, b.coords, loaded, F)
@@ -355,11 +358,11 @@ def check_albert_anisotropy(config, tally):
     tally.check(not cert["is_square"], "2 + 2X^2 reported square")
     K = QuadraticExtension(F, F.constant(witness))
     _count_sample(tally, anisotropy_sample_test(phi, K, albert_trials, tally.rng), "K")
+    draw = F.drawer(tally.rng, n_terms=2, exp_lo=-2, exp_hi=3)
     for _ in range(config.trials):
         tally.trials += 1
         while True:
-            summands = [F.random_element(tally.rng, n_terms=2, exp_lo=-2, exp_hi=3)
-                        for _ in range(tally.rng.randint(1, 4))]
+            summands = [draw() for _ in range(tally.rng.randint(1, 4))]
             if any(not s.is_known_zero() for s in summands):
                 break
         try:
@@ -374,18 +377,15 @@ def check_biquaternion(config, tally):
     """No zero divisors among sampled pairs in D1 (x) D2; associativity."""
     _, _, D1, D2, _ = albert_setup(precision=config.precision)
     B = tensor(D1, D2, BiquaternionElement)
-    opts = dict(n_terms=1, exp_lo=-1, exp_hi=2)
+    draw = B.drawer(tally.rng, n_terms=1, exp_lo=-1, exp_hi=2)
     pair_trials = 2 * config.trials
     for _ in range(pair_trials):
-        a = B.random_element(tally.rng, **opts)
-        b = B.random_element(tally.rng, **opts)
+        a, b = draw(), draw()
         tally.check(a.is_known_zero() or b.is_known_zero() or not (a * b).is_known_zero(),
                     "zero product in biquaternion algebra: {} {}", a.coords, b.coords)
     assoc_trials = max(1, config.trials // 2)
     for _ in range(assoc_trials):
-        a = B.random_element(tally.rng, **opts)
-        b = B.random_element(tally.rng, **opts)
-        c = B.random_element(tally.rng, **opts)
+        a, b, c = draw(), draw(), draw()
         lhs = (a * b) * c
         rhs = a * (b * c)
         tally.check(lhs == rhs, "associativity failure in biquaternion algebra")
@@ -432,10 +432,9 @@ def export_constants(algebra, path, rng=None):
         fh.write(text)
     with open(path) as fh:
         loaded = constants_from_json(fh.read(), F)
-    rng = rng or random.Random(0)
+    draw = algebra.drawer(rng or random.Random(0))
     for _ in range(10):
-        a = algebra.random_element(rng)
-        b = algebra.random_element(rng)
+        a, b = draw(), draw()
         expected = relation_mul(a, b).coords
         got = constants_mul(a.coords, b.coords, loaded, F)
         if not all(F.eq(x, y) for x, y in zip(expected, got)):

@@ -555,6 +555,28 @@ def test_constants_json_roundtrip():
                 assert R.eq(loaded.matrices[k][i][j], consts.matrices[k][i][j])
 
 
+def test_constants_json_parses_each_entry_string_once():
+    # the q = 3 table over F_7((t)) has 729 entries but 7 distinct strings;
+    # sharing the parsed values changes no entry
+    _, QXY, D1, D2, _ = albert_setup(precision=8)
+    H = hamilton_algebra()
+    for F, consts in ((R, structure_constants(D2ALG)), (QXY, tensor(D1, D2).constants),
+                      (H.F, structure_constants(H))):
+        text = constants_to_json(consts, F)
+        entries = [s for mat in json.loads(text)["matrices"] for row in mat for s in row]
+        loaded = constants_from_json(text, F)
+        got = [x for mat in loaded.matrices for row in mat for x in row]
+        assert len(got) == len(entries) and len(set(entries)) < len(entries)
+        assert len({id(x) for x in got}) == len(set(entries))  # one value per string
+        for x, s in zip(got, entries):
+            want = F.parse(s)
+            if isinstance(want, Series):
+                assert x.terms == want.terms and x.den == want.den
+                assert x.precision == want.precision
+            else:
+                assert type(x) is type(want) and x == want
+
+
 def test_hamilton_quaternions():
     H = hamilton_algebra()
     # u^2 = -1, X^2 = -1, Xu = -uX

@@ -11,12 +11,13 @@ This module imports no pytest, so it also runs on interpreters without it:
     PYTHONPATH=src python tests/test_draws.py
 """
 
+import functools
 import random
 from fractions import Fraction
 
-from cycdiv import (QQ, CyclicAlgebra, PrimeField, QuadraticExtension, RationalField, Series,
-                    SeriesDomain, albert_setup, hahn_tower_context, hamilton_algebra, laurent,
-                    laurent_context, nonsquare_witness)
+from cycdiv import (QQ, CyclicAlgebra, KummerContext, PrimeField, QuadraticExtension,
+                    RationalField, Series, SeriesDomain, albert_setup, hahn_tower_context,
+                    hamilton_algebra, laurent, laurent_context, nonsquare_witness)
 from cycdiv.series import _norm_exp
 
 
@@ -119,14 +120,72 @@ def _option_sets(domain):
 
 def check_rng_streams(draws=40):
     """Every domain and option set: the same stored forms, in the same order,
-    and the same generator state afterwards, as the reference."""
+    and the same generator state afterwards, as the reference; both one
+    ``random_element`` call per element and one drawer for the whole loop."""
     for seed, (name, domain) in enumerate(_domains()):
         for opts in _option_sets(domain):
-            ours, ref = random.Random(seed), random.Random(seed)
-            for _ in range(draws):
-                got, want = domain.random_element(ours, **opts), _reference(domain, ref, **opts)
-                assert _form(got) == _form(want), (name, opts, got, want)
-            assert ours.getstate() == ref.getstate(), (name, opts)
+            for per_loop in (False, True):
+                ours, ref = random.Random(seed), random.Random(seed)
+                if per_loop:
+                    draw = domain.drawer(ours, **opts)
+                    assert ours.getstate() == ref.getstate(), (name, opts)
+                else:
+                    draw = functools.partial(domain.random_element, ours, **opts)
+                for _ in range(draws):
+                    got, want = draw(), _reference(domain, ref, **opts)
+                    assert _form(got) == _form(want), (name, opts, per_loop, got, want)
+                assert ours.getstate() == ref.getstate(), (name, opts, per_loop)
+
+
+def check_interleaved_drawers(draws=30):
+    """Two drawers on one generator, with other draws between theirs (as the
+    claims' loops make them), follow the reference stream."""
+    _, QXY, _, _, _ = albert_setup(precision=20)
+    kummer = laurent_context(11, 5, precision=30)
+    a_opts, b_opts = {"n_terms": 2, "exp_lo": -2, "exp_hi": 3}, {"unit": True}
+    for seed in range(4):
+        ours, ref = random.Random(seed), random.Random(seed)
+        draw_a, draw_b = QXY.drawer(ours, **a_opts), kummer.drawer(ours, **b_opts)
+        for _ in range(draws):
+            got = [draw_a() for _ in range(ours.randint(1, 4))] + [draw_b()]
+            want = [_reference(QXY, ref, **a_opts) for _ in range(ref.randint(1, 4))]
+            want.append(_reference(kummer, ref, **b_opts))
+            assert _form(got) == _form(want), (seed, got, want)
+        assert ours.getstate() == ref.getstate(), seed
+
+
+class _OnesQ(RationalField):
+    """Q whose draws are all 1 and use no randomness."""
+
+    def random_element(self, rng, **opts):
+        return Fraction(1)
+
+
+class _SevensF(PrimeField):
+    """F_11 whose units are drawn from a ``randint(1, 7)``."""
+
+    def random_element(self, rng, nonzero=False):
+        return rng.randint(1, 7)
+
+
+def check_overrides_are_drawn():
+    """A domain that overrides ``random_element`` is drawn through the
+    override, alone, as a tower's coefficient field, as the base of a
+    quadratic extension and as the field of an algebra."""
+    ones, sevens = _OnesQ(), _SevensF(11)
+    for seed in range(6):
+        rng = random.Random(seed)
+        state = rng.getstate()
+        assert ones.drawer(rng, n_terms=2, exp_lo=-2, exp_hi=4)() == Fraction(1)
+        assert QuadraticExtension(ones, Fraction(2)).drawer(rng)() == (1, 1)
+        assert CyclicAlgebra(KummerContext(ones, 2, Fraction(-1), Fraction(-1)),
+                             Fraction(-1)).drawer(rng)().coords == (1,) * 4
+        assert rng.getstate() == state  # nothing drawn
+        s = laurent(ones, "X").drawer(rng, n_terms=4, nonzero=True)()
+        assert s.den == 1 and set(s.terms.values()) == {1}
+        t = laurent(sevens, "t").drawer(rng, n_terms=12, nonzero=True)()
+        assert set(t.terms.values()) <= set(range(1, 8))
+        assert len(laurent(laurent(ones, "X"), "Y").drawer(rng, nonzero=True)().terms) >= 1
 
 
 class _Guarded(random.Random):
@@ -164,10 +223,36 @@ def check_empty_ranges(seeds=12):
                 assert got == want, (domain, opts, seed, got, want)
                 assert got is ValueError or opts in sometimes, (domain, opts, seed)
                 assert ours.getstate() == ref.getstate(), (domain, opts, seed)
+                # a drawer raises when it is called, not when it is built
+                ours = _Guarded(seed)
+                draw = domain.drawer(ours, **opts)
+                assert ours.getstate() == _Guarded(seed).getstate(), (domain, opts, seed)
+                assert _outcome(lambda rng: draw(), ours) == want, (domain, opts, seed)
+                assert ours.getstate() == ref.getstate(), (domain, opts, seed)
+    # with no term to draw, an empty range raises before any draw
+    for domain in (F7, QXY):
+        for opts in always[2:]:
+            rng = _Guarded(0)
+            draw = domain.drawer(rng, **opts)
+            try:
+                draw()
+            except ValueError:
+                pass
+            else:
+                raise AssertionError(f"{opts}: no ValueError")
+            assert rng.getstate() == _Guarded(0).getstate(), opts
 
 
 def test_draws_match_the_reference_stream():
     check_rng_streams()
+
+
+def test_interleaved_drawers_match_the_reference_stream():
+    check_interleaved_drawers()
+
+
+def test_overrides_are_drawn():
+    check_overrides_are_drawn()
 
 
 def test_empty_ranges_raise_value_error():
@@ -177,5 +262,7 @@ def test_empty_ranges_raise_value_error():
 if __name__ == "__main__":
     import sys
     check_rng_streams()
+    check_interleaved_drawers()
+    check_overrides_are_drawn()
     check_empty_ranges()
     print(f"seeded draws match the reference under Python {sys.version.split()[0]}")
