@@ -34,17 +34,6 @@ Which route of :func:`kummer_mul` serves which context:
 
 Both routes skip exactly-zero coordinates only: a coordinate known only to
 an O-term bounds the precision of the products it enters.
-
-The oracle, :func:`norm_oracle`, multiplies a by sigma_0(a), ...,
-sigma_0^(q-1)(a) in turn.  Where ``kummer_mul`` takes the u-route and xi is
-an exact constant, it does so on u-series: one ``_to_u_series`` of a, each
-sigma_0^k(a) as that series with the coefficient of u^e times xi^(k*e mod q)
-(``_u_sigma``), q - 1 ``Series`` products, each cut per coordinate at the
-precision ``_product_precisions`` gives (the rule ``kummer_mul``'s u-route
-uses), and one ``_from_u_series`` at the end.  The result is the
-``kummer_mul`` chain's, stored form for stored form.  Every other context
-multiplies with ``kummer_mul``.  Either way the oracle shares no code with
-:func:`norm_formula`, which it checks.
 """
 
 import math
@@ -52,10 +41,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import anagram
-from .basefields import PrimeField, is_prime
+from .basefields import is_prime
 from .element import Element, FiniteAlgebra, monomial_label
 from .errors import CycdivError, PrecisionError
-from .series import INFINITY, SeriesDomain, _is_exactly, _primitive, _stored, hensel_qth_root
+from .series import (INFINITY, SeriesDomain, _is_exactly, _primitive, _stored, hensel_qth_root,
+                     product_precision)
 
 
 class KummerContext(FiniteAlgebra):
@@ -93,11 +83,6 @@ class KummerContext(FiniteAlgebra):
         self._u_field = None
         if isinstance(F, SeriesDomain) and F.group.p is None and _is_exactly(F, t, F.variable):
             self._u_field = SeriesDomain(F.coeff, "u")
-        # xi^0, ..., xi^(q-1) in the ring of k((u)) when xi is an exact constant
-        # there: norm_oracle then takes its conjugates on one u-series
-        self._u_xi_pows = None
-        if self._u_field is not None and _is_exactly(F, xi, F.constant(xi.coeffs.get(0, 1))):
-            self._u_xi_pows = [x.terms[0] for x in self._xi_pows]
 
     def __eq__(self, other):
         return other is self or (isinstance(other, KummerContext) and other.F == self.F
@@ -154,32 +139,20 @@ def _u_series_mul(a, b):
     if U is None:
         return None
     F, q = ctx.F, ctx.q
-    prec = _product_precisions(_bounds(F, a.coords), _bounds(F, b.coords), q)
-    product = _to_u_series(U, a.coords, q) * _to_u_series(U, b.coords, q)
-    return ctx.element(_from_u_series(F, product, q, prec))
-
-
-def _bounds(F, coords):
-    """(i, precision, valuation lower bound) of each coordinate b_i that is
-    not an exact zero, the precision INFINITY when b_i is EXACT."""
-    return [(i, INFINITY if b.precision is None else b.precision, b.valuation_lower_bound())
-            for i, b in enumerate(coords) if not F.is_zero(b)]
-
-
-def _product_precisions(a_bounds, b_bounds, q):
-    """The precision of each coordinate of a product in K, as the loop gives
-    it: the least, over the pairs (i, j) that reach it, of
-    ``product_precision(b_i, c_j)`` = min(p_i + v_j, p_j + v_i) on their
-    ``_bounds``, plus v(t) = 1 when i + j >= q."""
     prec = [INFINITY] * q
-    for i, pa, va in a_bounds:
-        for j, pb, vb in b_bounds:
-            k, p = i + j, min(pa + vb, pb + va)
+    for i, ai in enumerate(a.coords):
+        if F.is_zero(ai):
+            continue
+        for j, bj in enumerate(b.coords):
+            if F.is_zero(bj):
+                continue
+            k, p = i + j, product_precision(ai, bj)
             if k >= q:
                 k, p = k - q, p + 1
             if p < prec[k]:
                 prec[k] = p
-    return prec
+    product = _to_u_series(U, a.coords, q) * _to_u_series(U, b.coords, q)
+    return ctx.element(_from_u_series(F, product, q, prec))
 
 
 def _to_u_series(U, coords, q):
@@ -225,16 +198,12 @@ def galois_sigma(a, k):
 
 
 def _u_sigma(s, k, xi_pows):
-    """sigma_0^k of the u-series s: the coefficient of u^e times
-    ``xi_pows[k*e mod q]``, the powers xi^0, ..., xi^(q-1) in the ring of s's
-    domain (or c times them over F_p, which gives c*sigma_0^k(s))."""
-    q, ring, terms = len(xi_pows), s.domain.ring, s.terms
-    if type(ring) is PrimeField:
-        p = ring.p
-        return _stored(s.domain, {e: c * xi_pows[k * e % q] % p for e, c in terms.items()}, 1,
-                       s.precision)
-    return _stored(s.domain, {e: ring.mul(xi_pows[k * e % q], c) for e, c in terms.items()},
-                   s.den, s.precision)
+    """sigma_0^k of the u-series s over F_p: the coefficient of u^e times
+    ``xi_pows[k*e mod q]``, the powers xi^0, ..., xi^(q-1) as ints mod p (or
+    c times them, which gives c*sigma_0^k(s))."""
+    q, p = len(xi_pows), s.domain.ring.p
+    return _stored(s.domain, {e: c * xi_pows[k * e % q] % p for e, c in s.terms.items()}, 1,
+                   s.precision)
 
 
 def norm_oracle(a):
@@ -244,49 +213,15 @@ def norm_oracle(a):
     known coefficient); anything else is an arithmetic bug, not noise.
     """
     ctx = a.context
-    F, q = ctx.F, ctx.q
-    coords = _u_conjugate_product(a)
-    if coords is None:
-        prod = a
-        for k in range(1, q):
-            prod = kummer_mul(prod, galois_sigma(a, k))
-        coords = prod.coords
-    for i in range(1, q):
-        if not F.is_known_zero(coords[i]):
+    prod = a
+    for k in range(1, ctx.q):
+        prod = kummer_mul(prod, galois_sigma(a, k))
+    F = ctx.F
+    for i in range(1, ctx.q):
+        if not F.is_known_zero(prod.coords[i]):
             raise CycdivError(
-                f"norm product has a nonvanishing u^{i} coordinate: {F.to_str(coords[i])}")
-    return coords[0]
-
-
-def _u_conjugate_product(a):
-    """The coordinates of a * sigma_0(a) * ... * sigma_0^(q-1)(a), multiplied
-    in that order on u-series in k((u)), or None when ``kummer_mul`` takes
-    the loop or xi is no exact constant (see the module docstring).  Each
-    product is cut per coordinate where ``kummer_mul`` cuts it, so the
-    result is the ``kummer_mul`` chain's, stored form for stored form."""
-    ctx = a.context
-    xi_pows = ctx._u_xi_pows
-    if xi_pows is None:
-        return None
-    F, q = ctx.F, ctx.q
-    a_bounds = bounds = _bounds(F, a.coords)
-    s = prod = _to_u_series(ctx._u_field, a.coords, q)
-    for k in range(1, q):
-        prec = _product_precisions(bounds, a_bounds, q)
-        prod = prod * _u_sigma(s, k, xi_pows)
-        low, terms = [INFINITY] * q, {}
-        for e, c in prod.terms.items():
-            te, i = divmod(e, q)
-            if te < prec[i]:
-                terms[e] = c
-                if te < low[i]:
-                    low[i] = te
-        # over Q the content is divided out by the next product and by
-        # _from_u_series, so the cut keeps the product's denominator
-        prod = _stored(s.domain, terms, prod.den, None)
-        bounds = [(i, p, min(v, p)) for i, (p, v) in enumerate(zip(prec, low))
-                  if p != INFINITY or v != INFINITY]
-    return _from_u_series(F, prod, q, prec)
+                f"norm product has a nonvanishing u^{i} coordinate: {F.to_str(prod.coords[i])}")
+    return prod.coords[0]
 
 
 def norm_formula(a, with_class_size_factor=False):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cycdiv import (KummerContext, PrimeField, QQ, SeriesDomain, galois_sigma, is_norm, laurent,
                     norm_formula, norm_oracle, norm_valuation)
 from cycdiv.errors import CycdivError, PrecisionError
-from cycdiv.kummer import _u_conjugate_product, _u_series_mul, kummer_mul
+from cycdiv.kummer import _u_series_mul, kummer_mul
 from cycdiv.verify import hahn_tower_context, hamilton_algebra, laurent_context
 from test_series_kernels import canonical, identical
 
@@ -265,79 +265,3 @@ def test_other_contexts_take_the_loop():
                 assert list(got) == want
             else:
                 assert all(identical(g, w) for g, w in zip(got, want))
-
-
-# -- norm_oracle: the conjugates on one u-series against the kummer_mul chain ---
-
-def ref_conjugate_product(a):
-    """The kummer_mul chain: a * sigma_0(a) * ... * sigma_0^(q-1)(a), one
-    product in K after the other."""
-    prod = a
-    for k in range(1, a.context.q):
-        prod = kummer_mul(prod, galois_sigma(a, k))
-    return prod.coords
-
-
-def same_stored_form(got, want):
-    """The same ``terms``, ``den`` and ``precision``, coordinate by coordinate
-    (a tower's coefficients compare structurally under ``==``)."""
-    return len(got) == len(want) and all(
-        g.terms == w.terms and g.den == w.den and g.precision == w.precision
-        for g, w in zip(got, want))
-
-
-# F_p((t)) with (p, q) = (7, 3), (13, 3), (11, 5) and (7, 2); Q((t)) with q = 2
-# and the tower F_7((x))((t)) with q = 3, where kummer_mul takes the u-route
-ORACLE_CONTEXTS = [laurent_context(p, q, precision=30)
-                   for p, q in ((7, 3), (13, 3), (11, 5), (7, 2))] + U_CONTEXTS[2:]
-
-
-@pytest.mark.parametrize("case", range(len(ORACLE_CONTEXTS)))
-def test_u_conjugate_product_matches_the_kummer_mul_chain(case):
-    ctx = ORACLE_CONTEXTS[case]
-    rng = random.Random(100 + case)
-    for precision in (None, 5, 12, 30):
-        draw = ctx.drawer(rng, n_terms=3, exp_lo=-3, exp_hi=8, precision=precision)
-        for _ in range(25):
-            a = draw()
-            want = ref_conjugate_product(a)
-            got = _u_conjugate_product(a)
-            assert same_stored_form(got, want), (a, got, want)
-            assert norm_oracle(a) == want[0]
-
-
-@pytest.mark.parametrize("case", range(len(ORACLE_CONTEXTS)))
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_u_conjugate_product_on_o_terms_and_dense_coordinates(case, data):
-    # exact zeros, bare O-terms, dense coordinates and, over the tower,
-    # inner O-terms: every product is cut where kummer_mul cuts it
-    ctx = ORACLE_CONTEXTS[case]
-    F = ctx.F
-    inner_o_terms = isinstance(F.coeff, SeriesDomain) and data.draw(st.booleans())
-    a = ctx.element([coordinate(data.draw, F, inner_o_terms) for _ in range(ctx.q)])
-    got = _u_conjugate_product(a)
-    assert same_stored_form(got, ref_conjugate_product(a))
-    assert all(canonical(g) for g in got)
-
-
-def test_norm_oracle_falls_back_to_the_kummer_mul_chain():
-    # a Q base (no series), a Hahn tower and t not the variable take the loop;
-    # so does xi with an O-term, though kummer_mul takes the u-route there
-    hahn = hahn_tower_context(7, 3, precision=4)
-    H = hamilton_algebra().kummer
-    other_t = KummerContext(R, 3, R.parse("t + t^2"), R.from_int(2))
-    rough_xi = KummerContext(R, 3, R.variable, R.parse("2 + O(t^30)"))
-    assert rough_xi._u_field is not None
-    rng = random.Random(17)
-    for ctx in (hahn, H, other_t, rough_xi):
-        assert ctx._u_xi_pows is None
-        draw = ctx.drawer(rng)
-        for _ in range(5):
-            a = draw()
-            assert _u_conjugate_product(a) is None
-            want = ref_conjugate_product(a)
-            if ctx is H:
-                assert norm_oracle(a) == want[0]
-            else:
-                assert identical(norm_oracle(a), want[0])
