@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from .element import Element, FiniteAlgebra, monomial_label
 from .errors import CycdivError, DomainMismatchError, ZeroDivisorError
 from .kummer import KummerContext, _from_u_series, _to_u_series, _u_sigma, is_norm
-from .linalg import _SLACK, _is_term_field, solve_linear
+from .linalg import _SLACK, solve_linear
 from .flat import _flat_bounds, _flat_levels, _flat_sum, _FlatVector
 from .series import _stored
 
@@ -102,10 +102,6 @@ class CyclicAlgebra(FiniteAlgebra):
 
     def mul(self, a, b):
         return relation_mul(a, b)
-
-    def from_kummer(self, a):
-        """Embed K = F(u) as the X^0 slice, where u^i has index i."""
-        return self.element(list(a.coords) + [self.F.zero] * (self.n - self.q))
 
     @property
     def u(self):
@@ -398,7 +394,8 @@ def _k_route(d):
     """Whether ``invert`` solves over K = F_p((u)): d lies in a cyclic algebra
     whose K is that Laurent field, and d and alpha are EXACT."""
     A = d.algebra
-    return (isinstance(A, CyclicAlgebra) and _is_term_field(A.kummer._u_field)
+    return (isinstance(A, CyclicAlgebra) and A.kummer._u_field is not None
+            and A.kummer._u_field._laurent_p
             and A.alpha.is_exact and all(c.is_exact for c in d.coords))
 
 

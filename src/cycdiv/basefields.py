@@ -50,6 +50,9 @@ class Domain:
     """Protocol base for coefficient domains.  Values are immutable."""
 
     characteristic = 0
+    # p when the domain is the Laurent field F_p((t)), which the F_p kernel
+    # of ``series`` serves
+    _laurent_p = None
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))

@@ -3,45 +3,39 @@
 ``solve_linear`` and ``kernel_vector`` run one elimination core,
 ``_eliminate``, on the augmented rows ``[M | rhs]`` (a kernel has no
 right-hand side).  The core owns the pivot search, the row swaps and the
-live columns; a *route* brings the entry representation, ``forward``
-(reduce only the rows below the pivot, not every other row, and go on past
-a column without a pivot) and two row operations, ``scale_row`` (invert the
-pivot, scale the pivot row) and ``reduce_row`` (``row[j] -= f * prow[j]``
-on the live columns).
+live columns; a *route* brings ``forward`` (reduce only the rows below the
+pivot, not every other row, and go on past a column without a pivot) and
+two row operations, ``scale_row`` (invert the pivot, scale the pivot row)
+and ``reduce_row`` (``row[j] -= f * prow[j]`` on the live columns).
 
-Which route serves which call:
+Two routes, over every domain, on one arithmetic: the entries are the
+domain's own elements (``Series`` in a series domain), combined with its
+own operations.  Over F_p((t)) (a prime field, value group Z) a sum of
+products is formed by the F_p kernel of ``series``,
+``series._fp_products``: it adds each product, by Kronecker substitution
+when dense and a schoolbook loop on ints otherwise, into one unreduced
+{exponent: int} map, with no ``Series`` per product; the map is reduced
+mod p once, by ``series._fp_series``.  Each series keeps its packs, so a
+pivot row entry is packed once per pivot step and a multiplier once per
+row, not once per product.  The results are those of the ``Series``
+operators, stored form for stored form.
 
-* The truncated solve, Gauss–Jordan in the domain: series entries are
-  truncated to the working precision plus a slack, the pivot is an entry of
-  least valuation, and it is inverted to the precision its O-term allows.
-
-  - Term maps, over F_p((t)): a ``SeriesDomain`` whose ``ring`` is a
-    ``PrimeField`` and whose value group is Z (``_TermSolve``).  Each entry
-    is a ``_Terms``, an ``{exponent: int}`` map with its precision and
-    valuation bound.  Dense operands are multiplied by Kronecker
-    substitution, with the density rule of ``series._kronecker_mul``; each
-    entry keeps its packed int, so a pivot row entry is packed once per
-    pivot step and a multiplier once per row, not once per product.  Sparse
-    operands take the schoolbook loop.  No ``Series`` is built until the
-    result.  ``row[j] -= f*prow[j]`` adds the term products straight into
-    ``row[j]``'s map, reduces mod p once, and cuts at the precision
-    ``series.product_precision`` gives; the pivot is inverted by
-    ``Series.invert``.  The steps follow the rule of ``Series.__mul__`` and
-    ``Series.__sub__``, so they give the same stored series as the loop.
-  - The loop (``_Loop``), in the arithmetic of the domain itself: Hahn
-    fields, towers, Q((t)) and base fields such as Q.
+* The truncated solve (``_Loop``), Gauss–Jordan in the domain: series
+  entries are truncated to the working precision plus a slack, the pivot
+  is an entry of least valuation, and it is inverted to the precision its
+  O-term allows.  Over F_p((t)) ``row[j] -= f*prow[j]`` is one map per
+  entry, cut at the precision ``x - f*b`` has in ``Series`` arithmetic.
 
 * Every kernel, and the solve with ``fraction_free=True`` (``_Bareiss``):
   forward fraction-free elimination (Bareiss 1968) on entries EXACT at
   every level, then fraction-free back-substitution, every division exact.
   Every entry stays a minor of [M | rhs], so nothing swells past Cramer's
   bound, and the determinant decides singularity exactly.  A kernel is the
-  Cramer kernel, r x r minors with r the rank.  The entry arithmetic comes
-  from the domain: over F_p((t)) the term maps above (``_TermBareiss``),
-  divided by long division on their lowest terms; elsewhere the domain's
-  own products and sums, divided by ``_divide``: long division on the
-  lowest terms in a series domain, the coefficients divided one level down
-  in a tower, and a * b^-1 in a base field.  The solve serves EXACT
+  Cramer kernel, r x r minors with r the rank.  A step forms
+  -((-piv)*row[j] + f*prow[j]) (over F_p((t)) on one map) and divides it
+  by ``_divide``: a * b^-1 in a base field, long division on the lowest
+  terms in a series domain, dense on a list of ints over F_p((t)), the
+  coefficients divided one level down in a tower.  The solve serves EXACT
   F_p((t)) systems: x_l = N_l * det^-1, one ``Series.invert``, cut at the
   requested precision.  [M | rhs] is eliminated once: a singular M's
   kernel is read off the same rows.  ``algebra.invert`` in a cyclic algebra
@@ -51,8 +45,8 @@ Which route serves which call:
 
 A multiplier f known only to an O-term is no zero: ``f*prow[j]`` is known to
 no term, but it is known only to ``product_precision(f, prow[j])``, which
-bounds what is known of ``row[j]`` after the step.  Both truncated routes
-apply that bound without a product; they skip only exact zeros.
+bounds what is known of ``row[j]`` after the step.  The truncated solve
+applies that bound without a product; it skips only exact zeros.
 
 A pivot step on column c reads column c and then writes only the live
 columns: those right of c (the right-hand side with them, until a column
@@ -73,12 +67,10 @@ PrecisionError on a matrix with an entry truncated at any level, and
 
 from bisect import insort
 from functools import reduce
-from operator import attrgetter
 
-from .basefields import PrimeField
 from .errors import CycdivError, PrecisionError, ZeroDivisorError
-from .series import (_KRONECKER_DENSITY, INFINITY, Series, SeriesDomain, _pack, _slot_width,
-                     _slots, _stored, product_precision)
+from .series import (INFINITY, Series, SeriesDomain, _fp_products, _fp_series, _layout, _stored,
+                     product_precision)
 
 # precision beyond the requested one that a series solve works at
 _SLACK = 10
@@ -96,10 +88,6 @@ def _square(matrix, rhs=None):
 
 def _first(value):
     return 0
-
-
-def _same(value):
-    return value
 
 
 def _exact(rows):
@@ -149,16 +137,16 @@ def _eliminate(rows, route):
 
 
 class _Loop:
-    """The loop route of the truncated solve: entries are elements of the
-    field ``domain``, combined with its own operations."""
+    """The truncated solve: Gauss–Jordan on elements of the field
+    ``domain``.  Over F_p((t)) ``row[j] -= f*prow[j]`` adds the products
+    into one unreduced int map by ``series._fp_products`` and builds one
+    ``Series`` per entry; elsewhere it uses the domain's operations."""
 
     forward = False
 
     def __init__(self, domain, pivot_key, invert):
         self.domain, self.pivot_key, self.invert = domain, pivot_key, invert
         self.is_known_zero, self.is_zero = domain.is_known_zero, domain.is_zero
-
-    series = staticmethod(_same)
 
     def scale_row(self, row, col, live):
         mul = self.domain.mul
@@ -175,88 +163,22 @@ class _Loop:
                 if prec != INFINITY:  # f*0 is an exact zero
                     row[j] = row[j].truncate(prec)
             return
-        mul, sub = self.domain.mul, self.domain.sub
+        domain = self.domain
+        if not domain._laurent_p:
+            mul, sub = domain.mul, domain.sub
+            for j in live:
+                row[j] = sub(row[j], mul(f, prow[j]))
+            return
+        # x - f*b, cut where Series arithmetic cuts it: every entry is
+        # truncated, and the kernel keeps the lowest exponents of f and b
+        pf, lf = f.precision, _layout(f)[0]
         for j in live:
-            row[j] = sub(row[j], mul(f, prow[j]))
-
-
-def _is_term_field(domain):
-    """Whether ``domain`` is F_p((t)), which the term-map route serves."""
-    return (isinstance(domain, SeriesDomain) and type(domain.ring) is PrimeField
-            and domain.group.p is None)
-
-
-class _Terms:
-    """A term-map entry: ``terms`` {exponent: int in [1, p)}, its precision
-    (INFINITY for EXACT) and its valuation lower bound ``low``.  Its exponent
-    span and its Kronecker packings, by slot width, are made on first use
-    and kept: a pivot row entry or a multiplier is packed once for all the
-    products it enters.  ``terms`` is not changed once it has been read as
-    an operand."""
-
-    __slots__ = ("terms", "prec", "low", "_span", "_packs")
-
-    def __init__(self, terms, prec=INFINITY):
-        self.terms, self.prec = terms, prec
-        self.low = min(terms) if terms else prec
-        self._span = self._packs = None
-
-    def span(self):
-        if self._span is None:
-            self._span = max(self.terms) - self.low + 1
-        return self._span
-
-    def packed(self, width, p):
-        """The int whose ``width``-byte slot i holds the coefficient at low + i."""
-        if self._packs is None:
-            self._packs = {}
-        packed = self._packs.get(width)
-        if packed is None:
-            packed = self._packs[width] = _pack(self.terms, self.low, self.span(), width, p)
-        return packed
-
-
-def _add_products(out, a, b, p, prec, sign):
-    """Add ``sign`` times the terms of a*b below ``prec`` into the map ``out``,
-    unreduced mod p, and return it; a and b are nonzero ``_Terms``.  Dense
-    operands (the density rule of ``series._kronecker_mul``) are multiplied
-    by Kronecker substitution, the others term by term."""
-    ta, tb = a.terms, b.terms
-    la, lb = len(ta), len(tb)
-    get = out.get
-    # a cheap necessary condition first: the spans are at least la and lb
-    if la * lb > _KRONECKER_DENSITY * (la + lb):
-        na, nb = a.span(), b.span()
-        width = _slot_width(min(la, lb) * (p - 1) ** 2)
-        if la * lb > _KRONECKER_DENSITY * (na + nb) and width is not None:
-            lo = a.low + b.low
-            n = min(na + nb - 1, prec - lo)
-            if n > 0:
-                slots = enumerate(_slots(a.packed(width, p) * b.packed(width, p),
-                                         na + nb - 1, width, n), lo)
-                if sign > 0:
-                    for e, c in slots:
-                        if c:
-                            out[e] = get(e, 0) + c
-                else:
-                    for e, c in slots:
-                        if c:
-                            out[e] = get(e, 0) - c
-            return out
-    if la > lb:
-        ta, tb = tb, ta
-    for e1, c1 in ta.items():
-        c1 *= sign
-        for e2, c2 in tb.items():
-            e = e1 + e2
-            if e < prec:
-                out[e] = get(e, 0) + c1 * c2
-    return out
-
-
-def _reduced(terms, p, prec=INFINITY):
-    """``terms`` reduced mod p, without zeros and exponents from ``prec`` on."""
-    return {e: r for e, c in terms.items() if e < prec and (r := c % p)}
+            x, b = row[j], prow[j]
+            if b.terms:
+                prec = min(x.precision, pf + _layout(b)[0], b.precision + lf)
+                row[j] = _fp_series(domain, _fp_products(dict(x.terms), f, b, -1, prec), prec)
+            elif (prec := b.precision + lf) < x.precision:
+                row[j] = x.truncate(prec)
 
 
 def _invert_pivot(v, work):
@@ -266,93 +188,35 @@ def _invert_pivot(v, work):
     return v.invert(min(work, achievable))
 
 
-class _TermSolve:
-    """The term-map route of the truncated solve over F_p((t)); an entry is
-    a ``_Terms``."""
-
-    forward = False
-
-    def __init__(self, domain, work):
-        self.domain, self.p, self.work = domain, domain.ring.p, work
-
-    def entry(self, s):
-        """The entry of ``s`` truncated to the working precision."""
-        prec = self.work if s.precision is None else min(s.precision, self.work)
-        return _Terms({e: c for e, c in s.terms.items() if e < prec}, prec)
-
-    def series(self, x):
-        return _stored(self.domain, x.terms, 1, None if x.prec == INFINITY else x.prec)
-
-    @staticmethod
-    def is_known_zero(x):
-        return not x.terms
-
-    @staticmethod
-    def is_zero(x):
-        return not x.terms and x.prec == INFINITY
-
-    pivot_key = staticmethod(attrgetter("low"))
-
-    def scale_row(self, row, col, live):
-        inv = _invert_pivot(self.series(row[col]), self.work)
-        pinv, p = _Terms(inv.terms, INFINITY if inv.precision is None else inv.precision), self.p
-        for j in live:
-            b = row[j]
-            prec = min(pinv.prec + b.low, b.prec + pinv.low)
-            out = {}
-            if b.terms:
-                _add_products(out, pinv, b, p, prec, 1)
-                out = _reduced(out, p)
-            row[j] = _Terms(out, prec)
-
-    def reduce_row(self, row, f, prow, live):
-        p = self.p
-        for j in live:
-            x, b = row[j], prow[j]
-            # the precision of f*prow[j] bounds row[j], even with no term
-            prec = min(x.prec, f.prec + b.low, b.prec + f.low)
-            t = x.terms
-            if f.terms and b.terms:
-                _add_products(t, f, b, p, prec, -1)
-                t = _reduced(t, p, prec)
-            elif prec < x.prec:
-                t = {e: c for e, c in t.items() if e < prec}
-            else:
-                continue
-            row[j] = _Terms(t, prec)
-
-
-def _exact_quotient(a, b, p):
-    """a / b for term maps (Laurent polynomials over F_p) where b divides a:
-    long division on the lowest terms, with a check that nothing remains."""
-    lb = min(b)
-    inv = pow(b[lb], -1, p)
-    if len(b) == 1:
-        return {e - lb: c * inv % p for e, c in a.items()}
-    la = min(a)
-    r = [0] * (max(a) - la + 1)
-    for e, c in a.items():
-        r[e - la] = c
-    rest = [(e - lb, c) for e, c in b.items() if e != lb]
-    n = max(len(r) - (max(b) - lb), 0)
-    out = {}
-    for i in range(n):
-        if c := r[i] % p * inv % p:
-            out[la - lb + i] = c
-            for k, cb in rest:
-                r[i + k] -= c * cb
-    if any(c % p for c in r[n:]):
-        raise CycdivError("inexact division in fraction-free elimination")
-    return out
-
-
 def _divide(domain, a, b):
     """a / b for elements EXACT at every level, where b divides a: a * b^-1
     in a base field; in a series domain long division on the lowest terms,
-    whose coefficients are divided by the same rule one level down, with a
-    check that the quotient ends where an exact one must."""
+    with a check that nothing remains.  Over F_p((t)) the division is dense,
+    on a list of ints reduced mod p once per quotient term; in a tower the
+    coefficients are divided by the same rule one level down."""
     if not isinstance(domain, SeriesDomain):
         return domain.mul(a, domain.invert(b))
+    if p := domain._laurent_p:
+        ta, tb = a.terms, b.terms
+        lb = min(tb)
+        inv = pow(tb[lb], -1, p)
+        if len(tb) == 1:
+            return _stored(domain, {e - lb: c * inv % p for e, c in ta.items()}, 1, None)
+        la = min(ta)
+        r = [0] * (max(ta) - la + 1)
+        for e, c in ta.items():
+            r[e - la] = c
+        rest = [(e - lb, c) for e, c in tb.items() if e != lb]
+        n = max(len(r) - (max(tb) - lb), 0)
+        out = {}
+        for i in range(n):
+            if c := r[i] % p * inv % p:
+                out[la - lb + i] = c
+                for k, cb in rest:
+                    r[i + k] -= c * cb
+        if any(c % p for c in r[n:]):
+            raise CycdivError("inexact division in fraction-free elimination")
+        return _stored(domain, out, 1, None)
     cd, bc, rest, out = domain.coeff, dict(b.coeffs), dict(a.coeffs), {}
     lb, last, todo = min(bc), max(rest) - max(bc), sorted(rest)
     for e in todo:  # ascending; an exponent met on the way is inserted past e
@@ -369,6 +233,21 @@ def _divide(domain, a, b):
     return domain.series(out)
 
 
+def _quotient(d, pairs, divisor):
+    """-(the sum of a*b over ``pairs``) / ``divisor``, which divides it, for
+    elements of ``d`` EXACT at every level; over F_p((t)) the products go
+    into one unreduced int map."""
+    if d._laurent_p:
+        out = {}
+        for a, b in pairs:
+            if a.terms and b.terms:
+                _fp_products(out, a, b, -1)
+        total = _fp_series(d, out)
+    else:
+        total = reduce(d.sub, (d.mul(a, b) for a, b in pairs), d.zero)
+    return total if d.is_zero(total) else _divide(d, total, divisor)
+
+
 class _Bareiss:
     """Fraction-free elimination (Bareiss 1968) of ``rows``, EXACT at every
     level, in the arithmetic of ``domain``: made with the forward elimination
@@ -382,39 +261,24 @@ class _Bareiss:
     forward = True
 
     def __init__(self, domain, rows):
-        self.domain, self.piv, self.prev = domain, self.entry(domain.one), None
-        self.rows = [list(map(self.entry, row)) for row in rows]
+        self.domain, self.piv, self.prev = domain, domain.one, None
+        self.is_known_zero = domain.is_zero
+        self.rows = [list(row) for row in rows]
         self.pivots, self.free = _eliminate(self.rows, self)
-
-    # the entry arithmetic: the domain's own, and the exact division
-
-    entry = series = staticmethod(_same)
-
-    def is_known_zero(self, x):
-        return self.domain.is_zero(x)
-
-    def neg(self, x):
-        return self.domain.neg(x)
-
-    def quotient(self, pairs, divisor):
-        """-(the sum of a*b over ``pairs``) / ``divisor``, which divides it."""
-        d = self.domain
-        total = reduce(d.sub, (d.mul(a, b) for a, b in pairs), d.zero)
-        return total if d.is_zero(total) else _divide(d, total, divisor)
-
-    # the route
 
     @staticmethod
     def is_zero(x):
         return False  # a row with f = 0 is still scaled by piv/prev
 
     def scale_row(self, row, col, live):
+        # -piv once per step: its packs serve every row below
         self.prev, self.piv = self.piv, row[col]
+        self.neg_piv = self.domain.neg(row[col])
 
     def reduce_row(self, row, f, prow, live):
-        neg_piv, prev = self.neg(self.piv), self.prev
+        d, neg_piv, prev = self.domain, self.neg_piv, self.prev
         for j in live:
-            row[j] = self.quotient(((neg_piv, row[j]), (f, prow[j])), prev)
+            row[j] = _quotient(d, ((neg_piv, row[j]), (f, prow[j])), prev)
 
     def back_substitute(self, col, value):
         """The x (a list over the columns of M) with x[col] = ``value``, 0 at
@@ -425,47 +289,10 @@ class _Bareiss:
         for c, r in sorted(((c, r) for c, r in self.pivots.items() if c < col), reverse=True):
             row = self.rows[r]
             if row[c] is value and len(x) == 1:  # row[c]*x[c] + row[col]*value = 0
-                x[c] = self.neg(row[col])
+                x[c] = self.domain.neg(row[col])
             else:
-                x[c] = self.quotient([(row[j], xj) for j, xj in x.items()], row[c])
-        return [x.get(c) or self.entry(self.domain.zero) for c in range(len(self.rows))]
-
-
-class _TermBareiss(_Bareiss):
-    """``_Bareiss`` over F_p((t)) on EXACT term maps (``_Terms``): products
-    by ``_add_products``, the exact division by ``_exact_quotient``.  A
-    reduction step works on the maps themselves, with no call per entry."""
-
-    is_known_zero = staticmethod(_TermSolve.is_known_zero)
-    series = _TermSolve.series
-
-    @staticmethod
-    def entry(s):
-        return _Terms(s.terms)
-
-    def neg(self, x):
-        p = self.domain.ring.p
-        return _Terms({e: p - c for e, c in x.terms.items()})
-
-    def reduce_row(self, row, f, prow, live):
-        p, piv, prev = self.domain.ring.p, self.piv, self.prev.terms
-        for j in live:
-            x, b = row[j], prow[j]
-            out = {}
-            if x.terms:
-                _add_products(out, piv, x, p, INFINITY, 1)
-            if f.terms and b.terms:
-                _add_products(out, f, b, p, INFINITY, -1)
-            out = _reduced(out, p)
-            row[j] = _Terms(_exact_quotient(out, prev, p) if out else out)
-
-    def quotient(self, pairs, divisor):
-        p, out = self.domain.ring.p, {}
-        for a, b in pairs:
-            if a.terms and b.terms:
-                _add_products(out, a, b, p, INFINITY, -1)
-        out = _reduced(out, p)
-        return _Terms(_exact_quotient(out, divisor.terms, p) if out else out)
+                x[c] = _quotient(self.domain, [(row[j], xj) for j, xj in x.items()], row[c])
+        return [x.get(c) or self.domain.zero for c in range(len(self.rows))]
 
 
 def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
@@ -479,7 +306,7 @@ def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
     too few terms) or when the exact matrix has no kernel.
 
     ``fraction_free`` is for EXACT M and rhs over F_p((t)), and raises
-    CycdivError on any other input: the ``_TermBareiss`` route, which decides
+    CycdivError on any other input: the ``_Bareiss`` route, which decides
     singularity exactly and never raises PrecisionError.  Back-substitution
     on [M | rhs], eliminated once, gives det*x_l = N_l (det up to sign), so
     x_l = N_l * det^-1 takes one ``Series.invert`` of det; each x_l is cut
@@ -491,30 +318,27 @@ def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
     if isinstance(domain, SeriesDomain) and precision is None:
         precision = domain.default_precision
     if fraction_free:
-        if not (_is_term_field(domain) and _exact(rows)):
+        if not (domain._laurent_p and _exact(rows)):
             raise CycdivError("a fraction-free solve needs EXACT entries over F_p((t))")
-        route = _TermBareiss(domain, rows)
+        route = _Bareiss(domain, rows)
         if route.free is not None:
             raise ZeroDivisorError("singular linear system",
                                    kernel=kernel_vector(domain, matrix, _eliminated=route))
         # [M | rhs] annihilates (-N, det): x_l = -nums[l] * det^-1, known past t^precision
         nums = route.back_substitute(n, route.piv)
-        low = min((x.low for x in nums if x.terms), default=0)
-        inv, p = _Terms(route.series(route.piv).invert(precision - low).terms), domain.ring.p
-        return [_stored(domain, _reduced(_add_products({}, x, inv, p, precision, -1), p), 1,
-                        precision) if x.terms else domain.zero for x in nums]
-    work = precision + _SLACK if isinstance(domain, SeriesDomain) else None
-    if _is_term_field(domain):
-        route = _TermSolve(domain, work)
-        rows = [[route.entry(e) for e in row] for row in rows]
-    elif work is not None:
+        low = min((min(x.terms) for x in nums if x.terms), default=0)
+        inv = route.piv.invert(precision - low)
+        return [_fp_series(domain, _fp_products({}, x, inv, -1, precision), precision)
+                if x.terms else domain.zero for x in nums]
+    if isinstance(domain, SeriesDomain):
+        work = precision + _SLACK
         rows = [[e.truncate(work) for e in row] for row in rows]
         route = _Loop(domain, Series.valuation_lower_bound, lambda v: _invert_pivot(v, work))
     else:
-        route = _Loop(domain, _first, domain.invert)
+        work, route = None, _Loop(domain, _first, domain.invert)
     _, free = _eliminate(rows, route)
     if free is None:
-        return [route.series(row[n]) for row in rows]
+        return [row[n] for row in rows]
     if not _exact(matrix):
         raise PrecisionError(f"no pivot in column {free} at working precision {work}, "
                              "and the truncated entries cannot decide singularity")
@@ -538,7 +362,7 @@ def kernel_vector(domain, matrix, _eliminated=None):
     if (route := _eliminated) is None:
         if not _exact(matrix):
             raise PrecisionError("a kernel needs a matrix EXACT at every level")
-        route = (_TermBareiss if _is_term_field(domain) else _Bareiss)(domain, matrix)
+        route = _Bareiss(domain, matrix)
     if route.free is None:
         return None
-    return [route.series(x) for x in route.back_substitute(route.free, route.piv)]
+    return route.back_substitute(route.free, route.piv)

@@ -18,14 +18,19 @@ Which kernel serves which domain:
   operand.  When one operand has a single term, over any coefficient
   domain and value group, the product shifts the other operand's exponents
   and scales its coefficients: one coefficient product per term, no
-  accumulation.  Over a prime field with value group Z, operands dense
-  enough that their term count product beats ``_KRONECKER_DENSITY`` times
-  their exponent spans are multiplied by Kronecker substitution: each
-  support is packed into one Python int, the ints are multiplied once, and
-  the coefficients below the product's precision bound are unpacked mod p.
-  Every other product (sparse operands, Z[1/p] exponents, Q or series
-  coefficients) uses the schoolbook loop.  All of them give the same
-  coefficients and precision, by the one rule ``product_precision``.
+  accumulation.  Over a prime field with value group Z every other
+  product takes the one F_p kernel, ``_fp_products``, which adds +-a*b
+  below a precision bound into an unreduced {exponent: int} map, reduced
+  mod p once by ``_fp_series``.  Operands dense enough that their term
+  count product beats ``_KRONECKER_DENSITY`` times their exponent spans are
+  multiplied by Kronecker substitution: each support is packed into one
+  Python int, the ints are multiplied once, and the slots below the bound
+  are unpacked; sparser ones take a schoolbook loop on ints.  Each series
+  keeps the packs made of it, one per slot width (``_packs``), each made
+  from all of its terms, so a series that enters many products is packed
+  once.  Every other product (Z[1/p] exponents, Q or series coefficients)
+  uses the schoolbook loop in the coefficient ring.  All of them give the
+  same coefficients and precision, by the one rule ``product_precision``.
 * Products in a Kummer field K = k((t))(u), u^q = t the variable.
   ``kummer.kummer_mul`` interleaves the coordinates into one EXACT series in
   u = t^(1/q), so one ``Series.__mul__`` (Kronecker over F_p when dense)
@@ -55,13 +60,14 @@ Which kernel serves which domain:
   Truncated inputs at any level, Z[1/p] exponents, a
   coefficient field as the domain and keys that would reach
   ``_FLAT_KEY_BITS`` keep the ``Series`` arithmetic.
-* Linear systems.  Over F_p((t)) ``linalg`` eliminates on the term maps
-  themselves, packed with ``_pack`` and unpacked with ``_slots`` when dense,
-  and builds each result once, at the precision ``product_precision`` gives.
-  Over every other domain it uses the series operators.  Over every domain
-  a kernel vector comes from fraction-free elimination of a matrix EXACT at
-  every level: its divisions are exact, long divisions on the lowest terms
-  that divide the coefficients of a tower one level down.
+* Linear systems.  ``linalg`` eliminates on ``Series`` over every domain.
+  Over F_p((t)) it forms each row update, x - f*b or a Bareiss sum
+  -(a*b + c*d), with the F_p kernel on one map and builds one series per
+  entry; each pivot row entry keeps its packs for the whole step.  Over
+  every domain a kernel vector comes from fraction-free elimination of a
+  matrix EXACT at every level: its divisions are exact, long divisions on
+  the lowest terms (dense over F_p((t))) that divide the coefficients of a
+  tower one level down.
 * Seeded draws.  ``drawer(rng, **opts)`` checks the options, computes the
   spans and sets up the coefficient domain's draw once (a tower's inner
   level gets one drawer of its own), and returns a function of no arguments
@@ -150,42 +156,73 @@ def _slot_width(bound):
     return None
 
 
-def _pack(coeffs, lo, n, width, p):
-    """The int whose ``width``-byte slot i holds the coefficient at lo + i."""
-    slots = array(_SLOT_CODES[width], bytes(n * width))
-    for e, c in coeffs.items():
-        slots[e - lo] = c % p
-    return int.from_bytes(slots, sys.byteorder)
+def _layout(s):
+    """(low, span, packs) of an F_p series with a term: its least exponent,
+    its exponent span and its Kronecker packs by slot width, kept on ``s``."""
+    if s._packs is None:
+        low = min(s.terms)
+        s._packs = (low, max(s.terms) - low + 1, {})
+    return s._packs
 
 
-def _slots(product, n, width, n_out):
-    """The first ``n_out`` ``width``-byte slots of ``product``, a product of
-    ``_pack`` ints that spans ``n`` slots."""
-    data = product.to_bytes(n * width, sys.byteorder)
-    return array(_SLOT_CODES[width], data[:n_out * width])
+def _packed(s, width, p):
+    """The int whose ``width``-byte slot i holds the coefficient of ``s`` at
+    low + i (see ``_layout``): made once per width, from all of its terms."""
+    low, span, packs = s._packs
+    if (packed := packs.get(width)) is None:
+        slots = array(_SLOT_CODES[width], bytes(span * width))
+        for e, c in s.terms.items():
+            slots[e - low] = c % p
+        packed = packs[width] = int.from_bytes(slots, sys.byteorder)
+    return packed
 
 
-def _kronecker_mul(ca, cb, p, prec):
-    """Product of two F_p coefficient maps with integer exponents, below
-    ``prec``, by Kronecker substitution; None when the supports are too
-    sparse for packing to pay or a slot would need more than 8 bytes."""
-    la, lb = len(ca), len(cb)
-    lo_a, lo_b = min(ca), min(cb)
-    if prec != INFINITY:
-        ca = {e: c for e, c in ca.items() if e + lo_b < prec}
-        cb = {e: c for e, c in cb.items() if e + lo_a < prec}
-        la, lb = len(ca), len(cb)
-        if not (ca and cb):
-            return {}
-    na, nb = max(ca) - lo_a + 1, max(cb) - lo_b + 1
-    width = _slot_width(min(la, lb) * (p - 1) ** 2)
-    if la * lb <= _KRONECKER_DENSITY * (na + nb) or width is None:
-        return None
-    lo = lo_a + lo_b
-    n_out = na + nb - 1 if prec == INFINITY else min(na + nb - 1, prec - lo)
-    slots = _slots(_pack(ca, lo_a, na, width, p) * _pack(cb, lo_b, nb, width, p),
-                   na + nb - 1, width, n_out)
-    return {lo + i: r for i, c in enumerate(slots) if (r := c % p)}
+def _fp_products(out, a, b, sign, prec=INFINITY):
+    """Add ``sign`` (1 or -1) times the terms of a*b below ``prec`` into
+    ``out``, an unreduced {exponent: int} map, and return it; a and b are
+    series over F_p((t)) with a term each.  Operands dense by the
+    ``_KRONECKER_DENSITY`` rule are multiplied by Kronecker substitution on
+    their kept packs, the others by a schoolbook loop on ints."""
+    ta, tb = a.terms, b.terms
+    la, lb = len(ta), len(tb)
+    get = out.get
+    # a cheap necessary condition first: the spans are at least la and lb
+    if la * lb > _KRONECKER_DENSITY * (la + lb):
+        (lo_a, na, _), (lo_b, nb, _) = _layout(a), _layout(b)
+        p = a.domain.ring.p
+        width = _slot_width(min(la, lb) * (p - 1) ** 2)
+        if la * lb > _KRONECKER_DENSITY * (na + nb) and width is not None:
+            lo, n = lo_a + lo_b, na + nb - 1
+            cut = min(n, prec - lo)
+            if cut > 0:
+                product = _packed(a, width, p) * _packed(b, width, p)
+                slots = array(_SLOT_CODES[width],
+                              product.to_bytes(n * width, sys.byteorder)[:cut * width])
+                if sign > 0 and not out:
+                    out.update(zip(range(lo, lo + cut), slots))
+                else:
+                    for e, c in enumerate(slots, lo):
+                        if c:
+                            out[e] = get(e, 0) + sign * c
+            return out
+    if la > lb:
+        ta, tb = tb, ta
+    for e1, c1 in ta.items():
+        c1 *= sign
+        for e2, c2 in tb.items():
+            e = e1 + e2
+            if e < prec:
+                out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def _fp_series(domain, out, prec=INFINITY):
+    """The series over F_p((t)) of the unreduced map ``out``, known below
+    ``prec``: reduced mod p once, without zeros and exponents from ``prec``
+    on."""
+    p = domain.ring.p
+    terms = {e: r for e, c in out.items() if e < prec and (r := c % p)}
+    return _stored(domain, terms, 1, None if prec == INFINITY else prec)
 
 
 def _newton_doubling(y, k, n, step):
@@ -285,11 +322,12 @@ class Series:
     ``terms`` maps exponents to stored coefficients: the coefficients
     themselves, or over Q their integer numerators over ``den`` (see the
     module docstring); ``coeffs`` gives them as coefficient-field elements.
-    Do not mutate ``terms`` after construction.  Built via the factory
+    Do not mutate ``terms`` after construction: over F_p((t)) the F_p
+    kernel keeps packs made from them (``_packs``).  Built via the factory
     methods on :class:`SeriesDomain`.
     """
 
-    __slots__ = ("domain", "terms", "den", "precision")
+    __slots__ = ("domain", "terms", "den", "precision", "_packs")
 
     def __init__(self, domain, coeffs, precision=None, _validate=True):
         """``coeffs`` maps exponents to coefficient-field elements;
@@ -322,6 +360,7 @@ class Series:
         self.terms = coeffs
         self.den = den
         self.precision = precision
+        self._packs = None
 
     # -- basic state ---------------------------------------------------
 
@@ -454,7 +493,6 @@ class Series:
         prec = product_precision(self, other)
         ring = self.domain.ring
         ca, cb = self.terms, other.terms
-        out = None
         if not (ca and cb):
             out = {}  # a known-zero operand: nothing but the precision to compute
         elif len(ca) == 1 or len(cb) == 1:
@@ -473,12 +511,9 @@ class Series:
                     e = e1 + e2
                     if e < prec and not czero(p := cmul(c1, c2)):
                         out[e] = p
-        # a cheap necessary condition for the density test of _kronecker_mul:
-        # the exponent spans are at least len(ca) + len(cb)
-        elif len(ca) * len(cb) > _KRONECKER_DENSITY * (len(ca) + len(cb)) \
-                and type(ring) is PrimeField and self.domain.group.p is None:
-            out = _kronecker_mul(ca, cb, ring.p, prec)
-        if out is None:
+        elif self.domain._laurent_p:  # the F_p kernel
+            return _fp_series(self.domain, _fp_products({}, self, other, 1, prec), prec)
+        else:
             cmul, cadd, czero = ring.mul, ring.add, ring.is_zero
             out = {}
             for e1, c1 in ca.items():
@@ -640,6 +675,7 @@ def _stored(domain, terms, den, precision):
     s.terms = terms
     s.den = den
     s.precision = precision
+    s._packs = None
     return s
 
 
@@ -662,6 +698,8 @@ class SeriesDomain(Domain):
         self.characteristic = coeff.characteristic
         # what the stored coefficients are multiplied and added in
         self.ring = _ZZ if isinstance(coeff, RationalField) else coeff
+        if type(coeff) is PrimeField and self.group.p is None:
+            self._laurent_p = coeff.p
         self.zero = Series(self, {}, None, _validate=False)
         self.one = Series(self, {0: coeff.one}, None, _validate=False)
 

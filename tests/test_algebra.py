@@ -33,8 +33,9 @@ def test_defining_relations():
     u3 = D.u * D.u * D.u
     assert (u3 - D.from_base(CTX.t)).is_known_zero()
     # X * b = sigma(b) * X for b in K
-    b = D.from_kummer(CTX.element([R.from_int(3), R.from_int(1), R.from_int(5)]))
-    sb = D.from_kummer(galois_sigma(CTX.element([R.from_int(3), R.from_int(1), R.from_int(5)]), 1))
+    k = CTX.element([R.from_int(3), R.from_int(1), R.from_int(5)])
+    b = D.element([*k.coords] + [R.zero] * (D.n - D.q))  # the X^0 slice
+    sb = D.element([*galois_sigma(k, 1).coords] + [R.zero] * (D.n - D.q))
     assert (D.X * b - sb * D.X).is_known_zero()
 
 

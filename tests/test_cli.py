@@ -204,6 +204,21 @@ def test_algebra_invert_over_k_golden_stdout(capsys):
     assert run(capsys, *argv, Q5_README_ZERO_DIVISOR)[:2] == (1, GOLDEN_Q5_KERNEL)
 
 
+# stdout of `algebra invert` for a q = 5 unit whose coordinates are truncated,
+# so that it is solved over F = F_11((t)), recorded before that solve ran on
+# Series arithmetic; it must stay byte-identical.  Pinned by its sha256
+# (16609 bytes).
+TRUNCATED_Q5_UNIT = ("1 + 3*t + O(t^100);2*t + O(t^100);0;0;0;0;t^2 + O(t^100);0;0;0;0;0;"
+                     "4 + O(t^100);0;0;0;0;0;0;0;0;0;0;0;5*t + O(t^100)")
+TRUNCATED_Q5_INVERSE_SHA256 = "ffa64804cd20c5a63b8d71f9863e1db2b72e261857af29f9e92ea5ffb9b8188c"
+
+
+def test_algebra_invert_truncated_unit_golden_stdout(capsys):
+    code, out, _ = run(capsys, "algebra", "invert", "--p", "11", "--q", "5", "--alpha", "3",
+                       "--prec", "100", "--d", TRUNCATED_Q5_UNIT)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == TRUNCATED_Q5_INVERSE_SHA256
+
+
 def test_algebra_constants_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "constants.json"
     code, out, _ = run(capsys, "algebra", "constants", "--alpha", "2",

@@ -1,9 +1,9 @@
 """The live-column elimination core against the full-width loops it replaced.
 
 ``ref_solve_linear`` is the Gauss–Jordan solve in plain ``Series`` (or
-base-field) arithmetic over every column.  The truncated solve, on either
-route (term maps over F_p((t)), the loop elsewhere), must give structurally
-identical results: the same inverse coordinates with the same O-terms and
+base-field) arithmetic over every column.  The truncated solve, the loop
+over every domain (on the F_p kernel of ``series`` over F_p((t))), must give
+structurally identical results: the same inverse coordinates with the same O-terms and
 the same errors, except that a matrix the truncated solve finds singular but
 that has no kernel is now a PrecisionError: an exact one that is singular
 only at the working precision, or one with an entry truncated at some level.
@@ -48,7 +48,7 @@ from cycdiv.linalg import kernel_vector, solve_linear
 from cycdiv.series import INFINITY, SeriesDomain
 from cycdiv.verify import albert_setup, hahn_tower_context
 
-from test_series_kernels import identical
+from test_series_kernels import identical, ref_add, ref_mul
 
 # -- references ---------------------------------------------------------------
 
@@ -396,7 +396,7 @@ SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 def entries(draw, domain, terms=3):
     """An entry: exact, truncated or known only to an O-term, with negative
     exponents; over F_p((t)) sometimes dense with 8 to 12 terms, so that the
-    term-map products take the Kronecker branch."""
+    F_p kernel's products take the Kronecker branch."""
     if domain is QQ:
         return draw(SMALL)
     exps = st.integers(-3, 6)
@@ -434,7 +434,7 @@ def small_systems(draw):
     return domain, matrix, rhs
 
 
-# cut one exponent too late, the term-map solve would keep 6*t below O(t)
+# cut one exponent too late, the truncated solve would keep 6*t below O(t)
 @example((FP7, [[FP7.parse("1 + t"), FP7.one, FP7.zero], [FP7.parse("1 + O(t)"), FP7.zero, FP7.zero],
                 [FP7.zero, FP7.zero, FP7.one]], [FP7.one, FP7.zero, FP7.zero]))
 @given(small_systems())
@@ -461,14 +461,21 @@ class RouteSpy:
         return seen
 
 
-def test_f_p_laurent_systems_take_the_term_maps(monkeypatch):
+def test_f_p_laurent_systems_take_the_loop_and_kernels_take_bareiss(monkeypatch):
+    """Over F_p((t)), as over every domain, the truncated solve takes
+    ``_Loop`` and every kernel, and the solve over K, ``_Bareiss``."""
     spy = RouteSpy(monkeypatch)
     D = split_algebra(7, 3)
     F = D.F
     unit = D.one + D.element([F.parse("t + 2*t^3")] * D.n)
+    truncated = D.element([F.parse("1 + t + O(t^2)")] + [F.parse("O(t^2)")] * (D.n - 1))
     zero_divisor = D.element([F.from_int(2)] + [F.zero] * (D.n - 1)) * (
         D.X - D.from_base(F.from_int(3)))
-    for d, routes in ((unit, ["_TermSolve"]), (zero_divisor, ["_TermSolve", "_TermBareiss"])):
+    # an exact zero divisor over F is eliminated twice: the truncated solve
+    # stops at its first column without a pivot, then kernel_vector
+    # eliminates M from the start
+    for d, routes in ((unit, ["_Loop"]), (truncated, ["_Loop"]),
+                      (zero_divisor, ["_Loop", "_Bareiss"])):
         matrix, rhs = left_mul_matrix(d), list(D.one.coords)
         check_against_references(F, matrix, rhs, kernels=False)
         assert spy.take() == routes  # the references make no _eliminate call
@@ -476,11 +483,16 @@ def test_f_p_laurent_systems_take_the_term_maps(monkeypatch):
     # certified kernel and is eliminated by no route
     matrix = left_mul_matrix(zero_divisor)
     assert same_kernel(F, matrix, kernel_vector(F, matrix), ref_cramer_kernel(F, matrix))
-    assert spy.take() == ["_TermBareiss"]
+    assert spy.take() == ["_Bareiss"]
     matrix = [[F.parse("1 + O(t^3)"), F.one], [F.one, F.one]]
     with pytest.raises(PrecisionError, match="EXACT at every level"):
         kernel_vector(F, matrix)
     assert spy.take() == []
+    # invert's solve over K = F_7((u)): one elimination, a unit's and a zero
+    # divisor's alike
+    for d, outcome in ((unit, "x"), (zero_divisor, "kernel")):
+        (got, _), domains = invert_outcome(d)
+        assert (got, domains) == (outcome, [D.kummer._u_field]) and spy.take() == ["_Bareiss"]
 
 
 def test_other_domains_take_the_loop(monkeypatch, capsys):
@@ -586,6 +598,107 @@ def test_tower_kernels_match_the_reference(inner, n):
     kernel = kernel_vector(T, matrix)
     assert same_kernel(T, matrix, kernel, ref_cramer_kernel(T, matrix))
     assert all(T.is_zero(sum((a * x for a, x in zip(row, kernel)), T.zero)) for row in matrix)
+
+
+# -- the F_p kernel in elimination ------------------------------------------------
+
+KERNEL_FIELDS = {7: laurent(PrimeField(7), "t", 30), 11: laurent(PrimeField(11), "t", 30)}
+
+
+@st.composite
+def kernel_entries(draw, R, exact=False):
+    """An entry over R = F_p((t)) for the F_p kernel: dense (a run of up to 45
+    exponents, a few of them zero), sparse (up to 8 terms over 3000
+    exponents), an O-term alone or the exact zero; valuations down to -10;
+    EXACT or truncated, unless ``exact``."""
+    p, lo = R.coeff.p, draw(st.integers(-10, 10))
+    kind = draw(st.sampled_from(["dense", "sparse", "O-term", "zero"]))
+    if kind == "zero" or kind == "O-term" and exact:
+        return R.zero
+    if kind == "O-term":
+        return R.series({}, lo)
+    if kind == "dense":  # short runs take slot width 1 over F_7, long ones width 2
+        n = draw(st.one_of(st.integers(1, 7), st.integers(8, 45)))
+        coeffs = {lo + i: draw(st.integers(0, p - 1)) for i in range(n)}
+    else:
+        coeffs = {e: draw(st.integers(1, p - 1))
+                  for e in draw(st.lists(st.integers(lo, lo + 3000), min_size=1, max_size=8))}
+    coeffs[lo] = draw(st.integers(1, p - 1))
+    precision = None if exact or draw(st.booleans()) else max(coeffs) + draw(st.integers(-5, 25))
+    return R.series(coeffs, precision)
+
+
+@st.composite
+def kernel_cases(draw):
+    """R = F_7((t)) or F_11((t)); x, y, b, f, g truncated at one working
+    precision, as the truncated solve's entries are; a, bb, c, d EXACT and v
+    EXACT and nonzero."""
+    R = KERNEL_FIELDS[draw(st.sampled_from([7, 11]))]
+    work = draw(st.integers(-5, 60))
+    truncated = [draw(kernel_entries(R)).truncate(work) for _ in range(5)]
+    exact = [draw(kernel_entries(R, exact=True)) for _ in range(4)]
+    return R, truncated, exact + [draw(kernel_entries(R, exact=True).filter(lambda s: s.terms))]
+
+
+def _dense(R, n, precision=None):
+    return R.series({i: 1 + i % 6 for i in range(n)}, precision)
+
+
+# over F_7 the 30-term f and a enter products at slot widths 1 and 2
+R7 = KERNEL_FIELDS[7]
+TWO_WIDTHS = (R7, [_dense(R7, n, 40) for n in (30, 5, 20, 30, 30)],
+              [_dense(R7, n) for n in (30, 3, 20, 5, 2)])
+
+
+@example(TWO_WIDTHS)
+@given(kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_fp_kernel_matches_references(case):
+    """x - f*b as the truncated solve forms it (``_Loop.reduce_row``), and the
+    Bareiss quotient -(sum of a*b)/v (``_quotient``), against ``ref_mul`` and
+    ``ref_add``, stored form for stored form.  Each operand enters more than
+    one product, at the slot widths its partners ask for, and one series is
+    both operands of a product."""
+    R, (x, y, b, f, g), (a, bb, c, d, v) = case
+    check_reduce_row(R, [x, y, b], f, g)
+    bv, cv, dv = ref_mul(bb, v), ref_mul(c, v), ref_mul(d, v)
+    # the sum is v*(a*bb + c*a + v*d*d): v divides it
+    got = linalg._quotient(R, ((a, bv), (cv, a), (dv, dv)), v)
+    want = ref_add(ref_add(ref_mul(a, bb), ref_mul(c, a)), ref_mul(v, ref_mul(d, d)))
+    assert identical(got, ref_add(R.zero, want, subtract=True))
+
+
+def check_reduce_row(R, prow, f, g):
+    """``_Loop.reduce_row`` of the row ``prow[1:] + [f]`` by f and then by g
+    on the pivot row ``prow``, each step against the references; the
+    entries of ``prow`` keep their packs from one step to the next."""
+    loop = linalg._Loop(R, Series.valuation_lower_bound, None)
+    row = [*prow[1:], f]
+    for m in (f, g):
+        want = [ref_add(x, ref_mul(m, b), subtract=True) for x, b in zip(row, prow)]
+        loop.reduce_row(row, m, prow, range(len(row)))
+        assert all(identical(got, w) for got, w in zip(row, want))
+
+
+FP7_TOWER = laurent(laurent(PrimeField(7), "x", 4), "t", 4)
+DIVIDE_DOMAINS = {"F_7((t))": FP7, "Q((t))": QT, "F_7((x))((t))": FP7_TOWER}
+
+
+@pytest.mark.parametrize("name, a, b", [
+    ("F_7((t))", "1 + t", "1 + 2*t"),  # a remainder past the quotient's end
+    ("F_7((t))", "3", "1 + t"),  # a dividend shorter than the divisor
+    ("F_7((t))", "t^(-2) + 5*t^4", "t^(-1) + t + t^3"),
+    ("Q((t))", "1 + t", "1 + 2*t"),
+    ("Q((t))", "1/2", "1 + t^2"),
+    ("F_7((x))((t))", "(1) + (x)*t", "(1) + (1)*t"),
+    ("F_7((x))((t))", "(1 + x)", "(1 + 2*x)"),  # the coefficients do not divide
+])
+def test_divide_refuses_a_pair_that_does_not_divide(name, a, b):
+    """``_divide``'s check that nothing remains: dense over F_7((t)), on the
+    lowest terms over Q((t)), and over a tower at either level."""
+    domain = DIVIDE_DOMAINS[name]
+    with pytest.raises(CycdivError, match="inexact division in fraction-free elimination"):
+        linalg._divide(domain, domain.parse(a), domain.parse(b))
 
 
 # -- the bugs -------------------------------------------------------------------------
@@ -960,7 +1073,7 @@ def test_fraction_free_solve_defaults_to_the_domain_precision():
     (FP7_DEFAULT, ["1 + t + O(t^2)"], ["1"]),
     # a truncated right-hand side was read as EXACT: 1 + O(t^10)
     (FP7_DEFAULT, ["1"], ["1 + O(t)"]),
-    # Q((t)) has no term maps: an AttributeError traceback
+    # the solve serves F_p((t)) only; over Q((t)) it was an AttributeError traceback
     (laurent(QQ, "t"), ["1 + t"], ["1"]),
 ], ids=["truncated entry", "truncated rhs", "Q((t))"])
 def test_fraction_free_solve_refuses_input_it_cannot_serve(domain, matrix, rhs):
@@ -971,7 +1084,7 @@ def test_fraction_free_solve_refuses_input_it_cannot_serve(domain, matrix, rhs):
 
 def test_exact_f_p_laurent_kernel_within_the_cramer_bound():
     """q = 5 over F_11((t)), alpha = 1, d = g*(X - 1) with g = 4*e14 + 5*e22:
-    never-reduced term-map fractions took 91 s for a kernel of
+    never-reduced fractions took 91 s for a kernel of
     ``left_mul_matrix(d)`` with entries of 61 979 terms.  The matrix has
     one-term entries of t-degree 0 or 1, so its r x r minors have t-degree
     at most r < 25; its Cramer kernel has entries of 5 terms, from
@@ -1098,7 +1211,7 @@ def test_one_elimination_per_invert_over_k(monkeypatch):
         got, domains = invert_outcome(d)
         assert got[0] == ("kernel" if zero_divisor else "x")
         assert domains == [d.algebra.kummer._u_field]
-        assert eliminations == ["_TermBareiss"]
+        assert eliminations == ["_Bareiss"]
         assert len(kernels) == (1 if zero_divisor else 0)
         eliminations.clear()
         kernels.clear()

@@ -24,7 +24,6 @@ from hypothesis import given, settings, strategies as st
 
 from cycdiv import INFINITY, PrimeField, QQ, Series, SeriesDomain, hahn, hensel_qth_root, laurent
 from cycdiv.errors import CycdivError, PrecisionError
-from cycdiv.series import _kronecker_mul
 from cycdiv.verify import albert_setup, hahn_tower_context
 
 # -- references ---------------------------------------------------------------
@@ -317,13 +316,15 @@ def test_known_zero_operands_match_references(data):
 
 
 def test_dense_operands_are_packed_and_sparse_ones_are_not():
+    """The F_p kernel keeps (low, span, {slot width: pack}) on each operand
+    it has laid out: a dense one gets a pack, a wide sparse one none."""
     R = LAURENT[7]
     dense = R.series({e: 1 + e % 6 for e in range(30)}, 30)
-    assert _kronecker_mul(dense.coeffs, dense.coeffs, 7, 30) is not None
     assert identical(dense * dense, ref_mul(dense, dense))
+    assert dense._packs[:2] == (0, 30) and list(dense._packs[2]) == [2]
     wide = R.series({1750 * i: 3 for i in range(8)})
-    assert _kronecker_mul(wide.coeffs, wide.coeffs, 7, INFINITY) is None
     assert identical(wide * wide, ref_mul(wide, wide))
+    assert wide._packs == (0, 12251, {})
 
 
 def test_packed_product_reduces_unreduced_coefficients():
