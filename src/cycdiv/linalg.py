@@ -15,7 +15,8 @@ products is formed by the F_p kernel of ``series``,
 ``series._fp_products``: it adds each product, by Kronecker substitution
 when dense and a schoolbook loop on ints otherwise, into one unreduced
 {exponent: int} map, with no ``Series`` per product; the map is reduced
-mod p once, by ``series._fp_series``.  Each series keeps its packs, so a
+mod p once, by ``series._fp_series`` or by the exact division that takes
+it.  Each series keeps its packs, so a
 pivot row entry is packed once per pivot step and a multiplier once per
 row, not once per product.  The results are those of the ``Series``
 operators, stored form for stored form.
@@ -32,12 +33,14 @@ operators, stored form for stored form.
   Every entry stays a minor of [M | rhs], so nothing swells past Cramer's
   bound, and the determinant decides singularity exactly.  A kernel is the
   Cramer kernel, r x r minors with r the rank.  A step forms
-  -((-piv)*row[j] + f*prow[j]) (over F_p((t)) on one map) and divides it
-  by ``_divide``: a * b^-1 in a base field, long division on the lowest
-  terms in a series domain, dense on a list of ints over F_p((t)), the
-  coefficients divided one level down in a tower.  The solve serves EXACT
-  F_p((t)) systems: x_l = N_l * det^-1, one ``Series.invert``, cut at the
-  requested precision.  [M | rhs] is eliminated once: a singular M's
+  -((-piv)*row[j] + f*prow[j]) and divides it exactly by ``_divide``:
+  a * b^-1 in a base field, long division on the lowest terms in a series
+  domain, the coefficients divided one level down in a tower.  Over
+  F_p((t)) the unreduced map is divided as it is, densely on a list of
+  ints (``_fp_divide``), with no ``Series`` before the quotient.  The
+  solve serves EXACT F_p((t)) systems: x_l = N_l * det^-1, one
+  ``Series.invert``, cut at the requested precision.  [M | rhs] is
+  eliminated once: a singular M's
   kernel is read off the same rows.  ``algebra.invert`` in a cyclic algebra
   over F_p((t)) with EXACT inputs solves a q x q system over K = F_p((u))
   so instead of the q^2 x q^2 one over F (see the ``cycdiv.algebra``
@@ -188,35 +191,43 @@ def _invert_pivot(v, work):
     return v.invert(min(work, achievable))
 
 
+def _fp_divide(domain, terms, b):
+    """The quotient over F_p((t)) of the unreduced int map ``terms`` (not
+    empty) by ``b``, EXACT, where b divides it: dense long division on a
+    list of ints, reduced mod p once per quotient term, with a check that
+    nothing remains."""
+    p, tb = domain._laurent_p, b.terms
+    lb = min(tb)
+    inv = pow(tb[lb], -1, p)
+    if len(tb) == 1:
+        return _stored(domain, {e - lb: r for e, c in terms.items() if (r := c * inv % p)}, 1, None)
+    la = min(terms)
+    r = [0] * (max(terms) - la + 1)
+    for e, c in terms.items():
+        r[e - la] = c
+    rest = [(e - lb, c) for e, c in tb.items() if e != lb]
+    n = max(len(r) - (max(tb) - lb), 0)
+    out = {}
+    for i in range(n):
+        if c := r[i] % p * inv % p:
+            out[la - lb + i] = c
+            for k, cb in rest:
+                r[i + k] -= c * cb
+    if any(c % p for c in r[n:]):
+        raise CycdivError("inexact division in fraction-free elimination")
+    return _stored(domain, out, 1, None)
+
+
 def _divide(domain, a, b):
     """a / b for elements EXACT at every level, where b divides a: a * b^-1
-    in a base field; in a series domain long division on the lowest terms,
-    with a check that nothing remains.  Over F_p((t)) the division is dense,
-    on a list of ints reduced mod p once per quotient term; in a tower the
-    coefficients are divided by the same rule one level down."""
+    in a base field, ``_fp_divide`` over F_p((t)); in any other series
+    domain long division on the lowest terms, whose coefficients are divided
+    by the same rule one level down, with a check that the quotient ends
+    where an exact one must."""
     if not isinstance(domain, SeriesDomain):
         return domain.mul(a, domain.invert(b))
-    if p := domain._laurent_p:
-        ta, tb = a.terms, b.terms
-        lb = min(tb)
-        inv = pow(tb[lb], -1, p)
-        if len(tb) == 1:
-            return _stored(domain, {e - lb: c * inv % p for e, c in ta.items()}, 1, None)
-        la = min(ta)
-        r = [0] * (max(ta) - la + 1)
-        for e, c in ta.items():
-            r[e - la] = c
-        rest = [(e - lb, c) for e, c in tb.items() if e != lb]
-        n = max(len(r) - (max(tb) - lb), 0)
-        out = {}
-        for i in range(n):
-            if c := r[i] % p * inv % p:
-                out[la - lb + i] = c
-                for k, cb in rest:
-                    r[i + k] -= c * cb
-        if any(c % p for c in r[n:]):
-            raise CycdivError("inexact division in fraction-free elimination")
-        return _stored(domain, out, 1, None)
+    if domain._laurent_p:
+        return _fp_divide(domain, a.terms, b)
     cd, bc, rest, out = domain.coeff, dict(b.coeffs), dict(a.coeffs), {}
     lb, last, todo = min(bc), max(rest) - max(bc), sorted(rest)
     for e in todo:  # ascending; an exponent met on the way is inserted past e
@@ -236,15 +247,14 @@ def _divide(domain, a, b):
 def _quotient(d, pairs, divisor):
     """-(the sum of a*b over ``pairs``) / ``divisor``, which divides it, for
     elements of ``d`` EXACT at every level; over F_p((t)) the products go
-    into one unreduced int map."""
+    into one unreduced int map, divided as it is."""
     if d._laurent_p:
         out = {}
         for a, b in pairs:
             if a.terms and b.terms:
                 _fp_products(out, a, b, -1)
-        total = _fp_series(d, out)
-    else:
-        total = reduce(d.sub, (d.mul(a, b) for a, b in pairs), d.zero)
+        return _fp_divide(d, out, divisor) if out else d.zero
+    total = reduce(d.sub, (d.mul(a, b) for a, b in pairs), d.zero)
     return total if d.is_zero(total) else _divide(d, total, divisor)
 
 

@@ -648,9 +648,13 @@ def _dense(R, n, precision=None):
 R7 = KERNEL_FIELDS[7]
 TWO_WIDTHS = (R7, [_dense(R7, n, 40) for n in (30, 5, 20, 30, 30)],
               [_dense(R7, n) for n in (30, 3, 20, 5, 2)])
+# a*bv + cv*a = 7*(1 + t): a map of multiples of 7, and the quotient 0
+CANCELLING = (R7, [_dense(R7, 2, 5)] * 5,
+              [R7.one, R7.one, R7.from_int(6), R7.zero, R7.parse("1 + t")])
 
 
 @example(TWO_WIDTHS)
+@example(CANCELLING)
 @given(kernel_cases())
 @settings(max_examples=300, deadline=None)
 def test_fp_kernel_matches_references(case):
