@@ -16,10 +16,10 @@ products is formed by the F_p kernel of ``series``,
 when dense and a schoolbook loop on ints otherwise, into one unreduced
 {exponent: int} map, with no ``Series`` per product; the map is reduced
 mod p once, by ``series._fp_series`` or by the exact division that takes
-it.  Each series keeps its packs, so a
-pivot row entry is packed once per pivot step and a multiplier once per
-row, not once per product.  The results are those of the ``Series``
-operators, stored form for stored form.
+it.  Each series keeps its packs, so a pivot row entry is packed once per
+pivot step and a multiplier once per row, not once per product.  The
+results are those of the ``Series`` operators, stored form for stored
+form.
 
 * The truncated solve (``_Loop``), Gauss–Jordan in the domain: series
   entries are truncated to the working precision plus a slack, the pivot

@@ -28,9 +28,10 @@ Which kernel serves which domain:
   are unpacked; sparser ones take a schoolbook loop on ints.  Each series
   keeps the packs made of it, one per slot width (``_packs``), each made
   from all of its terms, so a series that enters many products is packed
-  once.  Every other product (Z[1/p] exponents, Q or series coefficients)
-  uses the schoolbook loop in the coefficient ring.  All of them give the
-  same coefficients and precision, by the one rule ``product_precision``.
+  once per width.  Every other product (Z[1/p] exponents, Q or series
+  coefficients) uses the schoolbook loop in the coefficient ring.  All of
+  them give the same coefficients and precision, by the one rule
+  ``product_precision``.
 * Products in a Kummer field K = k((t))(u), u^q = t the variable.
   ``kummer.kummer_mul`` interleaves the coordinates into one EXACT series in
   u = t^(1/q), so one ``Series.__mul__`` (Kronecker over F_p when dense)
