@@ -51,9 +51,12 @@ Which route of :func:`invert` serves which input:
   EXACT 0 when N_l is).  That extra was found by trial: without it some
   coordinates came out 1 to 3 terms less precise than over F; with it none
   did, for coordinates with exponents down to -10 and alpha down to t^-5
-  (``tests/test_linalg.py``).
-  The left coordinates are x_l = sigma^l(b_l), split by exponent mod q
-  in one pass: sigma^l scales the slice of exponents i mod q by xi^(l*i).
+  (``tests/test_linalg.py``).  det is the reduced norm of d, in F, so its
+  terms lie q apart in u; a det of few terms (a d of few short
+  coordinates) is inverted by long division, a dense one by Newton.
+  The left coordinates are x_l = sigma^l(b_l), each b_l split by exponent
+  mod q and scaled in one pass: sigma^l scales the slice of exponents
+  i mod q by xi^(l*i).
   Singularity is decided exactly, so no exact input is a PrecisionError
   here.  A singular system gives its Cramer kernel over K, mapped back once
   with xi's powers scaled so that the lowest coefficient of its last
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 
 from .element import Element, FiniteAlgebra, monomial_label
 from .errors import CycdivError, DomainMismatchError, ZeroDivisorError
-from .kummer import KummerContext, _from_u_series, _to_u_series, _u_sigma, is_norm
+from .kummer import KummerContext, _to_u_series, _u_sigma, is_norm
 from .linalg import _SLACK, solve_linear
 from .flat import _flat_bounds, _flat_levels, _flat_sum, _FlatVector
 from .series import _stored
@@ -432,13 +435,23 @@ def _invert_over_k(d, target_precision):
 
 
 def _left_coords(A, b, xi_pows):
-    """The F-coordinates of x = sum_l X^l b_l = sum_l sigma^l(b_l) X^l in one
-    pass: sigma^l scales the slice of b_l at exponents i mod q, the
-    coordinate of u^i X^l, by the one constant xi^(l*i)."""
+    """The F-coordinates of x = sum_l X^l b_l = sum_l sigma^l(b_l) X^l, one
+    pass over each b_l: the coefficient of u^(q*e + i) in b_l, times the
+    constant xi^(l*i) of sigma^l, is that of t^e in the coordinate of
+    u^i X^l, known below t^ceil((P - i)/q) when b_l is known below u^P (as
+    ``kummer._from_u_series`` splits it)."""
     F, q, p = A.F, A.q, A.F.coeff.p
-    return [c if (x := xi_pows[l * i % q]) == 1
-            else _stored(F, {e: v * x % p for e, v in c.terms.items()}, 1, c.precision)
-            for l, s in enumerate(b) for i, c in enumerate(_from_u_series(F, s, q))]
+    coords = []
+    for l, s in enumerate(b):
+        scale = [xi_pows[l * i % q] for i in range(q)]
+        split = [{} for _ in range(q)]
+        for e, c in s.terms.items():
+            e, i = divmod(e, q)
+            split[i][e] = c * scale[i] % p
+        P = s.precision
+        coords += [_stored(F, terms, 1, None if P is None else -((i - P) // q))
+                   for i, terms in enumerate(split)]
+    return coords
 
 
 def zero_divisor_witness(algebra, beta):

@@ -87,7 +87,9 @@ class AlbertForm:
     coefficients: tuple  # (u, v, -uv, -u', -v', u'v') over F
     F: object
     # "levels": _flat_levels(F), "bounds": the coefficients' _flat_bounds,
-    # and shift -> their flat forms
+    # shift -> their flat forms, and per extension K = F(gamma) ("gamma",
+    # id(K)) -> (K, gamma^2's _flat_bounds, shift -> its flat form); K is
+    # kept so that no other object takes its id
     _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def evaluate(self, a, domain=None):
@@ -133,10 +135,8 @@ class AlbertForm:
                 raise DomainMismatchError(f"{dom!r} is neither {F!r} nor a quadratic "
                                           "extension of it")
             xs = [x for pair in a for x in pair]
-            groups = [[dom.gamma_sq], xs]
         else:
             xs = a
-            groups = [xs]
         cache = self._flat
         if "levels" not in cache:
             levels = cache["levels"] = _flat_levels(F)
@@ -144,7 +144,12 @@ class AlbertForm:
         levels = cache["levels"]
         if levels is None or not all(getattr(x, "domain", None) is F for x in xs):
             return dom, None
-        bounds = [cache["bounds"]] + [_flat_bounds(group, len(levels)) for group in groups]
+        bounds = [cache["bounds"], _flat_bounds(xs, len(levels))]
+        if over_k:
+            if (gamma := cache.get(("gamma", id(dom)))) is None:
+                gamma = cache["gamma", id(dom)] = (
+                    dom, _flat_bounds([dom.gamma_sq], len(levels)), {})
+            bounds.insert(1, gamma[1])
         # at most c * x * x over F, and gamma^2 * c * x * x over K
         acc = _flat_sum(levels, bounds, 4 if over_k else 3)
         if acc is None:
@@ -164,7 +169,9 @@ class AlbertForm:
         first, scaled, second = {}, {}, {}
         acc.add(first, [(den_g, c, b, b) for c, b in zip(cs, bs)])
         acc.add(scaled, [(1, c, b2, b2) for c, b2 in zip(cs, b2s)])
-        acc.add(first, [(1, _FLAT_ONE, acc.flat(dom.gamma_sq, den_g), tuple(scaled.items()))])
+        if (fg := gamma[2].get(acc.shift)) is None:
+            fg = gamma[2][acc.shift] = acc.flat(dom.gamma_sq, den_g)
+        acc.add(first, [(1, _FLAT_ONE, fg, tuple(scaled.items()))])
         acc.add(second, [(2, c, b, b2) for c, b, b2 in zip(cs, bs, b2s)])
         return dom, (acc, [(first, den * den_g), (second, den)])
 

@@ -17,7 +17,7 @@ from . import anagram
 from .algebra import (CyclicAlgebra, constants_from_json, constants_mul, constants_to_json,
                       invert, is_division, relation_mul, structure_constants, tensor,
                       zero_divisor_witness)
-from .basefields import QQ, PrimeField, is_prime, primitive_qth_root
+from .basefields import QQ, PrimeField, is_prime, primitive_qth_root, qth_power_set
 from .errors import CycdivError, ZeroDivisorError
 from .kummer import KummerContext, is_norm, norm_formula, norm_oracle, norm_valuation
 from .quaternion import (BiquaternionElement, QuadraticExtension, QuaternionAlgebra, albert_form,
@@ -255,15 +255,22 @@ def _check_not_division(tally, D, alpha):
 
 
 def check_division_certification(config, tally):
-    """Division certification on the three F_p((t)) test algebras."""
+    """Division certification on three F_p((t)) test algebras, alpha from
+    (p, q): the least residue that is not a q-th power (division), beta^q
+    with beta = 3, or 2 when p = 3 (zero divisors, explicit witness), and
+    N(u) (not division, preimage u).  At (7, 3) they are 2, 6 and t."""
     ctx = laurent_context(config.p, config.q, precision=config.precision)
-    F = ctx.F
+    F, p, q = ctx.F, config.p, config.q
+    beta = F.from_int(3 if p != 3 else 2)
+    non_power = min(set(range(1, p)) - qth_power_set(p, q))
+    alphas = [F.from_int(non_power), F.pow(beta, q), ctx.norm_of_u()]
+    names = [F.to_str(a) for a in alphas]
 
-    # alpha = 2: division
-    D = CyclicAlgebra(ctx, F.from_int(2))
+    # a residue that is not a q-th power: division
+    D = CyclicAlgebra(ctx, alphas[0])
     div, decision = is_division(D)
     tally.check(div and decision.certificate.get("kind") == "residue",
-                "alpha=2 not certified division: {}", decision.certificate)
+                f"alpha={names[0]} not certified division: {{}}", decision.certificate)
     pair_trials = 2 * config.trials
     _check_no_zero_products(tally, D, pair_trials, "zero product of nonzero pair: {!r} * {!r}",
                             n_terms=1, exp_lo=-2, exp_hi=4)
@@ -279,28 +286,29 @@ def check_division_certification(config, tally):
                     and (relation_mul(x, d) - D.one).is_known_zero(),
                     "inversion round-trip failed for {!r}", d)
 
-    # alpha = 6 = 3^3: zero divisors, explicit witness
-    D6 = CyclicAlgebra(ctx, F.from_int(6))
-    _check_not_division(tally, D6, "6")
+    # beta^q: zero divisors, explicit witness
+    Dz = CyclicAlgebra(ctx, alphas[1])
+    _check_not_division(tally, Dz, names[1])
     tally.trials += 1
+    x_beta = f"X - {F.to_str(beta)}"
     try:
-        left, right = zero_divisor_witness(D6, F.from_int(3))
+        left, right = zero_divisor_witness(Dz, beta)
         if relation_mul(left, right).is_known_zero() is False:
             tally.fail("zero-divisor witness product nonzero")
         try:
             invert(left)
-            tally.fail("invert(X - 3) unexpectedly succeeded in the alpha=6 algebra")
+            tally.fail(f"invert({x_beta}) unexpectedly succeeded in the alpha={names[1]} algebra")
         except ZeroDivisorError as exc:
             if exc.kernel is None:
-                tally.fail("invert(X - 3) raised without a kernel vector")
-            elif not relation_mul(left, D6.element(exc.kernel)).is_known_zero():
-                tally.fail("kernel vector is not annihilated by X - 3")
+                tally.fail(f"invert({x_beta}) raised without a kernel vector")
+            elif not relation_mul(left, Dz.element(exc.kernel)).is_known_zero():
+                tally.fail(f"kernel vector is not annihilated by {x_beta}")
     except CycdivError as exc:
         tally.fail(f"zero-divisor witness failed: {exc}")
 
-    # alpha = t = N(u): not division, preimage u
-    _check_not_division(tally, CyclicAlgebra(ctx, F.variable), "t")
-    return {"p": config.p, "q": config.q, "alphas": ["2", "6", "t"], "pairs": pair_trials,
+    # N(u): not division, preimage u
+    _check_not_division(tally, CyclicAlgebra(ctx, alphas[2]), names[2])
+    return {"p": config.p, "q": config.q, "alphas": names, "pairs": pair_trials,
             "inversions": invert_trials, "precision": config.precision}
 
 

@@ -705,6 +705,96 @@ def test_divide_refuses_a_pair_that_does_not_divide(name, a, b):
         linalg._divide(domain, domain.parse(a), domain.parse(b))
 
 
+@st.composite
+def long_division_cases(draw):
+    """A divisor b over F_7((t)) or F_11((t)) of 1 to 64 terms, its exponents
+    a run or spread 2 or 8 apart on average, valuations down to -10; a
+    dividend, 1 or an EXACT series of up to 6 terms whose map is left
+    unreduced; and a precision from 3 below the quotient's first exponent
+    to 150 past it."""
+    R = KERNEL_FIELDS[draw(st.sampled_from([7, 11]))]
+    p, n, lo = R.coeff.p, draw(st.integers(1, 64)), draw(st.integers(-10, 10))
+    spread = draw(st.sampled_from([1, 2, 8]))
+    exps = {lo} | draw(st.sets(st.integers(lo + 1, lo + spread * n), max_size=n - 1))
+    b = R.series({e: draw(st.integers(1, p - 1)) for e in exps})
+    a = draw(st.one_of(st.just(R.one), st.dictionaries(
+        st.integers(-5, 20), st.integers(1, p - 1), min_size=1, max_size=6).map(R.series)))
+    first = min(a.terms) - lo
+    return R, a, b, first + draw(st.integers(-3, 150))
+
+
+@example((R7, R7.one, R7.parse("3*t^(-2) + t + 5*t^4"), 2))  # at the first exponent
+@example((R7, R7.one, R7.parse("3*t^(-2) + t"), 1))  # below it
+@example((R7, R7.parse("t + 6*t^3"), R7.parse("2*t^(-1)"), 4))  # a monomial divides exactly
+@given(long_division_cases())
+@settings(max_examples=300, deadline=None)
+def test_long_division_matches_newton(case):
+    """``_fp_divide`` to a finite precision, which gives the solve over K its
+    1/det for sparse determinants, against ``Series.invert``, stored form
+    for stored form: 1/b is ``b.invert(prec)``, known below t^prec (EXACT
+    when b is a monomial), known to no term when prec is at or below its
+    first exponent -v(b); a/b is a times the inverse to prec - v(a).  The
+    dividend's map carries multiples of p, as a Bareiss sum's does."""
+    R, a, b, prec = case
+    p = R.coeff.p
+    terms = {e: c + p * (e % 3) for e, c in a.terms.items()}
+    got = linalg._fp_divide(R, terms, b, prec)
+    if len(b.terms) == 1:
+        want = ref_mul(a, b.invert())
+    else:
+        want = ref_mul(a, b.invert(prec - min(a.terms)))
+    assert identical(got, want)
+    if a == R.one:
+        assert identical(got, b.invert(prec))
+
+
+def test_sparse_determinants_take_long_division_and_dense_ones_newton(monkeypatch):
+    """The solve over K divides 1 by det by long division while its products
+    stay within ``_LONG_DIVISION_OPS``: the units of the zero-divisors
+    benchmark workload (1 + g, g with six nonzero 2-term coordinates for
+    q = 3 and two for q = 5, alpha = beta^q).  A dense q = 5 unit at
+    precision 400 takes ``Series.invert``.  Either way the inverse is the
+    one the other route gives."""
+    routes = []
+    fp_divide, newton = linalg._fp_divide, Series.invert
+
+    def spy_divide(domain, terms, b, prec=INFINITY):
+        if prec != INFINITY:
+            routes.append("long division")
+        return fp_divide(domain, terms, b, prec)
+
+    def spy_newton(s, target_precision=None):
+        routes.append("Newton")
+        return newton(s, target_precision)
+
+    monkeypatch.setattr(linalg, "_fp_divide", spy_divide)
+    monkeypatch.setattr(Series, "invert", spy_newton)
+    rng = random.Random(22)
+    cases = []
+    for (p, q), count in (((7, 3), 6), ((11, 5), 2)):
+        D, _ = k_algebra(p, q, str(pow(3, q, p)))
+        F = D.F
+        keep = set(rng.sample(range(D.n), count))
+        g = D.element([F.random_element(rng, n_terms=2, exp_lo=1, exp_hi=4, nonzero=True)
+                       if i in keep else F.zero for i in range(D.n)])
+        cases.append((D.one + g, None, "long division"))
+    D5, _ = k_algebra(11, 5, "3")
+    F5 = D5.F
+    dense = [F5.series({e: rng.randrange(1, 11) for e in range(21)}) for _ in range(D5.n)]
+    cases.append((D5.element(dense), 400, "Newton"))
+    ops = linalg._LONG_DIVISION_OPS
+    for d, prec, route in cases:
+        x = invert(d, prec)
+        assert all(c.is_known_zero() for c in (relation_mul(d, x) - d.algebra.one).coords)
+        # the bound that sends the same det the other way
+        monkeypatch.setattr(linalg, "_LONG_DIVISION_OPS", -1 if route == "long division"
+                            else INFINITY)
+        assert all(identical(a, b) for a, b in zip(x.coords, invert(d, prec).coords))
+        monkeypatch.setattr(linalg, "_LONG_DIVISION_OPS", ops)
+        assert routes == [route, {"long division": "Newton", "Newton": "long division"}[route]]
+        routes.clear()
+
+
 # -- the bugs -------------------------------------------------------------------------
 
 

@@ -4,7 +4,8 @@ The default campaign only ever passes, so its output says nothing about how
 a claim counts and words a failure.  Each case here plants one fault in a
 name the claims call through ``cycdiv.verify`` and checks that the claim
 fails, with the report recorded in ``claim_failure_reports.json``: the same
-trials, failures, witnesses and parameters, byte for byte.
+trials, failures, witnesses and parameters, byte for byte.  A claim must
+not fail either on a valid configuration it was not written for.
 """
 
 import dataclasses
@@ -151,3 +152,19 @@ def test_fault_fails_its_claims_with_the_recorded_reports(fault_id, monkeypatch)
     assert [r.claim for r in reports] == FAULTS[fault_id][0]
     assert all(not r.passed for r in reports)
     assert [r.to_json() for r in reports] == GOLDEN[fault_id]
+
+
+@pytest.mark.parametrize("p, q, alphas", [
+    (7, 3, ["2", "6", "t"]),
+    (11, 5, ["2", "1", "t"]),
+    (13, 3, ["2", "1", "t"]),
+    (11, 2, ["2", "9", "10*t"]),  # N(u) = -t when q = 2
+])
+def test_division_certification_passes_at_other_pairings(p, q, alphas):
+    """division-certification takes its three alphas from (p, q): the least
+    residue that is not a q-th power, 3^q and N(u).  With 2, 6 = 3^3 and t
+    fixed it failed at (11, 5), (13, 3) and (11, 2)."""
+    report, = run_suite(SuiteConfig(seed=0, trials=4, precision=20, p=p, q=q,
+                                    claims=["division-certification"]))
+    assert report.passed and report.witnesses == []
+    assert report.parameters["alphas"] == alphas
