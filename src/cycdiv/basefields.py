@@ -104,9 +104,6 @@ class PrimeField(Domain):
     def __repr__(self):
         return f"F{self.p}"
 
-    def __call__(self, n):
-        return self.from_int(n)
-
     def from_int(self, n):
         return n % self.p
 
@@ -139,12 +136,6 @@ class PrimeField(Domain):
         if n < 0:
             return pow(self.invert(a), -n, self.p)
         return pow(a, n, self.p)
-
-    def elements(self):
-        return range(self.p)
-
-    def units(self):
-        return range(1, self.p)
 
     def is_qth_power(self, x, q):
         return is_qth_power(self.p, q, x % self.p)
@@ -192,9 +183,6 @@ class RationalField(Domain):
 
     def __repr__(self):
         return "Q"
-
-    def __call__(self, n):
-        return Fraction(n)
 
     def from_int(self, n):
         return Fraction(n)

@@ -20,10 +20,11 @@ docstring.
 A structure-constant product keeps its maps: ``algebra.constants_mul``
 returns them as a ``_FlatVector``, a read-only sequence of series that
 builds each coordinate only when it is first read.  The zero test of
-``Element.is_known_zero``, ``==`` between two vectors and the flat forms of
-the vector as a factor of the next product are read off the maps, re-keyed
-when the next product packs its keys at another shift.  Every name here is
-internal to cycdiv.
+``Element.is_known_zero`` is read off the maps.  So are ``==`` between two
+vectors and the flat forms of the vector as a factor of the next product
+when their keys are packed alike: at the same shift, and for ``==`` over the
+same denominator.  Otherwise both flatten or compare the built coordinates.
+Every name here is internal to cycdiv.
 """
 
 import math
@@ -93,27 +94,6 @@ def _flatten(s, shift, den, prefix=0, out=None):
     return out
 
 
-def _rekey(flat, shift, lows, new_shift):
-    """The (key, value) pairs ``flat`` with their keys packed at ``new_shift``
-    instead of ``shift``; their level-l exponents lie in
-    [lows[l], lows[l] + 2**shift) for l >= 1."""
-    off = 0  # the key of the exponent tuple (0, lows[1], ..., lows[-1])
-    for lo in lows[1:]:
-        off = (off << shift) + lo
-    mask, inner = (1 << shift) - 1, lows[:0:-1]
-    out = []
-    for key, c in flat:
-        key -= off
-        exps = []
-        for lo in inner:
-            exps.append((key & mask) + lo)
-            key >>= shift
-        for e in reversed(exps):
-            key = (key << new_shift) + e
-        out.append((key, c))
-    return out
-
-
 def _unflatten(levels, flat, shift, lows, den):
     """The EXACT series whose flat form is ``flat`` over ``den``, with the
     level-l exponents of its terms in [lows[l], lows[l] + 2**shift) for l >= 1;
@@ -178,10 +158,12 @@ class _FlatSum:
 
     def flat_coords(self, coords, den):
         """The flat forms of the sequence ``coords`` over ``den``: read off the
-        maps of a ``_FlatVector`` over the same levels (``den`` is then its
-        ``den``, as ``_flat_bounds`` gives it), else flattened one by one."""
-        if isinstance(coords, _FlatVector) and coords.acc.levels == self.levels:
-            return coords.flat_forms(self.shift)
+        maps of a ``_FlatVector`` over the same levels and shift (``den`` is
+        then its ``den``, as ``_flat_bounds`` gives it), else flattened one by
+        one, which builds the coordinates of a vector at another shift."""
+        if (isinstance(coords, _FlatVector) and coords.acc.levels == self.levels
+                and coords.acc.shift == self.shift):
+            return coords.flat_forms()
         return [_flatten(s, self.shift, den) for s in coords]
 
     @staticmethod
@@ -226,9 +208,9 @@ def _flat_sum(levels, bounds, k):
     if shift * (len(levels) - 1) + bits >= _FLAT_KEY_BITS:
         return None
     # a whole number of bytes where the keys allow it, so that the products
-    # of operands of about the same width pack their keys alike, and a
-    # product with a _FlatVector factor or == between two vectors rarely
-    # re-keys
+    # of operands of about the same width pack their keys alike: a product
+    # with a _FlatVector factor or == between two vectors then reads the
+    # maps, and at another shift builds the coordinates instead
     wide = -(-shift // 8) * 8
     if wide * (len(levels) - 1) + bits < _FLAT_KEY_BITS:
         shift = wide
@@ -243,8 +225,8 @@ class _FlatVector(Sequence):
     highs, den) as ``_flat_bounds`` gives them: the sums over the factors'
     bounds, which hold every exponent of every coordinate.  A coordinate is
     built by one ``_unflatten`` when it is first read; ``is_zero`` (which
-    stops at the first nonzero map), ``==`` with another vector and
-    ``flat_forms`` read the maps."""
+    stops at the first nonzero map), ``flat_forms`` and ``==`` with a vector
+    packed alike read the maps."""
 
     __slots__ = ("acc", "den", "bounds", "_terms", "_maps", "_series", "_forms")
 
@@ -254,7 +236,7 @@ class _FlatVector(Sequence):
                        [sum(highs) for highs in zip(*[b[1] for b in factor_bounds])], den)
         self._maps = [None] * n
         self._series = [None] * n
-        self._forms = {}
+        self._forms = None
 
     def _map(self, k):
         out = self._maps[k]
@@ -284,57 +266,33 @@ class _FlatVector(Sequence):
         """Whether every coordinate is 0."""
         return all(self.acc.is_zero(self._map(k)) for k in range(len(self._maps)))
 
-    def flat_forms(self, shift):
-        """The flat forms of the coordinates over ``den`` with keys packed at
-        ``shift``: the (key, value) pairs of each map whose value is nonzero
-        (reduced mod p over F_p), re-keyed when ``shift`` is not the shift of
-        ``acc``."""
-        forms = self._forms.get(shift)
-        if forms is None:
-            acc = self.acc
-            if shift == acc.shift:
-                p, maps = acc.p, map(self._map, range(len(self._maps)))
-                forms = [[(k, c) for k, c in m.items() if c] if p is None
-                         else [(k, r) for k, c in m.items() if (r := c % p)] for m in maps]
-            else:
-                forms = [_rekey(f, acc.shift, acc.lows, shift)
-                         for f in self.flat_forms(acc.shift)]
-            self._forms[shift] = forms
-        return forms
+    def flat_forms(self):
+        """The flat forms of the coordinates over ``den``, keys packed at the
+        shift of ``acc``: the (key, value) pairs of each map whose value is
+        nonzero (reduced mod p over F_p).  A product at another shift
+        flattens the built coordinates instead (``_FlatSum.flat_coords``)."""
+        if self._forms is None:
+            p, maps = self.acc.p, map(self._map, range(len(self._maps)))
+            self._forms = [[(k, c) for k, c in m.items() if c] if p is None
+                           else [(k, r) for k, c in m.items() if (r := c % p)] for m in maps]
+        return self._forms
 
     def __eq__(self, other):
-        """Coordinate-wise equality, as between tuples of series; between two
-        vectors over the same levels, read off the maps."""
-        if isinstance(other, _FlatVector) and other.acc.levels == self.acc.levels:
-            return self._maps_equal(other)
+        """Coordinate-wise equality, as between tuples of series.  Two vectors
+        over the same levels, shift and ``den``, whose inner exponents lie in
+        one window of 2**shift values (so that equal keys are equal
+        exponents), compare their maps; any other pair compares the built
+        coordinates one by one."""
+        if isinstance(other, _FlatVector) and self._packed_alike(other):
+            return len(self) == len(other) and all(
+                dict(f) == dict(g) for f, g in zip(self.flat_forms(), other.flat_forms()))
         if isinstance(other, (tuple, _FlatVector)):
             return len(self) == len(other) and all(x == y for x, y in zip(self, other))
         return NotImplemented
 
-    def _maps_equal(self, other):
-        """Whether the maps agree over the common denominator, with keys
-        packed at one shift that tells the exponents of both apart."""
-        if len(self) != len(other):
-            return False
-        (lows, highs, _), (lows2, highs2, _) = self.bounds, other.bounds
-        width = max([max(hi, hi2) - min(lo, lo2)
-                     for lo, hi, lo2, hi2 in zip(lows[1:], highs[1:], lows2[1:], highs2[1:])],
-                    default=0)
-        shift = max(self.acc.shift, other.acc.shift)
-        if width >> shift:
-            shift = width.bit_length()
-        forms, forms2 = self.flat_forms(shift), other.flat_forms(shift)
-        p, den, den2 = self.acc.p, self.den, other.den
-        if den == den2:
-            return all(dict(pairs) == dict(pairs2) for pairs, pairs2 in zip(forms, forms2))
-        g = math.gcd(den, den2)
-        den, den2 = den // g, den2 // g
-        for pairs, pairs2 in zip(forms, forms2):
-            if len(pairs) != len(pairs2):
-                return False
-            values2 = dict(pairs2)
-            for k, c in pairs:
-                c2 = values2.get(k)
-                if c2 is None or ((c * den2 - c2 * den) % p if p else c * den2 != c2 * den):
-                    return False
-        return True
+    def _packed_alike(self, other):
+        (lows, highs, den), (lows2, highs2, den2) = self.bounds, other.bounds
+        shift = self.acc.shift
+        return (other.acc.levels == self.acc.levels and other.acc.shift == shift and den == den2
+                and all(max(hi, hi2) - min(lo, lo2) < 1 << shift
+                        for lo, hi, lo2, hi2 in zip(lows[1:], highs[1:], lows2[1:], highs2[1:])))

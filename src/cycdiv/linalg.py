@@ -227,7 +227,10 @@ def _fp_divide(domain, terms, b, prec=INFINITY):
     for e, c in terms.items():
         if e - la < size:
             r[e - la] = c
-    rest = [(e - lb, c) for e, c in tb.items() if e != lb]
+    # at a finite prec a term t^(lb + k) of b with k >= n updates only
+    # r[i + k] at i + k >= n, which nothing reads
+    top = INFINITY if prec == INFINITY else n
+    rest = [(e - lb, c) for e, c in tb.items() if 0 < e - lb < top]
     out = {}
     for i in range(n):
         if c := r[i] % p * inv % p:

@@ -87,9 +87,7 @@ class AlbertForm:
     coefficients: tuple  # (u, v, -uv, -u', -v', u'v') over F
     F: object
     # "levels": _flat_levels(F), "bounds": the coefficients' _flat_bounds,
-    # shift -> their flat forms, and per extension K = F(gamma) ("gamma",
-    # id(K)) -> (K, gamma^2's _flat_bounds, shift -> its flat form); K is
-    # kept so that no other object takes its id
+    # shift -> their flat forms
     _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def evaluate(self, a, domain=None):
@@ -146,10 +144,7 @@ class AlbertForm:
             return dom, None
         bounds = [cache["bounds"], _flat_bounds(xs, len(levels))]
         if over_k:
-            if (gamma := cache.get(("gamma", id(dom)))) is None:
-                gamma = cache["gamma", id(dom)] = (
-                    dom, _flat_bounds([dom.gamma_sq], len(levels)), {})
-            bounds.insert(1, gamma[1])
+            bounds.insert(1, _flat_bounds([dom.gamma_sq], len(levels)))
         # at most c * x * x over F, and gamma^2 * c * x * x over K
         acc = _flat_sum(levels, bounds, 4 if over_k else 3)
         if acc is None:
@@ -169,9 +164,7 @@ class AlbertForm:
         first, scaled, second = {}, {}, {}
         acc.add(first, [(den_g, c, b, b) for c, b in zip(cs, bs)])
         acc.add(scaled, [(1, c, b2, b2) for c, b2 in zip(cs, b2s)])
-        if (fg := gamma[2].get(acc.shift)) is None:
-            fg = gamma[2][acc.shift] = acc.flat(dom.gamma_sq, den_g)
-        acc.add(first, [(1, _FLAT_ONE, fg, tuple(scaled.items()))])
+        acc.add(first, [(1, _FLAT_ONE, acc.flat(dom.gamma_sq, den_g), tuple(scaled.items()))])
         acc.add(second, [(2, c, b, b2) for c, b, b2 in zip(cs, bs, b2s)])
         return dom, (acc, [(first, den * den_g), (second, den)])
 

@@ -53,9 +53,11 @@ Which kernel serves which domain:
   F_p) or by one ``_unflatten``, with no ``Series`` arithmetic before a
   result is built.  Its users: ``algebra.constants_mul`` (the lam*a_i*b_j
   of the structure constants), which returns its maps as a
-  ``flat._FlatVector``, from which ``Element.is_known_zero``, ``==``
-  between two products and the next ``constants_mul`` read without
-  building a series; ``quaternion.AlbertForm.evaluate`` (sum c_i a_i^2
+  ``flat._FlatVector``, from which ``Element.is_known_zero`` reads without
+  building a series, and so do ``==`` between two products and the next
+  ``constants_mul`` when their keys are packed at the same shift (``==``
+  also needs the same denominator; else they build the coordinates);
+  ``quaternion.AlbertForm.evaluate`` (sum c_i a_i^2
   over F, and its pair of sums over a quadratic extension F(gamma)); and
   ``quaternion.anisotropy_sample_test``, which reads only the zero test.
   Truncated inputs at any level, Z[1/p] exponents, a

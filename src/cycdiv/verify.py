@@ -257,11 +257,12 @@ def _check_not_division(tally, D, alpha):
 def check_division_certification(config, tally):
     """Division certification on three F_p((t)) test algebras, alpha from
     (p, q): the least residue that is not a q-th power (division), beta^q
-    with beta = 3, or 2 when p = 3 (zero divisors, explicit witness), and
-    N(u) (not division, preimage u).  At (7, 3) they are 2, 6 and t."""
+    with beta the least b >= 2 with b^q != 1, or 2 when there is none (p = 3)
+    (zero divisors, explicit witness), and N(u) (not division, preimage u).
+    At (7, 3) they are 2, 6 and t."""
     ctx = laurent_context(config.p, config.q, precision=config.precision)
     F, p, q = ctx.F, config.p, config.q
-    beta = F.from_int(3 if p != 3 else 2)
+    beta = F.from_int(next((b for b in range(2, p) if pow(b, q, p) != 1), 2))
     non_power = min(set(range(1, p)) - qth_power_set(p, q))
     alphas = [F.from_int(non_power), F.pow(beta, q), ctx.norm_of_u()]
     names = [F.to_str(a) for a in alphas]

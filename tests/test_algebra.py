@@ -508,7 +508,8 @@ def test_chained_flat_products_match_plain_loop(case, data):
 
 def test_products_of_vectors_at_different_shifts():
     # products with X^(+-60) in a factor pack their keys at a wider shift
-    # than a * b, so == and the product (a * b) * c re-key a * b
+    # than a * b, so == and the product (a * b) * c build the coordinates of
+    # a * b
     _, _, D1, D2, _ = albert_setup(precision=8)
     B = tensor(D1, D2, BiquaternionElement)
     F = B.F
@@ -539,6 +540,24 @@ def test_products_of_vectors_at_different_shifts():
                                c.coords, B.constants, F)
     assert all(identical(x, y) for x, y in zip(lhs.coords, want))
     assert all(identical(x, y) for x, y in zip(rhs.coords, want))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_biquaternion_claim_products_read_the_maps(seed):
+    # triples drawn as biquaternion-pairs draws them: the products with a
+    # vector factor and == between two vectors read the maps, so no
+    # coordinate of a vector is ever built
+    _, _, D1, D2, _ = albert_setup()
+    B = tensor(D1, D2, BiquaternionElement)
+    draw = B.drawer(random.Random(f"{seed}:biquaternion-pairs"), n_terms=1, exp_lo=-1, exp_hi=2)
+    for _ in range(8):
+        a, b, c = draw(), draw(), draw()
+        ab, bc = a * b, b * c
+        lhs, rhs = ab * c, a * bc
+        assert lhs == rhs
+        for x in (ab, bc, lhs, rhs):
+            assert isinstance(x.coords, _FlatVector)
+            assert x.coords._series == [None] * B.n
 
 
 def test_constants_json_roundtrip():

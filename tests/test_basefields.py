@@ -57,12 +57,6 @@ def test_prime_field_arithmetic():
     assert F.sub(1, 3) == 5
 
 
-def test_prime_field_elements_and_units():
-    F = PrimeField(5)
-    assert list(F.elements()) == [0, 1, 2, 3, 4]
-    assert list(F.units()) == [1, 2, 3, 4]
-
-
 def test_rational_field():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert QQ.invert(Fraction(-2, 3)) == Fraction(-3, 2)

@@ -156,15 +156,18 @@ def test_fault_fails_its_claims_with_the_recorded_reports(fault_id, monkeypatch)
 
 @pytest.mark.parametrize("p, q, alphas", [
     (7, 3, ["2", "6", "t"]),
-    (11, 5, ["2", "1", "t"]),
-    (13, 3, ["2", "1", "t"]),
-    (11, 2, ["2", "9", "10*t"]),  # N(u) = -t when q = 2
+    (11, 5, ["2", "10", "t"]),
+    (13, 3, ["2", "8", "t"]),
+    (11, 2, ["2", "4", "10*t"]),  # N(u) = -t when q = 2
 ])
 def test_division_certification_passes_at_other_pairings(p, q, alphas):
     """division-certification takes its three alphas from (p, q): the least
-    residue that is not a q-th power, 3^q and N(u).  With 2, 6 = 3^3 and t
-    fixed it failed at (11, 5), (13, 3) and (11, 2)."""
+    residue that is not a q-th power, beta^q for the least beta >= 2 whose
+    q-th power is not 1 (so the zero-divisor algebra is not the split
+    X^q = 1), and N(u).  With 2, 6 = 3^3 and t fixed it failed at (11, 5),
+    (13, 3) and (11, 2)."""
     report, = run_suite(SuiteConfig(seed=0, trials=4, precision=20, p=p, q=q,
                                     claims=["division-certification"]))
     assert report.passed and report.witnesses == []
     assert report.parameters["alphas"] == alphas
+    assert report.parameters["alphas"][1] != "1"
