@@ -1,11 +1,15 @@
-"""Time ``algebra.invert`` on units, truncated (the solve over F) and exact
-(the solve over K).
+"""Time ``algebra.invert`` on units: truncated (the solve over F), exact in
+the cyclic algebra (the solve over K) and exact in its structure-constant
+algebra (the exact solve over F).
 
 Each input is a unit of a cyclic algebra over F_p((t)): its first coordinate
 is 1 + 3t, every other coordinate a seeded 3-term polynomial of degree at
 most 5.  With every coordinate carrying O(t^prec) it takes the truncated
-solve over F, which no benchmark workload runs; without the O-terms it takes
-the exact solve over K = F_p((u)).  This script times both at several
+solve over F, which no benchmark workload runs (route "F"); without the
+O-terms it takes the exact solve over K = F_p((u)) (route "K").  The same
+exact coordinates in ``ConstantsAlgebra(F, structure_constants(D))``, which
+has no route over K, take fraction-free elimination of the q^2 x q^2
+system over F (route "F-exact").  This script times the three at several
 precisions and prints one JSON line per (q, prec, route): the fastest of
 ``--repeat`` calls.
 
@@ -19,7 +23,7 @@ import random
 import time
 
 from cycdiv import CyclicAlgebra, laurent_context
-from cycdiv.algebra import invert
+from cycdiv.algebra import ConstantsAlgebra, invert, structure_constants
 
 CASES = ((7, 3, 3), (11, 5, 3))  # (p, q, alpha)
 
@@ -42,9 +46,11 @@ def main():
         for prec in args.precisions:
             ctx = laurent_context(p, q, precision=prec)
             D = CyclicAlgebra(ctx, ctx.F.from_int(alpha))
+            A = ConstantsAlgebra(D.F, structure_constants(D))
             coords = unit_coords(D, random.Random(args.seed))
-            for route, tail in (("F", f" + O(t^{prec})"), ("K", "")):
-                d = D.element([D.F.parse(c + tail) for c in coords])
+            for route, algebra, tail in (("F", D, f" + O(t^{prec})"), ("K", D, ""),
+                                         ("F-exact", A, "")):
+                d = algebra.element([D.F.parse(c + tail) for c in coords])
                 best = None
                 for _ in range(args.repeat):
                     start = time.perf_counter()

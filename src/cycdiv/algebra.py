@@ -43,12 +43,13 @@ Which route of :func:`invert` serves which input:
   (a_j the u-series ``kummer._to_u_series`` makes of the slice X^j) and
   a X^m = X^m sigma^-m(a), the coefficient of X^k in d X^l b is
   sigma^-k(a_(k-l mod q)) alpha^[l > k] b; sigma^m multiplies the coefficient
-  of u^e by xi^(m*e).  The entries are EXACT Laurent polynomials in u, and
-  ``solve_linear(..., fraction_free=True)`` solves the system for the right
-  coordinates b_l of the inverse by fraction-free (Bareiss) elimination:
-  b_l = N_l * det^-1, cut at the working precision q*(target + slack) in
-  u, plus 2q|v| when v, the least valuation of an entry, is negative (an
-  EXACT 0 when N_l is).  That extra was found by trial: without it some
+  of u^e by xi^(m*e).  The entries are EXACT Laurent polynomials in u, so
+  ``solve_linear`` solves the system for the right coordinates b_l of the
+  inverse by fraction-free (Bareiss) elimination: b_l = -N_l * det^-1 (an
+  EXACT 0 when N_l is), cut at the working precision q*(target + slack) in
+  u (the solve adds its ``_SLACK`` to the precision it is asked for), plus
+  2q|v| when v, the least valuation of an entry, is negative.  That extra
+  was found by trial: without it some
   coordinates came out 1 to 3 terms less precise than over F; with it none
   did, for coordinates with exponents down to -10 and alpha down to t^-5
   (``tests/test_linalg.py``).  det is the reduced norm of d, in F, so its
@@ -63,7 +64,8 @@ Which route of :func:`invert` serves which input:
   nonzero coordinate is 1.
 * The q^2 x q^2 system over F, ``solve_linear`` on ``left_mul_matrix``:
   everything else (a truncated coordinate or alpha, Hahn fields, towers,
-  Q((t)), a coefficient field such as Q, and ``ConstantsAlgebra``).
+  Q((t)), a coefficient field such as Q, and ``ConstantsAlgebra``), by the
+  route ``solve_linear`` picks: fraction-free when EXACT over Q or F_p((t)).
 """
 
 import json
@@ -420,7 +422,7 @@ def _invert_over_k(d, target_precision):
     low = min((s.valuation() for row in matrix for s in row if s.terms), default=0)
     work = q * (target + _SLACK) + (2 * q * -low if low < 0 else 0)
     try:
-        b = solve_linear(U, matrix, [U.one] + [U.zero] * (q - 1), work, fraction_free=True)
+        b = solve_linear(U, matrix, [U.one] + [U.zero] * (q - 1), work - _SLACK)
     except ZeroDivisorError as exc:
         # scaled so that its last nonzero coordinate, u^i X^l with i = e mod q
         # greatest in the last nonzero b_l, has lowest coefficient 1: the map

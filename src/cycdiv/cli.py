@@ -57,6 +57,8 @@ def _build_context(args):
             raise CycdivError("the rational base field only supports q = 2 (xi = -1)")
         t = QQ.parse(args.t if args.t is not None else "-1")
         return KummerContext(QQ, 2, t, Fraction(-1))
+    if args.t is not None:
+        raise CycdivError("--t sets t of the rational base field; use it with --rationals")
     if hahn is not None:
         if hahn != args.p:  # --p is prime by now
             raise CycdivError(f"--hahn {hahn} must equal --p {args.p}: the tower "
@@ -131,8 +133,7 @@ def cmd_algebra_build(args):
     D = _build_algebra(args)
     print(json.dumps({"n": D.n, "q": D.q, "field": repr(D.F),
                       "basis": D.labels,
-                      "alpha": D.F.to_str(D.alpha) if not isinstance(D.F, type(QQ))
-                      else str(D.alpha)}, sort_keys=True))
+                      "alpha": D.F.to_str(D.alpha)}, sort_keys=True))
     return 0
 
 
@@ -248,7 +249,8 @@ def _add_context_args(sub, with_alpha=False):
                           "P equal to --p")
     sub.add_argument("--rationals", action="store_true",
                      help="base field Q (q = 2 only); use with --t")
-    sub.add_argument("--t", default=None, help="t for the rational base (default -1)")
+    sub.add_argument("--t", default=None,
+                     help="t of the rational base field, with --rationals (default -1)")
     if with_alpha:
         sub.add_argument("--alpha", required=True, help="algebra parameter, series syntax")
 

@@ -21,26 +21,31 @@ pivot step and a multiplier once per row, not once per product.  The
 results are those of the ``Series`` operators, stored form for stored
 form.
 
-* The truncated solve (``_Loop``), Gauss–Jordan in the domain: series
-  entries are truncated to the working precision plus a slack, the pivot
-  is an entry of least valuation, and it is inverted to the precision its
-  O-term allows.  Over F_p((t)) ``row[j] -= f*prow[j]`` is one map per
-  entry, cut at the precision ``x - f*b`` has in ``Series`` arithmetic.
+``solve_linear`` picks its route from its input, with no flag:
 
-* Every kernel, and the solve with ``fraction_free=True`` (``_Bareiss``):
-  forward fraction-free elimination (Bareiss 1968) on entries EXACT at
-  every level, then fraction-free back-substitution, every division exact.
-  Every entry stays a minor of [M | rhs], so nothing swells past Cramer's
-  bound, and the determinant decides singularity exactly.  A kernel is the
-  Cramer kernel, r x r minors with r the rank.  A step forms
+* The truncated solve (``_Loop``), Gauss–Jordan in a series domain, for
+  every system the exact solve does not serve: every truncated one, and
+  the exact ones over Q((t)), towers and Hahn fields, whose det^-1 would
+  need an inner working precision that nothing derives yet.  Entries are
+  truncated to the working precision, the requested one plus ``_SLACK``,
+  the pivot is an entry of least valuation, and it is inverted to the
+  precision its O-term allows.  Over F_p((t)) ``row[j] -= f*prow[j]`` is
+  one map per entry, cut at the precision ``x - f*b`` has in ``Series``.
+
+* Every kernel, and the solve of [M | rhs] EXACT at every level over a
+  base field or F_p((t)) (``_Bareiss``): forward fraction-free elimination
+  (Bareiss 1968), then fraction-free back-substitution, every division
+  exact.  Every entry stays a minor of [M | rhs], so nothing swells past
+  Cramer's bound, and the determinant decides singularity exactly.  A
+  kernel is the Cramer kernel, r x r minors with r the rank.  A step forms
   -((-piv)*row[j] + f*prow[j]) and divides it exactly by ``_divide``:
   a * b^-1 in a base field, long division on the lowest terms in a series
   domain, the coefficients divided one level down in a tower.  Over
   F_p((t)) the unreduced map is divided as it is, densely on a list of
   ints (``_fp_divide``), with no ``Series`` before the quotient.  The
-  solve serves EXACT F_p((t)) systems: x_l = N_l * det^-1, cut at the
-  requested precision, with det^-1 to the precision that needs: by
-  ``_fp_divide`` too (long division of 1, cut there), or by one
+  solution is x_l = -N_l * det^-1, exact in a base field; over F_p((t))
+  cut at the working precision of the truncated solve, with det^-1 by
+  ``_fp_divide`` too (long division of 1, cut where that needs) or by one
   ``Series.invert`` (Newton) when det has so many terms that Newton is
   cheaper (``_LONG_DIVISION_OPS``).  [M | rhs] is eliminated once: a
   singular M's kernel is read off the same rows.  ``algebra.invert`` in a
@@ -67,7 +72,8 @@ singular, and the vector read off the eliminated rows annihilates M
 exactly.  Truncated entries cannot decide this: ``O(t^k)`` may be nonzero,
 and so may ``(1 + O(x^2)) - 1`` in a tower.  So ``kernel_vector`` raises
 PrecisionError on a matrix with an entry truncated at any level, and
-``solve_linear`` raises it when such a matrix has no pivot.
+``solve_linear`` raises it when the truncated solve meets a column without
+a pivot and M has no certified kernel.
 """
 
 import math
@@ -100,10 +106,6 @@ def _square(matrix, rhs=None):
                           f"{n} rows of lengths {sorted({len(row) for row in matrix})}"
                           + ("" if rhs is None else f" and {len(rhs)} right-hand sides"))
     return n
-
-
-def _first(value):
-    return 0
 
 
 def _exact(rows):
@@ -153,27 +155,31 @@ def _eliminate(rows, route):
 
 
 class _Loop:
-    """The truncated solve: Gauss–Jordan on elements of the field
-    ``domain``.  Over F_p((t)) ``row[j] -= f*prow[j]`` adds the products
-    into one unreduced int map by ``series._fp_products`` and builds one
-    ``Series`` per entry; elsewhere it uses the domain's operations."""
+    """The truncated solve: Gauss–Jordan on elements of the series domain
+    ``domain`` truncated at the working precision ``work``.  Over F_p((t))
+    ``row[j] -= f*prow[j]`` adds the products into one unreduced int map by
+    ``series._fp_products`` and builds one ``Series`` per entry; elsewhere
+    it uses the domain's operations."""
 
     forward = False
+    pivot_key = staticmethod(Series.valuation_lower_bound)
 
-    def __init__(self, domain, pivot_key, invert):
-        self.domain, self.pivot_key, self.invert = domain, pivot_key, invert
+    def __init__(self, domain, work):
+        self.domain, self.work = domain, work
         self.is_known_zero, self.is_zero = domain.is_known_zero, domain.is_zero
 
     def scale_row(self, row, col, live):
-        mul = self.domain.mul
-        pinv = self.invert(row[col])
+        # the pivot's inverse to the working precision, or to less when its
+        # O-term allows no more
+        mul, v = self.domain.mul, row[col]
+        achievable = INFINITY if v.precision is None else v.precision - 2 * v.valuation()
+        pinv = v.invert(min(self.work, achievable))
         for j in live:
             row[j] = mul(pinv, row[j])
 
     def reduce_row(self, row, f, prow, live):
         if self.is_known_zero(f):
-            # an O-term multiplier (is_zero skips exact zeros, and over a
-            # base field the two tests agree): only the precision
+            # an O-term multiplier (is_zero skips exact zeros): only the precision
             for j in live:
                 prec = product_precision(f, prow[j])
                 if prec != INFINITY:  # f*0 is an exact zero
@@ -195,13 +201,6 @@ class _Loop:
                 row[j] = _fp_series(domain, _fp_products(dict(x.terms), f, b, -1, prec), prec)
             elif (prec := b.precision + lf) < x.precision:
                 row[j] = x.truncate(prec)
-
-
-def _invert_pivot(v, work):
-    """The inverse of the series pivot ``v`` to the working precision, or to
-    less when the O-term of ``v`` allows no more."""
-    achievable = INFINITY if v.precision is None else v.precision - 2 * v.valuation()
-    return v.invert(min(work, achievable))
 
 
 def _fp_divide(domain, terms, b, prec=INFINITY):
@@ -293,7 +292,7 @@ class _Bareiss:
     f = row[col], as the quotient of -((-piv)*row[j] + f*prow[j]); the
     division is exact, as every entry is then a minor of [M | rhs]."""
 
-    pivot_key = staticmethod(_first)
+    pivot_key = staticmethod(lambda value: 0)  # the first entry not known to be zero
     forward = True
 
     def __init__(self, domain, rows):
@@ -331,59 +330,51 @@ class _Bareiss:
         return [x.get(c) or self.domain.zero for c in range(len(self.rows))]
 
 
-def solve_linear(domain, matrix, rhs, precision=None, fraction_free=False):
+def solve_linear(domain, matrix, rhs, precision=None):
     """Solve M x = rhs over a field domain by elimination.
 
     ``matrix`` is a list of rows; ``rhs`` a list.  For series domains,
-    ``precision`` bounds the working precision (default: the domain's).
-    A singular system raises ZeroDivisorError, always carrying an exact
-    kernel vector.  A column without a pivot at the working precision raises
-    PrecisionError when some entry is truncated (it may be a unit known to
-    too few terms) or when the exact matrix has no kernel.
-
-    ``fraction_free`` is for EXACT M and rhs over F_p((t)), and raises
-    CycdivError on any other input: the ``_Bareiss`` route, which decides
-    singularity exactly and never raises PrecisionError.  Back-substitution
-    on [M | rhs], eliminated once, gives det*x_l = N_l (det up to sign), so
-    x_l = N_l * det^-1 takes one inverse of det, by long division
-    (``_fp_divide``) or, for a det of many terms, by Newton
-    (``Series.invert``), whichever ``_LONG_DIVISION_OPS`` says is cheaper;
-    the two give the same terms.  Each x_l is cut at t^precision, and is an
-    EXACT 0 when N_l is.  A singular M raises ZeroDivisorError with the
-    kernel ``kernel_vector`` reads off those rows.
+    ``precision`` is the requested precision (default: the domain's), and a
+    series solve works at ``precision + _SLACK``.  The route follows from
+    the input (see the module docstring).  [M | rhs] EXACT at every level
+    over a base field or F_p((t)) is eliminated once, fraction-free, and
+    never raises PrecisionError: x_l = -N_l * det^-1, exact in a base field
+    and cut at the working precision over F_p((t)) (an EXACT 0 when N_l
+    is).  In the truncated solve, which takes every other system, a column
+    without a pivot raises PrecisionError when some entry of M is truncated
+    (it may be a unit known to too few terms) or when the exact M has no
+    kernel.  A singular system raises ZeroDivisorError, always carrying an
+    exact kernel vector.
     """
     n = _square(matrix, rhs)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
-    if isinstance(domain, SeriesDomain) and precision is None:
-        precision = domain.default_precision
-    if fraction_free:
-        if not (domain._laurent_p and _exact(rows)):
-            raise CycdivError("a fraction-free solve needs EXACT entries over F_p((t))")
+    series = isinstance(domain, SeriesDomain)
+    if series:
+        work = (domain.default_precision if precision is None else precision) + _SLACK
+    if (domain._laurent_p or not series) and _exact(rows):
         route = _Bareiss(domain, rows)
         if route.free is not None:
             raise ZeroDivisorError("singular linear system",
                                    kernel=kernel_vector(domain, matrix, _eliminated=route))
-        # [M | rhs] annihilates (-N, det): x_l = -nums[l] * det^-1, known past t^precision
-        nums = route.back_substitute(n, route.piv)
-        low = min((min(x.terms) for x in nums if x.terms), default=0)
-        det, prec = route.piv, precision - low
-        # the terms of 1/det below prec lie g apart from -v(det), g the gcd of
-        # the gaps in det, and long division makes len(det) products for each
+        # [M | rhs] annihilates (N, det): x_l = -N_l * det^-1
+        nums, det = route.back_substitute(n, route.piv), route.piv
+        if not series:
+            inv = domain.neg(domain.invert(det))
+            return [domain.mul(x, inv) for x in nums]
+        # x_l below t^work takes det^-1 to work - low, low the least exponent of
+        # an N_l; the terms of det^-1 lie g apart from -v(det), g the gcd of the
+        # gaps in det, and long division makes len(det) products for each
+        prec = work - min((min(x.terms) for x in nums if x.terms), default=0)
         v = min(det.terms)
         g = math.gcd(*[e - v for e in det.terms]) or 1
         if len(det.terms) * -(-(prec + v) // g) <= _LONG_DIVISION_OPS:
             inv = _fp_divide(domain, {0: 1}, det, prec)
         else:
             inv = det.invert(prec)
-        return [_fp_series(domain, _fp_products({}, x, inv, -1, precision), precision)
+        return [_fp_series(domain, _fp_products({}, x, inv, -1, work), work)
                 if x.terms else domain.zero for x in nums]
-    if isinstance(domain, SeriesDomain):
-        work = precision + _SLACK
-        rows = [[e.truncate(work) for e in row] for row in rows]
-        route = _Loop(domain, Series.valuation_lower_bound, lambda v: _invert_pivot(v, work))
-    else:
-        work, route = None, _Loop(domain, _first, domain.invert)
-    _, free = _eliminate(rows, route)
+    rows = [[e.truncate(work) for e in row] for row in rows]
+    _, free = _eliminate(rows, _Loop(domain, work))
     if free is None:
         return [row[n] for row in rows]
     if not _exact(matrix):

@@ -328,6 +328,18 @@ def test_rationals_mode(capsys):
     assert out.strip() == "1/4 + -1/4*u + -1/4*X + -1/4*u*X"
 
 
+def test_t_needs_rationals(capsys):
+    """--t sets t of the rational base field; without --rationals it was
+    ignored, and t stayed the variable of F_7((t))."""
+    for argv in (["algebra", "build", "--alpha", "2", "--t", "5"],
+                 ["is-norm", "--x", "6 + t", "--t", "5"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and "--rationals" in err
+    code, out, _ = run(capsys, "algebra", "build", "--rationals", "--q", "2", "--t", "-1",
+                       "--alpha", "1/2")
+    assert code == 0 and json.loads(out)["alpha"] == "1/2"
+
+
 def test_hahn_mode(capsys):
     code, out, _ = run(capsys, "algebra", "certify", "--hahn", "7", "--alpha", "x",
                        "--prec", "6")
